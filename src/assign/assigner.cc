@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
-#include <iostream>
-#include <map>
 #include <set>
 #include <span>
 
@@ -26,51 +23,35 @@ namespace
 
 /**
  * Mutable assignment state: node placements, the shared MRT, and one
- * communication record per produced value that currently crosses
- * clusters. All mutations run through transactions so a tentative
- * placement can be rolled back exactly.
+ * copy record per produced value that currently crosses clusters. All
+ * mutations run through transactions so a tentative placement can be
+ * rolled back exactly. Records, undo logs and request buffers are
+ * reused from placement to placement, so placing and rolling back
+ * allocate nothing once they are warm.
  */
 class AssignState
 {
   public:
-    /** Copy bookkeeping for one value (keyed by its producer node). */
+    /**
+     * Copy bookkeeping for one value (indexed by its producer). Only
+     * rows are kept: a copy's pools are rebuilt from the source and
+     * the destinations whenever the record is released or restored.
+     */
     struct ValueComm
     {
-        /** Destination clusters of the broadcast copy (bused). */
+        /** Cluster the value is produced on. */
+        ClusterId src = invalidCluster;
+
+        /**
+         * Bused: the broadcast copy's destinations, ascending.
+         * Point-to-point: each hop's target in chain order; the hop
+         * comes from the target's parent in src's hop tree.
+         */
         std::vector<ClusterId> dsts;
 
-        /** The broadcast copy's MRT slots (bused). */
-        Reservation broadcastRes;
-
-        /** Relay hops with their MRT slots (point-to-point). */
-        struct HopRes
-        {
-            Hop hop;
-            Reservation res;
-        };
-        std::vector<HopRes> hops;
-
-        /** Number of copy operations this record stands for. */
-        int
-        copyCount(bool broadcast) const
-        {
-            if (broadcast)
-                return dsts.empty() ? 0 : 1;
-            return static_cast<int>(hops.size());
-        }
-
-        /** Clusters the value currently reaches (beyond its own). */
-        std::vector<ClusterId>
-        reached(bool broadcast) const
-        {
-            if (broadcast)
-                return dsts;
-            std::vector<ClusterId> result;
-            for (const HopRes &hop : hops)
-                result.push_back(hop.hop.to);
-            std::sort(result.begin(), result.end());
-            return result;
-        }
+        /** MRT row of each copy operation (the one broadcast, or one
+         *  per hop); its size is the record's copy count. */
+        std::vector<int> rows;
     };
 
     enum class FailKind
@@ -88,13 +69,54 @@ class AssignState
         NodeId commValue = invalidNode;
     };
 
-    /** Undo log of one tryAssign. */
+    /**
+     * Undo log of one placement. Entries outlive the transaction:
+     * logging a value swaps its record with the entry's spare one, so
+     * neither side copies or allocates once the log is warm.
+     */
     struct Txn
     {
+        struct Entry
+        {
+            NodeId value = invalidNode;
+            /** The value had a record before; `previous` holds it. */
+            bool had = false;
+            ValueComm previous;
+        };
+
         NodeId node = invalidNode;
         bool fuSet = false;
-        /** (value, previous comm or nullopt-as-empty) in log order. */
-        std::vector<std::pair<NodeId, std::optional<ValueComm>>> oldComms;
+        /** The first `used` entries are this transaction's, in order. */
+        std::vector<Entry> entries;
+        size_t used = 0;
+
+        void
+        reset(NodeId placed)
+        {
+            node = placed;
+            fuSet = false;
+            used = 0;
+        }
+
+        bool
+        logs(NodeId value) const
+        {
+            for (size_t i = 0; i < used; ++i) {
+                if (entries[i].value == value)
+                    return true;
+            }
+            return false;
+        }
+
+        Entry &
+        push(NodeId value)
+        {
+            if (used == entries.size())
+                entries.emplace_back();
+            Entry &entry = entries[used++];
+            entry.value = value;
+            return entry;
+        }
     };
 
     AssignState(const Dfg &graph, const ResourceModel &model, Mrt &mrt,
@@ -102,8 +124,22 @@ class AssignState
         : graph_(graph), model_(model), machine_(model.machine()),
           faults_(faults), adj_(adjacency), mrt_(mrt)
     {
-        clusterOf_.assign(graph.numNodes(), invalidCluster);
-        fuRes_.assign(graph.numNodes(), Reservation{});
+        const int nodes = graph.numNodes();
+        clusterOf_.assign(nodes, invalidCluster);
+        fuRow_.assign(nodes, -1);
+        comm_.resize(nodes);
+        hasComm_.assign(nodes, 0);
+        // The request is one pool per (cluster, class), served from a
+        // table instead of allocating per probe.
+        opReq_.resize(machine_.numClusters());
+        for (ClusterId c = 0; c < machine_.numClusters(); ++c) {
+            for (int cls = 0; cls < numFuClasses; ++cls) {
+                const PoolId pool =
+                    model_.fuPool(c, static_cast<FuClass>(cls));
+                if (pool != invalidPool)
+                    opReq_[c][cls] = {pool};
+            }
+        }
         if (adj_) {
             // Pool lists per cluster, ascending and deduplicated like
             // the per-call std::set in freeClusterResources.
@@ -122,17 +158,7 @@ class AssignState
                     pools.insert(model_.writePool(c));
                 clusterPools_[c].assign(pools.begin(), pools.end());
             }
-            opReq_.resize(machine_.numClusters());
-            for (ClusterId c = 0; c < machine_.numClusters(); ++c) {
-                for (int cls = 0; cls < numFuClasses; ++cls) {
-                    const PoolId pool =
-                        model_.fuPool(c, static_cast<FuClass>(cls));
-                    if (pool != invalidPool)
-                        opReq_[c][cls] = {pool};
-                }
-            }
-            seen_.assign(graph.numNodes(), false);
-            hasComm_.assign(graph.numNodes(), 0);
+            seen_.assign(nodes, false);
         }
     }
 
@@ -175,27 +201,14 @@ class AssignState
     const Mrt &mrt() const { return mrt_; }
 
     /** Total copy operations currently reserved. */
-    int
-    totalCopies() const
-    {
-        if (adj_)
-            return copyOps_;
-        int total = 0;
-        for (const auto &[value, comm] : comm_)
-            total += comm.copyCount(machine_.broadcast());
-        return total;
-    }
+    int totalCopies() const { return copyOps_; }
 
     /** RC(N): required copies generated by the node's value so far. */
     int
     requiredCopiesOf(NodeId value) const
     {
-        auto it = comm_.find(value);
-        if (it == comm_.end())
-            return 0;
-        if (machine_.broadcast())
-            return it->second.dsts.empty() ? 0 : 1;
-        return static_cast<int>(it->second.reached(false).size());
+        return hasComm_[value] ? static_cast<int>(comm_[value].rows.size())
+                               : 0;
     }
 
     /**
@@ -207,39 +220,25 @@ class AssignState
     tryAssign(NodeId node, ClusterId cluster, Txn *txn = nullptr)
     {
         cams_check(!assigned(node), "node ", node, " already assigned");
-        Txn local;
-        Txn &log = txn ? *txn : local;
-        log.node = node;
+        Txn &log = txn ? *txn : commitLog_;
+        log.reset(node);
 
         TryOutcome outcome;
 
-        const Opcode op = graph_.node(node).op;
-        const FuClass cls = opcodeFuClass(op);
+        const FuClass cls = opcodeFuClass(graph_.node(node).op);
         if (model_.fuPool(cluster, cls) == invalidPool) {
             outcome.kind = FailKind::Fu;
             return outcome;
         }
-        // The request is one pool per (cluster, class); adjacency mode
-        // serves it from a table instead of allocating per probe.
-        if (adj_) {
-            const std::vector<PoolId> &req =
-                opReq_[cluster][static_cast<int>(cls)];
-            const int row = mrt_.findRow(req);
-            if (row < 0) {
-                outcome.kind = FailKind::Fu;
-                return outcome;
-            }
-            // Straight into the node's slot: its pools capacity
-            // survives from earlier probes of the same node.
-            mrt_.reserveAtInto(req, row, fuRes_[node]);
-        } else {
-            auto fu = mrt_.reserve(model_.opRequest(cluster, op));
-            if (!fu) {
-                outcome.kind = FailKind::Fu;
-                return outcome;
-            }
-            fuRes_[node] = std::move(*fu);
+        const std::vector<PoolId> &req =
+            opReq_[cluster][static_cast<int>(cls)];
+        const int row = mrt_.findRow(req);
+        if (row < 0) {
+            outcome.kind = FailKind::Fu;
+            return outcome;
         }
+        mrt_.occupy(req, row);
+        fuRow_[node] = row;
         log.fuSet = true;
         clusterOf_[node] = cluster;
 
@@ -249,15 +248,13 @@ class AssignState
         // per-phase breakdown (timed per tryAssign, not per value, to
         // keep the always-on cost to two clock reads per placement).
         const Stopwatch route_watch;
-        std::vector<NodeId> local_values;
-        std::vector<NodeId> &values = adj_ ? valuesScratch_ : local_values;
-        values.clear();
-        values.push_back(node);
+        values_.clear();
+        values_.push_back(node);
         for (NodeId pred : predsOf(node)) {
             if (pred != node && assigned(pred))
-                values.push_back(pred);
+                values_.push_back(pred);
         }
-        for (NodeId value : values) {
+        for (NodeId value : values_) {
             if (!syncComm(value, log)) {
                 outcome.kind = FailKind::Comm;
                 outcome.commValue = value;
@@ -268,8 +265,6 @@ class AssignState
         }
         routeMicros_ += route_watch.elapsedMicros();
 
-        if (!txn)
-            local = Txn{}; // committed; nothing to undo
         outcome.ok = true;
         return outcome;
     }
@@ -278,40 +273,22 @@ class AssignState
     void
     rollback(Txn &txn)
     {
-        // Release the new communication state of every touched value,
-        // then restore the old one slot for slot.
-        for (auto it = txn.oldComms.rbegin(); it != txn.oldComms.rend();
-             ++it) {
-            auto current = comm_.find(it->first);
-            if (current != comm_.end()) {
-                releaseComm(current->second);
-                copyOps_ -= commOps(current->second);
-                comm_.erase(current);
-                if (adj_)
-                    hasComm_[it->first] = 0;
-            }
+        // Release the new records of every touched value, then restore
+        // the old ones slot for slot.
+        for (size_t i = txn.used; i-- > 0;)
+            dropComm(txn.entries[i].value);
+        for (size_t i = 0; i < txn.used; ++i) {
+            Txn::Entry &entry = txn.entries[i];
+            if (!entry.had)
+                continue;
+            restoreCopies(entry.previous);
+            std::swap(comm_[entry.value], entry.previous);
+            hasComm_[entry.value] = 1;
+            copyOps_ += static_cast<int>(comm_[entry.value].rows.size());
         }
-        for (auto &[value, old] : txn.oldComms) {
-            if (old) {
-                restoreComm(*old);
-                copyOps_ += commOps(*old);
-                comm_[value] = std::move(*old);
-                if (adj_)
-                    hasComm_[value] = 1;
-            }
-        }
-        txn.oldComms.clear();
+        txn.used = 0;
         if (txn.fuSet) {
-            // fuRes_[node] is exactly the reservation tryAssign made;
-            // releasing it here spares the Txn a second copy.
-            mrt_.release(fuRes_[txn.node]);
-            clusterOf_[txn.node] = invalidCluster;
-            if (adj_) {
-                fuRes_[txn.node].row = -1;
-                fuRes_[txn.node].pools.clear();
-            } else {
-                fuRes_[txn.node] = Reservation{};
-            }
+            releaseFu(txn.node);
             txn.fuSet = false;
         }
     }
@@ -322,22 +299,8 @@ class AssignState
     {
         cams_check(assigned(node), "unassigning unplaced node ", node);
         // The node's own value no longer has a source.
-        auto own = comm_.find(node);
-        if (own != comm_.end()) {
-            releaseComm(own->second);
-            copyOps_ -= commOps(own->second);
-            comm_.erase(own);
-            if (adj_)
-                hasComm_[node] = 0;
-        }
-        mrt_.release(fuRes_[node]);
-        if (adj_) {
-            fuRes_[node].row = -1;
-            fuRes_[node].pools.clear();
-        } else {
-            fuRes_[node] = Reservation{};
-        }
-        clusterOf_[node] = invalidCluster;
+        dropComm(node);
+        releaseFu(node);
 
         // Predecessor values may stop crossing clusters: shrink their
         // communication. Shrinking can always be re-reserved because
@@ -345,8 +308,8 @@ class AssignState
         for (NodeId pred : predsOf(node)) {
             if (pred == node || !assigned(pred))
                 continue;
-            Txn shrink;
-            const bool ok = syncComm(pred, shrink);
+            shrinkLog_.reset(invalidNode);
+            const bool ok = syncComm(pred, shrinkLog_);
             cams_check(ok, "shrinking communication of value ", pred,
                        " failed");
         }
@@ -522,20 +485,6 @@ class AssignState
         return conflicts;
     }
 
-    /** Assigned consumers of the value on clusters other than its own. */
-    std::vector<NodeId>
-    remoteConsumers(NodeId value) const
-    {
-        std::vector<NodeId> result;
-        for (NodeId succ : succsOf(value)) {
-            if (succ != value && assigned(succ) &&
-                clusterOf_[succ] != clusterOf_[value]) {
-                result.push_back(succ);
-            }
-        }
-        return result;
-    }
-
     /** Materializes the annotated loop from the final placements. */
     AnnotatedLoop
     materialize() const
@@ -551,11 +500,18 @@ class AssignState
             out.placement.push_back({clusterOf_[node.id], {}});
         }
 
-        // copyServing[value][cluster] = copy node delivering the value
-        // to that cluster.
-        std::map<NodeId, std::map<ClusterId, NodeId>> serving;
+        // serving[value * clusters + cluster] = copy node delivering
+        // the value to that cluster.
+        const int clusters = machine_.numClusters();
+        std::vector<NodeId> serving(
+            static_cast<size_t>(graph_.numNodes()) * clusters,
+            invalidNode);
 
-        for (const auto &[value, comm] : comm_) {
+        for (NodeId value = 0; value < graph_.numNodes(); ++value) {
+            if (!hasComm_[value])
+                continue;
+            const ValueComm &comm = comm_[value];
+            NodeId *served = &serving[static_cast<size_t>(value) * clusters];
             const ClusterId src = clusterOf_[value];
             const std::string base = "cp_" + graph_.node(value).name;
             if (machine_.broadcast()) {
@@ -566,28 +522,26 @@ class AssignState
                 out.graph.addEdge(value, copy,
                                   graph_.node(value).latency, 0);
                 for (ClusterId dst : comm.dsts)
-                    serving[value][dst] = copy;
-            } else {
-                // Hops are in parent-before-child order.
-                std::map<ClusterId, NodeId> landing;
-                for (const auto &hop_res : comm.hops) {
-                    const Hop hop = hop_res.hop;
-                    const NodeId copy = out.graph.addNode(
-                        Opcode::Copy, 1,
-                        base + "_" + std::to_string(hop.to));
-                    out.placement.push_back({hop.from, {hop.to}});
-                    if (hop.from == src) {
-                        out.graph.addEdge(value, copy,
-                                          graph_.node(value).latency, 0);
-                    } else {
-                        auto carrier = landing.find(hop.from);
-                        cams_check(carrier != landing.end(),
-                                   "hop chain out of order");
-                        out.graph.addEdge(carrier->second, copy, 1, 0);
-                    }
-                    landing[hop.to] = copy;
-                    serving[value][hop.to] = copy;
+                    served[dst] = copy;
+                continue;
+            }
+            // Hops are in parent-before-child order, so the copy that
+            // lands on a hop's source already exists.
+            const HopTree &tree = model_.hopTree(src);
+            for (ClusterId to : comm.dsts) {
+                const ClusterId from = tree.parent[to];
+                const NodeId copy = out.graph.addNode(
+                    Opcode::Copy, 1, base + "_" + std::to_string(to));
+                out.placement.push_back({from, {to}});
+                if (from == src) {
+                    out.graph.addEdge(value, copy,
+                                      graph_.node(value).latency, 0);
+                } else {
+                    cams_check(served[from] != invalidNode,
+                               "hop chain out of order");
+                    out.graph.addEdge(served[from], copy, 1, 0);
                 }
+                served[to] = copy;
             }
         }
 
@@ -599,13 +553,12 @@ class AssignState
                                   edge.distance);
                 continue;
             }
-            auto by_value = serving.find(edge.src);
-            cams_check(by_value != serving.end(),
-                       "cross-cluster edge without communication");
-            auto copy = by_value->second.find(dst_cluster);
-            cams_check(copy != by_value->second.end(),
+            const NodeId copy =
+                serving[static_cast<size_t>(edge.src) * clusters +
+                        dst_cluster];
+            cams_check(copy != invalidNode,
                        "value does not reach consumer cluster");
-            out.graph.addEdge(copy->second, edge.dst, 1, edge.distance);
+            out.graph.addEdge(copy, edge.dst, 1, edge.distance);
         }
         return out;
     }
@@ -614,8 +567,8 @@ class AssignState
     /**
      * Re-plans the communication of one value from current placements.
      * Records the previous state in the transaction; on failure the
-     * map entry is left erased with all new slots released (the
-     * caller's rollback restores the previous state).
+     * value is left without a record and every new slot is released
+     * (the caller's rollback restores the previous state).
      */
     bool
     syncComm(NodeId value, Txn &txn)
@@ -623,88 +576,39 @@ class AssignState
         cams_assert(assigned(value), "syncComm on unassigned value");
         const ClusterId src = clusterOf_[value];
 
-        std::vector<ClusterId> local_desired;
-        std::vector<ClusterId> &desired =
-            adj_ ? desiredScratch_ : local_desired;
-        if (adj_) {
-            // Same sorted-unique destination set as the std::set
-            // below, built in a reusable buffer.
-            desired.clear();
-            for (NodeId succ : adj_->succs(value)) {
-                if (succ != value && assigned(succ) &&
-                    clusterOf_[succ] != src) {
-                    desired.push_back(clusterOf_[succ]);
-                }
-            }
-            std::sort(desired.begin(), desired.end());
-            desired.erase(std::unique(desired.begin(), desired.end()),
-                          desired.end());
-        } else {
-            std::set<ClusterId> desired_set;
-            for (NodeId succ : succsOf(value)) {
-                if (succ != value && assigned(succ) &&
-                    clusterOf_[succ] != src) {
-                    desired_set.insert(clusterOf_[succ]);
-                }
-            }
-            desired.assign(desired_set.begin(), desired_set.end());
+        // Sorted, distinct clusters of the value's remote consumers.
+        desired_.clear();
+        for (NodeId succ : succsOf(value)) {
+            if (succ != value && assigned(succ) && clusterOf_[succ] != src)
+                desired_.push_back(clusterOf_[succ]);
         }
+        std::sort(desired_.begin(), desired_.end());
+        desired_.erase(std::unique(desired_.begin(), desired_.end()),
+                       desired_.end());
 
-        // Common case in adjacency mode: the value has no copies and
-        // needs none -- skip the map lookup entirely.
-        if (adj_ && desired.empty() && !hasComm_[value])
-            return true;
-
-        auto current = comm_.find(value);
-        const bool broadcast = machine_.broadcast();
-        if (current != comm_.end()) {
-            // reached(broadcast) allocates; on broadcast machines the
-            // destination list is stored directly, so compare in
-            // place.
-            const bool unchanged =
-                broadcast ? current->second.dsts == desired
-                          : current->second.reached(false) == desired;
-            if (unchanged)
+        if (!hasComm_[value]) {
+            if (desired_.empty())
                 return true;
-        }
-        if (current == comm_.end() && desired.empty())
+        } else if (clusterMask(comm_[value].dsts) == clusterMask(desired_)) {
+            // Bused: the same destination set. Point-to-point: the hop
+            // targets, relays included, equal the destinations -- so
+            // a value routed through a relay is re-planned on every
+            // sync.
             return true;
-
-        // Log the previous state once per value per transaction.
-        bool logged = false;
-        for (const auto &[logged_value, ignored] : txn.oldComms) {
-            (void)ignored;
-            if (logged_value == value) {
-                logged = true;
-                break;
-            }
-        }
-        if (!logged) {
-            if (current != comm_.end()) {
-                // The entry is released and erased below either way,
-                // so the log takes it by move rather than copying the
-                // reservation vectors.
-                txn.oldComms.emplace_back(value,
-                                          std::move(current->second));
-                releaseComm(*txn.oldComms.back().second);
-                copyOps_ -= commOps(*txn.oldComms.back().second);
-                comm_.erase(current);
-                if (adj_)
-                    hasComm_[value] = 0;
-                current = comm_.end();
-            } else {
-                txn.oldComms.emplace_back(value, std::nullopt);
-            }
         }
 
-        if (current != comm_.end()) {
-            releaseComm(current->second);
-            copyOps_ -= commOps(current->second);
-            comm_.erase(current);
-            if (adj_)
-                hasComm_[value] = 0;
+        // Log the previous record once per value per transaction:
+        // release its slots and swap it into the log entry.
+        if (!txn.logs(value)) {
+            Txn::Entry &entry = txn.push(value);
+            entry.had = hasComm_[value] != 0;
+            if (entry.had) {
+                dropComm(value);
+                std::swap(entry.previous, comm_[value]);
+            }
         }
-        if (desired.empty())
+        dropComm(value); // a record this transaction made earlier
+        if (desired_.empty())
             return true;
 
         // Injected bus/link exhaustion: behave exactly as if every
@@ -712,58 +616,108 @@ class AssignState
         if (faults_ && faults_->trip(FaultSite::RouterBusExhaustion))
             return false;
 
-        ValueComm fresh;
-        if (broadcast) {
-            auto res = mrt_.reserve(model_.copyRequest(src, desired));
-            if (!res)
+        ValueComm &fresh = comm_[value];
+        fresh.src = src;
+        fresh.dsts.clear();
+        fresh.rows.clear();
+        auto reserveCopy = [&](ClusterId from,
+                               std::span<const ClusterId> dsts) {
+            model_.copyRequestInto(from, dsts, request_);
+            const int row = mrt_.findRow(request_);
+            if (row >= 0) {
+                mrt_.occupy(request_, row);
+                fresh.rows.push_back(row);
+            }
+            return row >= 0;
+        };
+        if (machine_.broadcast()) {
+            if (!reserveCopy(src, desired_))
                 return false;
-            fresh.dsts = desired;
-            fresh.broadcastRes = *res;
+            fresh.dsts.assign(desired_.begin(), desired_.end());
         } else {
-            const auto hops = planHops(machine_, src, desired);
-            for (const Hop &hop : hops) {
-                auto res = mrt_.reserve(
-                    model_.copyRequest(hop.from, {hop.to}));
-                if (!res) {
-                    releaseComm(fresh);
+            planHops(model_.hopTree(src), desired_, hops_);
+            for (const Hop &hop : hops_) {
+                if (!reserveCopy(hop.from, {&hop.to, 1})) {
+                    freeCopies(fresh);
                     return false;
                 }
-                fresh.hops.push_back({hop, *res});
+                fresh.dsts.push_back(hop.to);
             }
         }
-        copyOps_ += commOps(fresh);
-        comm_[value] = std::move(fresh);
-        if (adj_)
-            hasComm_[value] = 1;
+        hasComm_[value] = 1;
+        copyOps_ += static_cast<int>(fresh.rows.size());
         return true;
     }
 
-    /** The record's copy-op count, as copyCount() reports it. */
-    int
-    commOps(const ValueComm &comm) const
+    /** Set of clusters as a bit mask (at most maxClusters of them). */
+    static uint64_t
+    clusterMask(const std::vector<ClusterId> &clusters)
     {
-        return comm.copyCount(machine_.broadcast());
+        uint64_t mask = 0;
+        for (ClusterId c : clusters)
+            mask |= uint64_t{1} << c;
+        return mask;
     }
 
+    /**
+     * Calls fn(pools, row) for each copy of a record, rebuilding its
+     * pools into the shared request buffer. The copies reserved so far
+     * are the first rows.size() of them.
+     */
+    template <typename Fn>
     void
-    releaseComm(const ValueComm &comm)
+    forEachCopy(const ValueComm &comm, Fn fn)
     {
-        if (comm.broadcastRes.valid())
-            mrt_.release(comm.broadcastRes);
-        for (const auto &hop_res : comm.hops)
-            mrt_.release(hop_res.res);
-    }
-
-    /** Re-reserves the exact slots of a previously released record. */
-    void
-    restoreComm(const ValueComm &comm)
-    {
-        if (comm.broadcastRes.valid()) {
-            mrt_.reserveAt(comm.broadcastRes.pools,
-                           comm.broadcastRes.row);
+        for (size_t i = 0; i < comm.rows.size(); ++i) {
+            if (machine_.broadcast()) {
+                model_.copyRequestInto(comm.src, comm.dsts, request_);
+            } else {
+                const ClusterId to = comm.dsts[i];
+                model_.copyRequestInto(model_.hopTree(comm.src).parent[to],
+                                       {&to, 1}, request_);
+            }
+            fn(request_, comm.rows[i]);
         }
-        for (const auto &hop_res : comm.hops)
-            mrt_.reserveAt(hop_res.res.pools, hop_res.res.row);
+    }
+
+    /** Returns a record's slots to the MRT. */
+    void
+    freeCopies(const ValueComm &comm)
+    {
+        forEachCopy(comm, [&](const std::vector<PoolId> &pools, int row) {
+            mrt_.free(pools, row);
+        });
+    }
+
+    /** Takes a released record's exact slots again. */
+    void
+    restoreCopies(const ValueComm &comm)
+    {
+        forEachCopy(comm, [&](const std::vector<PoolId> &pools, int row) {
+            mrt_.occupy(pools, row);
+        });
+    }
+
+    /** Releases the value's record, if it has one, and drops it. */
+    void
+    dropComm(NodeId value)
+    {
+        if (!hasComm_[value])
+            return;
+        freeCopies(comm_[value]);
+        copyOps_ -= static_cast<int>(comm_[value].rows.size());
+        hasComm_[value] = 0;
+    }
+
+    /** Releases the node's function-unit slot and unplaces it. */
+    void
+    releaseFu(NodeId node)
+    {
+        const FuClass cls = opcodeFuClass(graph_.node(node).op);
+        mrt_.free(opReq_[clusterOf_[node]][static_cast<int>(cls)],
+                  fuRow_[node]);
+        fuRow_[node] = -1;
+        clusterOf_[node] = invalidCluster;
     }
 
     const Dfg &graph_;
@@ -775,8 +729,23 @@ class AssignState
     int64_t routeMicros_ = 0;
     Mrt &mrt_;
     std::vector<ClusterId> clusterOf_;
-    std::vector<Reservation> fuRes_;
-    std::map<NodeId, ValueComm> comm_;
+    /** MRT row of each placed node's function-unit slot. */
+    std::vector<int> fuRow_;
+    /** Copy record per producer; live while hasComm_ is set. */
+    std::vector<ValueComm> comm_;
+    std::vector<char> hasComm_;
+    /** Running copy-op count over the live records. */
+    int copyOps_ = 0;
+    /** Per-(cluster, class) operation request. */
+    std::vector<std::array<std::vector<PoolId>, numFuClasses>> opReq_;
+    /** Undo logs of committed placements and of eviction shrinks. */
+    Txn commitLog_;
+    Txn shrinkLog_;
+    /** Reusable buffers for tryAssign / syncComm. */
+    std::vector<NodeId> values_;
+    std::vector<ClusterId> desired_;
+    std::vector<Hop> hops_;
+    std::vector<PoolId> request_;
     /** Sorted-unique local pools per cluster (adjacency mode only). */
     std::vector<std::vector<PoolId>> clusterPools_;
     /** Fallback staging for predsOf/succsOf when adj_ is null. */
@@ -785,16 +754,6 @@ class AssignState
     /** Mark table + undo list for predictedIncomingCopies. */
     mutable std::vector<bool> seen_;
     mutable std::vector<NodeId> touched_;
-    /** Reusable buffers for tryAssign / syncComm (adjacency mode). */
-    std::vector<NodeId> valuesScratch_;
-    std::vector<ClusterId> desiredScratch_;
-    /** Per-(cluster, class) operation request (adjacency mode). */
-    std::vector<std::array<std::vector<PoolId>, numFuClasses>> opReq_;
-    /** Per-value comm_ membership, mirroring the map (adjacency
-     *  mode): lets syncComm skip the lookup for copy-free values. */
-    std::vector<char> hasComm_;
-    /** Running copy-op count; totalCopies() in adjacency mode. */
-    int copyOps_ = 0;
 };
 
 } // namespace
@@ -804,19 +763,6 @@ ClusterAssigner::ClusterAssigner(const ResourceModel &model,
     : model_(model), options_(options)
 {
 }
-
-namespace
-{
-
-/** Set CAMS_ASSIGN_TRACE=1 for a stderr log of every decision. */
-bool
-traceEnabled()
-{
-    static const bool enabled = std::getenv("CAMS_ASSIGN_TRACE");
-    return enabled;
-}
-
-} // namespace
 
 AssignResult
 ClusterAssigner::run(const Dfg &graph, int ii, LoopContext *ctx) const
@@ -1067,6 +1013,9 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
     };
 
     std::vector<ClusterChoice> choices;
+    // One undo log serves every tentative placement of the attempt.
+    AssignState::Txn tentative;
+    std::vector<NodeId> victims;
     while (!pendingEmpty()) {
         const NodeId node = pendingTop();
         const bool in_scc = sccs.inRecurrence(node);
@@ -1090,8 +1039,7 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
             choice.conflictingNeighbors =
                 state.conflictingNeighbors(node, c);
 
-            AssignState::Txn txn;
-            const auto outcome = state.tryAssign(node, c, &txn);
+            const auto outcome = state.tryAssign(node, c, &tentative);
             if (outcome.ok) {
                 choice.feasible = true;
                 choice.requiredCopies =
@@ -1099,7 +1047,7 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
                 choice.freeResources = state.freeClusterResources(c);
                 choice.pcrOk = state.pcrWithinMrc(c);
                 choice.pcrInOk = state.incomingWithinRoom(c);
-                state.rollback(txn);
+                state.rollback(tentative);
             }
             choices.push_back(choice);
         }
@@ -1141,10 +1089,6 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
             cams_check(outcome.ok, "committed assignment failed");
             if (options_.policy == AssignPolicy::AcyclicBug)
                 est[node] = estimateStart(node, best, state);
-            if (traceEnabled()) {
-                std::cerr << "[assign] " << graph.node(node).name
-                          << " -> C" << best << "\n";
-            }
             if (decisions) {
                 traceInstant(
                     "assign_decide",
@@ -1192,7 +1136,7 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
             // Figure 11's prescription: remove any and all nodes
             // conflicting with the resources needed by N, as well as
             // any conflicting predecessors and successors.
-            std::vector<NodeId> victims;
+            victims.clear();
             if (outcome.kind == AssignState::FailKind::Fu) {
                 // Lowest-priority occupant of the same unit pool
                 // (one slot is all the node needs).
@@ -1235,21 +1179,6 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
                         }
                     }
                 }
-            }
-            if (traceEnabled()) {
-                std::cerr << "[force] " << graph.node(node).name
-                          << " -> C" << forced << " failed ("
-                          << (outcome.kind == AssignState::FailKind::Fu
-                                  ? "fu"
-                                  : "comm value " +
-                                        std::to_string(
-                                            outcome.commValue))
-                          << "), victims";
-                for (NodeId victim : victims)
-                    std::cerr << " " << graph.node(victim).name;
-                if (victims.empty())
-                    std::cerr << " <none>";
-                std::cerr << "\n";
             }
             if (decisions) {
                 std::string evictees;

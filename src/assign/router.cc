@@ -1,12 +1,37 @@
 #include "assign/router.hh"
 
-#include <algorithm>
-#include <deque>
+#include <cstdint>
 
 #include "support/logging.hh"
 
 namespace cams
 {
+
+void
+planHops(const HopTree &tree, std::span<const ClusterId> dsts,
+         std::vector<Hop> &out)
+{
+    cams_assert(tree.parent.size() <= static_cast<size_t>(maxClusters),
+                "hop tree over more than ", maxClusters, " clusters");
+    // Mark every cluster on some source->destination path.
+    uint64_t needed = 0;
+    for (ClusterId dst : dsts) {
+        // Recoverable: these fire mid-assignment, where the driver can
+        // classify the failure and fall back (see support/logging.hh).
+        cams_check(dst != tree.source, "routing a value to its own cluster");
+        cams_check(tree.depth[dst] > 0, "cluster ", dst, " unreachable from ",
+                   tree.source);
+        for (ClusterId at = dst; at != tree.source; at = tree.parent[at])
+            needed |= uint64_t{1} << at;
+    }
+
+    // The tree's (depth, id) order puts parents before children.
+    out.clear();
+    for (ClusterId c : tree.order) {
+        if ((needed >> c) & 1)
+            out.push_back({tree.parent[c], c});
+    }
+}
 
 std::vector<Hop>
 planHops(const MachineDesc &machine, ClusterId src,
@@ -14,63 +39,8 @@ planHops(const MachineDesc &machine, ClusterId src,
 {
     cams_assert(machine.interconnect == InterconnectKind::PointToPoint,
                 "planHops on a bused machine");
-
-    // BFS from the source; neighbors() returns ascending ids, so the
-    // parent tree is deterministic.
-    const int n = machine.numClusters();
-    std::vector<ClusterId> parent(n, invalidCluster);
-    std::vector<bool> seen(n, false);
-    std::vector<int> bfs_depth(n, 0);
-    std::deque<ClusterId> queue;
-    queue.push_back(src);
-    seen[src] = true;
-    while (!queue.empty()) {
-        const ClusterId at = queue.front();
-        queue.pop_front();
-        for (ClusterId next : machine.neighbors(at)) {
-            if (!seen[next]) {
-                seen[next] = true;
-                parent[next] = at;
-                bfs_depth[next] = bfs_depth[at] + 1;
-                queue.push_back(next);
-            }
-        }
-    }
-
-    // Collect every cluster on some source->destination path.
-    std::vector<bool> needed(n, false);
-    for (ClusterId dst : dsts) {
-        // Recoverable: these fire mid-assignment, where the driver can
-        // classify the failure and fall back (see support/logging.hh).
-        cams_check(dst != src, "routing a value to its own cluster");
-        cams_check(seen[dst], "cluster ", dst, " unreachable from ",
-                   src, " on machine '", machine.name, "'");
-        for (ClusterId at = dst; at != src; at = parent[at])
-            needed[at] = true;
-    }
-
-    // Emit hops ordered by BFS depth: parents always precede children.
-    struct Entry
-    {
-        int depth;
-        ClusterId to;
-    };
-    std::vector<Entry> entries;
-    for (ClusterId c = 0; c < n; ++c) {
-        if (needed[c])
-            entries.push_back({bfs_depth[c], c});
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry &x, const Entry &y) {
-                  if (x.depth != y.depth)
-                      return x.depth < y.depth;
-                  return x.to < y.to;
-              });
-
     std::vector<Hop> hops;
-    hops.reserve(entries.size());
-    for (const Entry &entry : entries)
-        hops.push_back({parent[entry.to], entry.to});
+    planHops(machine.hopTree(src), dsts, hops);
     return hops;
 }
 

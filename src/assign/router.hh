@@ -6,14 +6,15 @@
  * with a single broadcast copy, so no routing is needed. On a
  * point-to-point machine (the paper's grid, Figure 4) a value must be
  * relayed hop by hop along links; a destination two hops away costs a
- * chain of two copies. This module plans the set of hops -- a tree
- * rooted at the source cluster, built over BFS shortest paths so that
+ * chain of two copies. This module plans the set of hops -- a subtree
+ * of the source cluster's BFS shortest-path tree (HopTree), so that
  * routes to multiple destinations share their common prefix.
  */
 
 #ifndef CAMS_ASSIGN_ROUTER_HH
 #define CAMS_ASSIGN_ROUTER_HH
 
+#include <span>
 #include <vector>
 
 #include "machine/machine.hh"
@@ -31,16 +32,22 @@ struct Hop
 };
 
 /**
- * Plans the hop tree delivering a value from @p src to every cluster
- * in @p dsts over the machine's links.
+ * Plans the hops delivering a value from the tree's source to every
+ * cluster in @p dsts: each cluster on a tree path to a destination
+ * receives one hop from its tree parent. Hops are written to @p out
+ * (cleared first) in (depth, id) order, so a hop's source is either
+ * the tree's source or the target of an earlier hop -- the order copy
+ * operations must be chained in the graph.
  *
- * Hops are returned in a topological order of the tree (a hop's
- * source is either @p src or the target of an earlier hop), which is
- * also the order copy operations must be chained in the graph.
- * Deterministic: BFS visits neighbors in ascending cluster id.
- *
- * Fatal when some destination is unreachable (validate() rejects
- * such machines already).
+ * Recoverable failure (cams_check) when a destination is the source
+ * or unreachable; validated machines have no unreachable clusters.
+ */
+void planHops(const HopTree &tree, std::span<const ClusterId> dsts,
+              std::vector<Hop> &out);
+
+/**
+ * The same plan over the machine's own BFS tree from @p src
+ * (point-to-point machines only).
  */
 std::vector<Hop> planHops(const MachineDesc &machine, ClusterId src,
                           const std::vector<ClusterId> &dsts);

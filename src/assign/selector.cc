@@ -1,7 +1,8 @@
 #include "assign/selector.hh"
 
 #include <algorithm>
-#include <functional>
+#include <bit>
+#include <cstdint>
 
 #include "support/logging.hh"
 
@@ -11,20 +12,22 @@ namespace cams
 namespace
 {
 
-using Filter = std::function<bool(const ClusterChoice &)>;
-
 /**
  * The surviving-cluster list plus the optional decision record. Every
  * Select step runs through here so the Figure 9 soft-keep rule and
- * the explain bookkeeping exist once.
+ * the explain bookkeeping exist once. Survivors are a bitmask over the
+ * input choices (a machine has at most maxClusters clusters), so the
+ * list keeps input order and filtering allocates nothing.
  */
 class Cascade
 {
   public:
     Cascade(const std::vector<ClusterChoice> &choices,
             SelectionExplain *explain)
-        : base_(choices.data()), explain_(explain)
+        : choices_(choices), explain_(explain)
     {
+        cams_assert(choices.size() <= static_cast<size_t>(maxClusters),
+                    "selection over ", choices.size(), " clusters");
         if (explain_) {
             explain_->verdicts.assign(choices.size(), {});
             for (size_t i = 0; i < choices.size(); ++i)
@@ -34,60 +37,67 @@ class Cascade
         }
     }
 
-    /** Admits a choice into the initial list. */
-    void
-    admit(const ClusterChoice &choice)
-    {
-        list_.push_back(&choice);
-    }
+    /** Admits the i-th choice into the initial list. */
+    void admit(size_t i) { alive_ |= uint64_t{1} << i; }
 
-    /** Records a choice excluded from the initial list. */
+    /** Records the i-th choice as excluded from the initial list. */
     void
-    exclude(const ClusterChoice &choice, const char *step)
+    exclude(size_t i, const char *step)
     {
         if (explain_)
-            verdictOf(choice).eliminatedBy = step;
+            explain_->verdicts[i].eliminatedBy = step;
     }
 
-    bool empty() const { return list_.empty(); }
+    bool empty() const { return alive_ == 0; }
 
-    size_t size() const { return list_.size(); }
+    size_t size() const { return std::popcount(alive_); }
 
-    const ClusterChoice &at(size_t i) const { return *list_[i]; }
+    /** The n-th survivor, in input order. */
+    const ClusterChoice &
+    at(size_t n) const
+    {
+        uint64_t rest = alive_;
+        for (; n > 0; --n)
+            rest &= rest - 1;
+        return choices_[std::countr_zero(rest)];
+    }
 
     /** Figure 9: keep the old list when the filter would empty it. */
+    template <typename Keep>
     void
-    select(const char *step, const Filter &keep)
+    select(const char *step, Keep keep)
     {
-        std::vector<const ClusterChoice *> filtered;
-        for (const ClusterChoice *choice : list_) {
-            if (keep(*choice))
-                filtered.push_back(choice);
+        uint64_t kept = 0;
+        for (uint64_t rest = alive_; rest != 0; rest &= rest - 1) {
+            const int i = std::countr_zero(rest);
+            if (keep(choices_[i]))
+                kept |= uint64_t{1} << i;
         }
-        if (filtered.empty() || filtered.size() == list_.size())
+        if (kept == 0 || kept == alive_)
             return; // vacuous or would empty the list: soft-keep
         if (explain_) {
-            for (const ClusterChoice *choice : list_) {
-                if (!keep(*choice) &&
-                    !verdictOf(*choice).eliminatedBy) {
-                    verdictOf(*choice).eliminatedBy = step;
-                }
+            for (uint64_t lost = alive_ & ~kept; lost != 0;
+                 lost &= lost - 1) {
+                SelectionExplain::Verdict &verdict =
+                    explain_->verdicts[std::countr_zero(lost)];
+                if (!verdict.eliminatedBy)
+                    verdict.eliminatedBy = step;
             }
             explain_->decidingStep = step;
         }
-        list_ = std::move(filtered);
+        alive_ = kept;
     }
 
     /** Keeps the minimizers of a metric (soft: a min always exists). */
+    template <typename Metric>
     void
-    selectMin(const char *step,
-              const std::function<int(const ClusterChoice &)> &metric)
+    selectMin(const char *step, Metric metric)
     {
-        if (list_.empty())
+        if (empty())
             return;
-        int best = metric(*list_.front());
-        for (const ClusterChoice *choice : list_)
-            best = std::min(best, metric(*choice));
+        int best = metric(at(0));
+        for (uint64_t rest = alive_; rest != 0; rest &= rest - 1)
+            best = std::min(best, metric(choices_[std::countr_zero(rest)]));
         select(step, [&](const ClusterChoice &choice) {
             return metric(choice) == best;
         });
@@ -98,23 +108,17 @@ class Cascade
     finish(const ClusterChoice &picked)
     {
         if (explain_) {
-            for (const ClusterChoice *choice : list_)
-                verdictOf(*choice).survived = true;
+            for (uint64_t rest = alive_; rest != 0; rest &= rest - 1)
+                explain_->verdicts[std::countr_zero(rest)].survived = true;
             explain_->winner = picked.cluster;
         }
         return picked.cluster;
     }
 
   private:
-    SelectionExplain::Verdict &
-    verdictOf(const ClusterChoice &choice)
-    {
-        return explain_->verdicts[static_cast<size_t>(&choice - base_)];
-    }
-
-    const ClusterChoice *base_;
+    const std::vector<ClusterChoice> &choices_;
     SelectionExplain *explain_;
-    std::vector<const ClusterChoice *> list_;
+    uint64_t alive_ = 0;
 };
 
 } // namespace
@@ -126,11 +130,11 @@ selectBestCluster(const std::vector<ClusterChoice> &choices,
                   SelectionExplain *explain)
 {
     Cascade cascade(choices, explain);
-    for (const ClusterChoice &choice : choices) {
-        if (choice.feasible)
-            cascade.admit(choice);
+    for (size_t i = 0; i < choices.size(); ++i) {
+        if (choices[i].feasible)
+            cascade.admit(i);
         else
-            cascade.exclude(choice, "feasible");
+            cascade.exclude(i, "feasible");
     }
     if (cascade.empty())
         return invalidCluster;
@@ -167,8 +171,8 @@ selectBestCluster(const std::vector<ClusterChoice> &choices,
                           });
     }
 
-    return cascade.finish(
-        cascade.at(static_cast<size_t>(rotation) % cascade.size()));
+    return cascade.finish(cascade.at(static_cast<size_t>(rotation) %
+                                     cascade.size()));
 }
 
 ClusterId
@@ -177,8 +181,8 @@ selectForcedCluster(const std::vector<ClusterChoice> &choices,
 {
     cams_assert(!choices.empty(), "forced selection over no clusters");
     Cascade cascade(choices, explain);
-    for (const ClusterChoice &choice : choices)
-        cascade.admit(choice);
+    for (size_t i = 0; i < choices.size(); ++i)
+        cascade.admit(i);
 
     if (avoid_previous) {
         cascade.select("avoid_previous",

@@ -1,7 +1,8 @@
 #include "machine/machine.hh"
 
 #include <algorithm>
-#include <deque>
+#include <bit>
+#include <cstdint>
 
 #include "support/logging.hh"
 
@@ -105,35 +106,66 @@ MachineDesc::route(ClusterId src, ClusterId dst) const
     if (interconnect == InterconnectKind::Bus)
         return {src, dst};
 
-    // BFS over the link graph.
-    std::vector<ClusterId> parent(numClusters(), invalidCluster);
-    std::vector<bool> seen(numClusters(), false);
-    std::deque<ClusterId> queue;
+    const HopTree tree = hopTree(src);
+    if (tree.depth[dst] < 0)
+        return {};
+    std::vector<ClusterId> path(tree.depth[dst] + 1);
+    ClusterId at = dst;
+    for (auto it = path.rbegin(); it != path.rend(); ++it) {
+        *it = at;
+        at = tree.parent[at];
+    }
+    return path;
+}
+
+HopTree
+MachineDesc::hopTree(ClusterId src) const
+{
+    const int n = numClusters();
+    cams_assert(src >= 0 && src < n, "bad cluster id ", src);
+    cams_assert(n <= maxClusters, "more than ", maxClusters, " clusters");
+    // Neighbor sets as masks: walking the set bits visits neighbors in
+    // ascending id, as neighbors() lists them, so the tree is
+    // deterministic.
+    std::array<uint64_t, maxClusters> adjacent{};
+    if (interconnect == InterconnectKind::Bus) {
+        const uint64_t all = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+        for (ClusterId c = 0; c < n; ++c)
+            adjacent[c] = all & ~(uint64_t{1} << c);
+    } else {
+        for (const LinkDesc &link : links) {
+            adjacent[link.a] |= uint64_t{1} << link.b;
+            adjacent[link.b] |= uint64_t{1} << link.a;
+        }
+    }
+
+    HopTree tree;
+    tree.source = src;
+    tree.parent.assign(n, invalidCluster);
+    tree.depth.assign(n, -1);
+    // The BFS queue, which becomes the (depth, id) order.
+    std::vector<ClusterId> &queue = tree.order;
+    queue.reserve(n);
     queue.push_back(src);
-    seen[src] = true;
-    while (!queue.empty()) {
-        const ClusterId at = queue.front();
-        queue.pop_front();
-        if (at == dst)
-            break;
-        for (ClusterId next : neighbors(at)) {
-            if (!seen[next]) {
-                seen[next] = true;
-                parent[next] = at;
+    tree.depth[src] = 0;
+    for (size_t head = 0; head < queue.size(); ++head) {
+        const ClusterId at = queue[head];
+        for (uint64_t rest = adjacent[at]; rest != 0; rest &= rest - 1) {
+            const ClusterId next = std::countr_zero(rest);
+            if (tree.depth[next] < 0) {
+                tree.depth[next] = tree.depth[at] + 1;
+                tree.parent[next] = at;
                 queue.push_back(next);
             }
         }
     }
-    if (!seen[dst])
-        return {};
-    std::vector<ClusterId> path;
-    for (ClusterId at = dst; at != invalidCluster; at = parent[at])
-        path.push_back(at);
-    path.push_back(invalidCluster);
-    path.pop_back();
-    std::reverse(path.begin(), path.end());
-    cams_assert(path.front() == src && path.back() == dst, "bad route");
-    return path;
+    queue.erase(queue.begin());
+    std::sort(queue.begin(), queue.end(), [&](ClusterId x, ClusterId y) {
+        if (tree.depth[x] != tree.depth[y])
+            return tree.depth[x] < tree.depth[y];
+        return x < y;
+    });
+    return tree;
 }
 
 MachineDesc
@@ -169,46 +201,59 @@ MachineDesc::unifiedEquivalent() const
     return unified;
 }
 
+std::string
+MachineDesc::validationError() const
+{
+    const std::string prefix = "machine '" + name + "'";
+    if (clusters.empty())
+        return prefix + " has no clusters";
+    if (numClusters() > maxClusters) {
+        return prefix + ": more than " + std::to_string(maxClusters) +
+               " clusters";
+    }
+    for (const ClusterDesc &c : clusters) {
+        if (c.gpUnits < 0 || c.readPorts < 0 || c.writePorts < 0)
+            return prefix + ": negative resource count";
+        for (int units : c.fsUnits) {
+            if (units < 0)
+                return prefix + ": negative FU count";
+        }
+        if (c.width() == 0)
+            return prefix + ": cluster with no units";
+    }
+    if (numClusters() == 1)
+        return {};
+    if (interconnect == InterconnectKind::Bus) {
+        if (numBuses <= 0)
+            return prefix + ": multi-cluster bused machine needs buses";
+        return {};
+    }
+    if (links.empty())
+        return prefix + ": no links";
+    for (const LinkDesc &link : links) {
+        if (link.a < 0 || link.a >= numClusters() || link.b < 0 ||
+            link.b >= numClusters() || link.a == link.b) {
+            return prefix + ": bad link";
+        }
+    }
+    // Links are undirected: every cluster reachable from cluster 0
+    // means every pair is connected.
+    const HopTree tree = hopTree(0);
+    for (ClusterId c = 1; c < numClusters(); ++c) {
+        if (tree.depth[c] < 0) {
+            return prefix + ": clusters 0 and " + std::to_string(c) +
+                   " are not connected";
+        }
+    }
+    return {};
+}
+
 void
 MachineDesc::validate() const
 {
-    if (clusters.empty())
-        cams_fatal("machine '", name, "' has no clusters");
-    for (const ClusterDesc &c : clusters) {
-        if (c.gpUnits < 0 || c.readPorts < 0 || c.writePorts < 0)
-            cams_fatal("machine '", name, "': negative resource count");
-        for (int units : c.fsUnits) {
-            if (units < 0)
-                cams_fatal("machine '", name, "': negative FU count");
-        }
-        if (c.width() == 0)
-            cams_fatal("machine '", name, "': cluster with no units");
-    }
-    if (numClusters() > 1) {
-        if (interconnect == InterconnectKind::Bus && numBuses <= 0) {
-            cams_fatal("machine '", name,
-                       "': multi-cluster bused machine needs buses");
-        }
-        if (interconnect == InterconnectKind::PointToPoint) {
-            if (links.empty())
-                cams_fatal("machine '", name, "': no links");
-            for (const LinkDesc &link : links) {
-                if (link.a < 0 || link.a >= numClusters() || link.b < 0 ||
-                    link.b >= numClusters() || link.a == link.b) {
-                    cams_fatal("machine '", name, "': bad link");
-                }
-            }
-            // Every cluster pair must be reachable.
-            for (ClusterId a = 0; a < numClusters(); ++a) {
-                for (ClusterId b = a + 1; b < numClusters(); ++b) {
-                    if (route(a, b).empty()) {
-                        cams_fatal("machine '", name, "': clusters ", a,
-                                   " and ", b, " are not connected");
-                    }
-                }
-            }
-        }
-    }
+    const std::string error = validationError();
+    if (!error.empty())
+        cams_fatal(error);
 }
 
 } // namespace cams

@@ -33,6 +33,13 @@ using ClusterId = int;
 /** Sentinel for "no cluster". */
 constexpr ClusterId invalidCluster = -1;
 
+/**
+ * Most clusters a machine may have: 8x the largest machine the paper
+ * evaluates. Keeps the per-model routing tables small and lets a set
+ * of clusters fit one 64-bit mask.
+ */
+constexpr int maxClusters = 64;
+
 /** One register file + function unit group. */
 struct ClusterDesc
 {
@@ -70,6 +77,26 @@ struct LinkDesc
 {
     ClusterId a = invalidCluster;
     ClusterId b = invalidCluster;
+};
+
+/**
+ * Breadth-first shortest-path tree from one source cluster, visiting
+ * neighbors in ascending id -- the deterministic tree every copy route
+ * follows.
+ */
+struct HopTree
+{
+    ClusterId source = invalidCluster;
+
+    /** BFS parent per cluster; invalidCluster at the source and at
+     *  clusters the source cannot reach. */
+    std::vector<ClusterId> parent;
+
+    /** Hops from the source per cluster; -1 when unreachable. */
+    std::vector<int> depth;
+
+    /** Reachable clusters other than the source, by (depth, id). */
+    std::vector<ClusterId> order;
 };
 
 /** A complete clustered machine. */
@@ -122,13 +149,25 @@ struct MachineDesc
      */
     std::vector<ClusterId> route(ClusterId src, ClusterId dst) const;
 
+    /** The BFS tree of routes from a source cluster over the links. */
+    HopTree hopTree(ClusterId src) const;
+
     /**
      * The equally wide unified machine (the paper's baseline): one
      * cluster holding every function unit, no interconnect.
      */
     MachineDesc unifiedEquivalent() const;
 
-    /** Sanity checks; fatal() on an impossible description. */
+    /**
+     * Why the description is impossible, or empty when it is sound:
+     * no clusters, more than maxClusters, negative counts, a cluster
+     * without units, a multi-cluster machine without buses or links,
+     * a link to an undeclared cluster, or clusters the links leave
+     * disconnected. Decoders of outside input reject on it.
+     */
+    std::string validationError() const;
+
+    /** validationError() as a fatal error, for internal callers. */
     void validate() const;
 };
 

@@ -153,7 +153,9 @@ parseMachine(const std::string &text, MachineDesc &out,
         }
     }
 
-    machine.validate(); // fatal only on internal inconsistencies
+    error = machine.validationError();
+    if (!error.empty())
+        return false;
     out = std::move(machine);
     error.clear();
     return true;

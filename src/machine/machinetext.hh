@@ -13,7 +13,8 @@
  *   cluster fs <mem> <int> <fp> ports <r> <w>
  *
  * Clusters are numbered in declaration order. The description is
- * validated (MachineDesc::validate) after parsing.
+ * checked (MachineDesc::validationError) after parsing; an impossible
+ * machine is a parse error, never a process exit.
  */
 
 #ifndef CAMS_MACHINE_MACHINETEXT_HH

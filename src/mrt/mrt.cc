@@ -59,6 +59,21 @@ ResourceModel::ResourceModel(const MachineDesc &machine)
             addPool(1, "link" + std::to_string(machine_.links[i].a) + "-" +
                            std::to_string(machine_.links[i].b)));
     }
+
+    if (machine_.interconnect == InterconnectKind::PointToPoint) {
+        const int n = machine_.numClusters();
+        // Filled in reverse so a pair linked twice maps to its first
+        // link, as linkBetween() reports it.
+        linkOf_.assign(static_cast<size_t>(n) * n, -1);
+        for (int i = static_cast<int>(machine_.links.size()) - 1; i >= 0;
+             --i) {
+            const LinkDesc &link = machine_.links[i];
+            linkOf_[static_cast<size_t>(link.a) * n + link.b] = i;
+            linkOf_[static_cast<size_t>(link.b) * n + link.a] = i;
+        }
+        for (ClusterId c = 0; c < n; ++c)
+            hopTrees_.push_back(machine_.hopTree(c));
+    }
 }
 
 int
@@ -102,6 +117,15 @@ ResourceModel::linkPool(int link) const
     return linkPools_[link];
 }
 
+const HopTree &
+ResourceModel::hopTree(ClusterId src) const
+{
+    cams_assert(machine_.interconnect == InterconnectKind::PointToPoint,
+                "hop trees exist on point-to-point machines only");
+    cams_assert(src >= 0 && src < machine_.numClusters(), "bad cluster ", src);
+    return hopTrees_[src];
+}
+
 std::string
 ResourceModel::poolName(PoolId pool) const
 {
@@ -126,28 +150,39 @@ std::vector<PoolId>
 ResourceModel::copyRequest(ClusterId src,
                            const std::vector<ClusterId> &dsts) const
 {
-    cams_assert(!dsts.empty(), "copy with no destination");
     std::vector<PoolId> pools;
     pools.reserve(2 + dsts.size());
+    copyRequestInto(src, dsts, pools);
+    return pools;
+}
+
+void
+ResourceModel::copyRequestInto(ClusterId src, std::span<const ClusterId> dsts,
+                               std::vector<PoolId> &out) const
+{
+    cams_assert(!dsts.empty(), "copy with no destination");
+    out.clear();
 
     const PoolId read = readPool(src);
     if (read == invalidPool) {
         cams_fatal("cluster ", src, " of machine '", machine_.name,
                    "' has no read ports; cannot source a copy");
     }
-    pools.push_back(read);
+    out.push_back(read);
 
     if (machine_.interconnect == InterconnectKind::Bus) {
         cams_assert(busPool_ != invalidPool,
                     "copy on a machine without buses");
-        pools.push_back(busPool_);
+        out.push_back(busPool_);
     } else {
         cams_assert(dsts.size() == 1,
                     "point-to-point copies have one destination");
-        const int link = machine_.linkBetween(src, dsts[0]);
+        const int n = machine_.numClusters();
+        cams_assert(dsts[0] >= 0 && dsts[0] < n, "bad cluster ", dsts[0]);
+        const int link = linkOf_[static_cast<size_t>(src) * n + dsts[0]];
         cams_assert(link >= 0, "no link between clusters ", src, " and ",
                     dsts[0]);
-        pools.push_back(linkPool(link));
+        out.push_back(linkPool(link));
     }
 
     for (ClusterId dst : dsts) {
@@ -157,9 +192,8 @@ ResourceModel::copyRequest(ClusterId src,
             cams_fatal("cluster ", dst, " of machine '", machine_.name,
                        "' has no write ports; cannot receive a copy");
         }
-        pools.push_back(write);
+        out.push_back(write);
     }
-    return pools;
 }
 
 namespace
@@ -354,22 +388,41 @@ Mrt::scanRows(const std::vector<PoolId> &pools, int startRow, int count,
 }
 
 void
+Mrt::occupy(const std::vector<PoolId> &pools, int row)
+{
+    cams_assert(row >= 0 && row < ii_, "bad row ", row);
+    cams_assert(fitsExactly(pools, row), "occupying a full row ", row);
+    for (PoolId pool : pools) {
+        const int used = ++use_[static_cast<size_t>(pool) * ii_ + row];
+        ++usedTotal_[pool];
+        if (used == model_->capacity(pool)) {
+            freeRows_[static_cast<size_t>(pool) * words_ + (row >> 6)] &=
+                ~(uint64_t{1} << (row & 63));
+        }
+    }
+}
+
+void
+Mrt::free(const std::vector<PoolId> &pools, int row)
+{
+    cams_assert(row >= 0 && row < ii_, "bad row ", row);
+    for (PoolId pool : pools) {
+        int &slot = use_[static_cast<size_t>(pool) * ii_ + row];
+        cams_assert(slot > 0, "double release of pool ",
+                    model_->poolName(pool));
+        --slot;
+        --usedTotal_[pool];
+        freeRows_[static_cast<size_t>(pool) * words_ + (row >> 6)] |=
+            uint64_t{1} << (row & 63);
+    }
+}
+
+void
 Mrt::reserveAtInto(const std::vector<PoolId> &pools, int row,
                    Reservation &out)
 {
     const int wrapped = ((row % ii_) + ii_) % ii_;
-    cams_assert(fitsExactly(pools, wrapped),
-                "reserveAt on a full row ", wrapped);
-    for (PoolId pool : pools) {
-        const int used =
-            ++use_[static_cast<size_t>(pool) * ii_ + wrapped];
-        ++usedTotal_[pool];
-        if (used == model_->capacity(pool)) {
-            freeRows_[static_cast<size_t>(pool) * words_ +
-                      (wrapped >> 6)] &=
-                ~(uint64_t{1} << (wrapped & 63));
-        }
-    }
+    occupy(pools, wrapped);
     out.row = wrapped;
     // Copy-assign so a reused Reservation keeps its capacity.
     out.pools = pools;
@@ -396,17 +449,7 @@ void
 Mrt::release(const Reservation &reservation)
 {
     cams_assert(reservation.valid(), "releasing an invalid reservation");
-    for (PoolId pool : reservation.pools) {
-        int &slot =
-            use_[static_cast<size_t>(pool) * ii_ + reservation.row];
-        cams_assert(slot > 0, "double release of pool ",
-                    model_->poolName(pool));
-        --slot;
-        --usedTotal_[pool];
-        freeRows_[static_cast<size_t>(pool) * words_ +
-                  (reservation.row >> 6)] |=
-            uint64_t{1} << (reservation.row & 63);
-    }
+    free(reservation.pools, reservation.row);
 }
 
 int

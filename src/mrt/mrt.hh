@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,6 +79,13 @@ class ResourceModel
     /** Pool of one point-to-point link. */
     PoolId linkPool(int link) const;
 
+    /**
+     * The BFS route tree from a source cluster (point-to-point
+     * machines only): built once per model, so copy routing never
+     * re-runs the search.
+     */
+    const HopTree &hopTree(ClusterId src) const;
+
     /** Human-readable pool name for diagnostics. */
     std::string poolName(PoolId pool) const;
 
@@ -100,6 +108,11 @@ class ResourceModel
     std::vector<PoolId> copyRequest(
         ClusterId src, const std::vector<ClusterId> &dsts) const;
 
+    /** copyRequest() written into a caller buffer (hot paths reuse
+     *  its capacity instead of allocating per copy). */
+    void copyRequestInto(ClusterId src, std::span<const ClusterId> dsts,
+                         std::vector<PoolId> &out) const;
+
   private:
     MachineDesc machine_;
     std::vector<int> capacity_;
@@ -110,6 +123,10 @@ class ResourceModel
     std::vector<PoolId> writePools_;
     PoolId busPool_ = invalidPool;
     std::vector<PoolId> linkPools_;
+    /** Point-to-point only: linkOf_[a * clusters + b] = link index
+     *  (machine.linkBetween), and one route tree per source. */
+    std::vector<int> linkOf_;
+    std::vector<HopTree> hopTrees_;
 };
 
 /** A committed MRT reservation; keep it to release the slots later. */
@@ -178,11 +195,21 @@ class Mrt
     int scanRows(const std::vector<PoolId> &pools, int startRow,
                  int count, int step) const;
 
+    /**
+     * Takes one slot of every requested pool in a row (0 <= row < II)
+     * without building a Reservation; the request must fit. Callers
+     * that can rebuild the request later keep only the row.
+     */
+    void occupy(const std::vector<PoolId> &pools, int row);
+
+    /** Gives back what occupy(pools, row) took. */
+    void free(const std::vector<PoolId> &pools, int row);
+
     /** Reserves at a specific row (row is taken modulo II). */
     Reservation reserveAt(const std::vector<PoolId> &pools, int row);
 
-    /** Same, writing into an existing Reservation so hot callers can
-     *  reuse its pools capacity instead of allocating per placement. */
+    /** Same, writing into an existing Reservation so callers can
+     *  reuse its pools capacity. */
     void reserveAtInto(const std::vector<PoolId> &pools, int row,
                        Reservation &out);
 

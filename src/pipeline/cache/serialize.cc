@@ -218,7 +218,7 @@ readMachine(const std::string &bytes, MachineDesc &out)
     if (!r.str(machine.name) || !r.u32(interconnect) ||
         interconnect > uint32_t(InterconnectKind::PointToPoint) ||
         !r.i64(buses) || !r.u64(clusters) ||
-        clusters > maxListEntries) {
+        clusters > static_cast<uint64_t>(maxClusters)) {
         return false;
     }
     machine.interconnect = static_cast<InterconnectKind>(interconnect);
@@ -251,7 +251,9 @@ readMachine(const std::string &bytes, MachineDesc &out)
         link.a = static_cast<ClusterId>(a);
         link.b = static_cast<ClusterId>(b);
     }
-    if (!r.atEnd())
+    // Outside bytes may describe an impossible machine; refuse it here
+    // rather than let ResourceModel's validate() end the process.
+    if (!r.atEnd() || !machine.validationError().empty())
         return false;
     out = std::move(machine);
     return true;

@@ -81,7 +81,8 @@ bool readDfg(const std::string &bytes, Dfg &out);
 /** Exact machine image (also the hit fingerprint). */
 std::string packMachine(const MachineDesc &machine);
 
-/** Rebuilds a machine from packMachine bytes. */
+/** Rebuilds a machine from packMachine bytes; false on malformed
+ *  bytes or a machine MachineDesc::validationError rejects. */
 bool readMachine(const std::string &bytes, MachineDesc &out);
 
 /** Serializes a full CompileResult (cache-transient flags excluded). */

@@ -1,0 +1,217 @@
+/**
+ * @file
+ * Allocation ceiling of cluster assignment.
+ *
+ * The Figure 10 step places every node tentatively on every cluster
+ * and rolls each placement back; together with the Figure 11 repair
+ * it is the compiler's inner loop. Its copy records, undo logs, hop
+ * plans and copy requests live in reused buffers, so a warm rerun of
+ * the assigner allocates per attempt (tables, the annotated result),
+ * not per tentative placement. This binary replaces the global
+ * operator new with a counting one and holds that property: rerunning
+ * ClusterAssigner::run at the compiled II with the same warmed
+ * LoopContext must average at most 20 allocations per graph node.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+
+#include "assign/assigner.hh"
+#include "machine/configs.hh"
+#include "pipeline/context.hh"
+#include "pipeline/driver.hh"
+#include "workload/suite.hh"
+
+namespace
+{
+
+long allocations = 0;
+
+void *
+countedAlloc(std::size_t size, std::size_t align = 0)
+{
+    ++allocations;
+    if (align <= alignof(std::max_align_t))
+        return std::malloc(size == 0 ? 1 : size);
+    void *p = nullptr;
+    return posix_memalign(&p, align, size == 0 ? 1 : size) == 0 ? p
+                                                                 : nullptr;
+}
+
+void *
+checkedAlloc(std::size_t size, std::size_t align = 0)
+{
+    if (void *p = countedAlloc(size, align))
+        return p;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+// Every replaceable allocation form goes through the counter, so the
+// library's and the runtime's allocations pair up with free().
+void *
+operator new(std::size_t size)
+{
+    return checkedAlloc(size);
+}
+
+void *
+operator new[](std::size_t size)
+{
+    return checkedAlloc(size);
+}
+
+void *
+operator new(std::size_t size, std::align_val_t align)
+{
+    return checkedAlloc(size, static_cast<std::size_t>(align));
+}
+
+void *
+operator new[](std::size_t size, std::align_val_t align)
+{
+    return checkedAlloc(size, static_cast<std::size_t>(align));
+}
+
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size);
+}
+
+void *
+operator new(std::size_t size, std::align_val_t align,
+             const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size, static_cast<std::size_t>(align));
+}
+
+void *
+operator new[](std::size_t size, std::align_val_t align,
+               const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size, static_cast<std::size_t>(align));
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+namespace cams
+{
+namespace
+{
+
+constexpr int ceilingLoops = 200;
+constexpr double maxAllocsPerNode = 20.0;
+
+/** Allocations per node of a warm assigner rerun over the suite. */
+double
+warmAllocsPerNode(const MachineDesc &machine)
+{
+    const std::vector<Dfg> suite = buildSuite(ceilingLoops);
+    const ResourceModel model(machine);
+    const ClusterAssigner assigner(model);
+    long total = 0;
+    long nodes = 0;
+    for (const Dfg &loop : suite) {
+        const CompileResult compiled =
+            compileClustered(loop, machine, CompileOptions{});
+        if (!compiled.success || compiled.degraded != DegradeLevel::None)
+            continue;
+        LoopContext ctx(loop);
+        const AssignResult warm = assigner.run(loop, compiled.ii, &ctx);
+        EXPECT_TRUE(warm.success) << loop.name();
+        const long before = allocations;
+        const AssignResult again = assigner.run(loop, compiled.ii, &ctx);
+        total += allocations - before;
+        nodes += loop.numNodes();
+        EXPECT_TRUE(again.success) << loop.name();
+    }
+    EXPECT_GT(nodes, 0);
+    const double perNode =
+        static_cast<double>(total) / static_cast<double>(nodes);
+    std::printf("%s: %.1f allocations per node\n", machine.name.c_str(),
+                perNode);
+    return perNode;
+}
+
+TEST(AllocCeiling, GridRerunStaysUnderCeiling)
+{
+    EXPECT_LE(warmAllocsPerNode(gridMachine(2)), maxAllocsPerNode);
+}
+
+TEST(AllocCeiling, EightClusterRerunStaysUnderCeiling)
+{
+    EXPECT_LE(warmAllocsPerNode(busedGpMachine(8, 7, 3)), maxAllocsPerNode);
+}
+
+} // namespace
+} // namespace cams

@@ -183,7 +183,9 @@ TEST(CacheSerialize, ReaderRejectsTruncation)
     writer.str("hello");
     const std::string bytes = writer.take();
     for (size_t cut = 0; cut < bytes.size(); ++cut) {
-        ByteReader reader(bytes.substr(0, cut));
+        // The reader keeps a reference: the prefix must outlive it.
+        const std::string prefix = bytes.substr(0, cut);
+        ByteReader reader(prefix);
         uint64_t v = 0;
         std::string s;
         EXPECT_FALSE(reader.u64(v) && reader.str(s) && reader.atEnd())

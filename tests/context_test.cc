@@ -59,10 +59,10 @@ expectSameResult(const CompileResult &a, const CompileResult &b)
 /** Compiles the suite with and without the incremental layer and
  *  demands byte-identical outcomes, loop by loop. */
 void
-runDeterminismSweep(SchedulerKind kind, bool clustered)
+runDeterminismSweep(const MachineDesc &machine, SchedulerKind kind,
+                    bool clustered)
 {
     const std::vector<Dfg> suite = buildSuite(48, 0xAB12CD34ULL);
-    const MachineDesc machine = busedGpMachine(2, 2, 1);
     const MachineDesc unified = machine.unifiedEquivalent();
 
     CompileOptions cached;
@@ -85,22 +85,46 @@ runDeterminismSweep(SchedulerKind kind, bool clustered)
 
 TEST(AbDeterminism, ClusteredSwing)
 {
-    runDeterminismSweep(SchedulerKind::Swing, true);
+    runDeterminismSweep(busedGpMachine(2, 2, 1), SchedulerKind::Swing, true);
 }
 
 TEST(AbDeterminism, ClusteredIterative)
 {
-    runDeterminismSweep(SchedulerKind::Iterative, true);
+    runDeterminismSweep(busedGpMachine(2, 2, 1), SchedulerKind::Iterative,
+                        true);
+}
+
+// Point-to-point routing, relays and their rollback.
+TEST(AbDeterminism, GridSwing)
+{
+    runDeterminismSweep(gridMachine(2), SchedulerKind::Swing, true);
+}
+
+TEST(AbDeterminism, GridIterative)
+{
+    runDeterminismSweep(gridMachine(2), SchedulerKind::Iterative, true);
+}
+
+TEST(AbDeterminism, EightClusterSwing)
+{
+    runDeterminismSweep(busedGpMachine(8, 7, 3), SchedulerKind::Swing, true);
+}
+
+TEST(AbDeterminism, EightClusterIterative)
+{
+    runDeterminismSweep(busedGpMachine(8, 7, 3), SchedulerKind::Iterative,
+                        true);
 }
 
 TEST(AbDeterminism, UnifiedSwing)
 {
-    runDeterminismSweep(SchedulerKind::Swing, false);
+    runDeterminismSweep(busedGpMachine(2, 2, 1), SchedulerKind::Swing, false);
 }
 
 TEST(AbDeterminism, UnifiedIterative)
 {
-    runDeterminismSweep(SchedulerKind::Iterative, false);
+    runDeterminismSweep(busedGpMachine(2, 2, 1), SchedulerKind::Iterative,
+                        false);
 }
 
 void

@@ -112,6 +112,50 @@ TEST(MachineText, Rejections)
                               machine, error));
 }
 
+TEST(MachineText, ImpossibleMachinesAreErrorsNotExits)
+{
+    MachineDesc machine;
+    std::string error;
+
+    // A cluster without function units.
+    EXPECT_FALSE(parseMachine("buses 1\n"
+                              "cluster gp 4 ports 1 1\n"
+                              "cluster fs 0 0 0 ports 1 1\n",
+                              machine, error));
+    EXPECT_NE(error.find("no units"), std::string::npos) << error;
+
+    // Two islands of links.
+    error.clear();
+    EXPECT_FALSE(parseMachine("interconnect p2p\n"
+                              "cluster gp 4 ports 1 1\n"
+                              "cluster gp 4 ports 1 1\n"
+                              "cluster gp 4 ports 1 1\n"
+                              "cluster gp 4 ports 1 1\n"
+                              "link 0 1\n"
+                              "link 2 3\n",
+                              machine, error));
+    EXPECT_NE(error.find("not connected"), std::string::npos) << error;
+}
+
+TEST(MachineText, ClusterCountIsCapped)
+{
+    auto chain = [](int clusters) {
+        std::string text = "interconnect p2p\n";
+        for (int c = 0; c < clusters; ++c)
+            text += "cluster gp 1 ports 1 1\n";
+        for (int c = 1; c < clusters; ++c) {
+            text += "link " + std::to_string(c - 1) + " " +
+                    std::to_string(c) + "\n";
+        }
+        return text;
+    };
+    MachineDesc machine;
+    std::string error;
+    EXPECT_TRUE(parseMachine(chain(maxClusters), machine, error)) << error;
+    EXPECT_FALSE(parseMachine(chain(maxClusters + 1), machine, error));
+    EXPECT_NE(error.find("clusters"), std::string::npos) << error;
+}
+
 TEST(MachineText, ErrorsCarryLineNumbers)
 {
     MachineDesc machine;

@@ -1,12 +1,18 @@
 /**
  * @file
- * Unit tests for point-to-point copy routing on the grid machine.
+ * Unit tests for point-to-point copy routing on the grid machine and
+ * on a ring.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "assign/router.hh"
 #include "machine/configs.hh"
+#include "machine/machinetext.hh"
+#include "mrt/mrt.hh"
 
 namespace cams
 {
@@ -76,6 +82,83 @@ TEST(Router, SubsetProducesSubtree)
     for (const Hop &hop : sub) {
         EXPECT_NE(std::find(full.begin(), full.end(), hop), full.end());
     }
+}
+
+/**
+ * The hops planHops must produce: every edge of every
+ * MachineDesc::route path from @p src to a destination, once, ordered
+ * by (depth, target id).
+ */
+std::vector<Hop>
+unionOfRoutes(const MachineDesc &machine, ClusterId src,
+              const std::vector<ClusterId> &dsts)
+{
+    std::map<std::pair<int, ClusterId>, ClusterId> byDepth;
+    for (ClusterId dst : dsts) {
+        const std::vector<ClusterId> path = machine.route(src, dst);
+        for (size_t i = 1; i < path.size(); ++i)
+            byDepth[{static_cast<int>(i), path[i]}] = path[i - 1];
+    }
+    std::vector<Hop> hops;
+    for (const auto &[key, from] : byDepth)
+        hops.push_back({from, key.second});
+    return hops;
+}
+
+/** Every source and every non-empty destination subset. */
+void
+expectHopsAreUnionOfRoutes(const MachineDesc &machine)
+{
+    const ResourceModel model(machine);
+    const int n = machine.numClusters();
+    std::vector<Hop> fromModel;
+    for (ClusterId src = 0; src < n; ++src) {
+        for (unsigned subset = 1; subset < (1u << n); ++subset) {
+            if (subset >> src & 1)
+                continue;
+            std::vector<ClusterId> dsts;
+            for (ClusterId c = 0; c < n; ++c) {
+                if (subset >> c & 1)
+                    dsts.push_back(c);
+            }
+            SCOPED_TRACE(machine.name + " src " + std::to_string(src) +
+                         " subset " + std::to_string(subset));
+            const std::vector<Hop> expected =
+                unionOfRoutes(machine, src, dsts);
+            EXPECT_EQ(planHops(machine, src, dsts), expected);
+            planHops(model.hopTree(src), dsts, fromModel);
+            EXPECT_EQ(fromModel, expected);
+        }
+    }
+}
+
+TEST(Router, HopsAreTheUnionOfRoutesOnTheGrid)
+{
+    expectHopsAreUnionOfRoutes(gridMachine(2));
+}
+
+TEST(Router, HopsAreTheUnionOfRoutesOnARing)
+{
+    // Six clusters in a ring: each cluster's opposite is 3 hops away
+    // both ways, so the tree must take the ascending-id side.
+    std::string text = "machine ring6\ninterconnect p2p\n";
+    for (int c = 0; c < 6; ++c)
+        text += "cluster gp 2 ports 1 1\n";
+    for (int c = 0; c < 6; ++c) {
+        text += "link " + std::to_string(c) + " " +
+                std::to_string((c + 1) % 6) + "\n";
+    }
+    MachineDesc ring;
+    std::string error;
+    ASSERT_TRUE(parseMachine(text, ring, error)) << error;
+    expectHopsAreUnionOfRoutes(ring);
+
+    // From 0, cluster 3 is reached through 1 and 2 (1 < 5).
+    EXPECT_EQ(planHops(ring, 0, {3}),
+              (std::vector<Hop>{{0, 1}, {1, 2}, {2, 3}}));
+    // From 3, cluster 0 is reached through 2 and 1 (2 < 4).
+    EXPECT_EQ(planHops(ring, 3, {0}),
+              (std::vector<Hop>{{3, 2}, {2, 1}, {1, 0}}));
 }
 
 TEST(Router, BusedMachineIsRejected)

@@ -526,6 +526,59 @@ TEST_F(ServeTest, MalformedFrameGetsErrorAndClose)
     server->stop();
 }
 
+TEST_F(ServeTest, ImpossibleMachineGetsErrorAndServerKeepsServing)
+{
+    ServeConfig config;
+    config.socketPath = testSocket("badmachine");
+    startServer(config);
+
+    ServeClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect(config.socketPath, "t", error))
+        << error;
+
+    // A grid with a link to a cluster it does not have: the decoder
+    // must refuse it instead of letting the compile end the process.
+    MachineDesc bad = gridMachine(2);
+    bad.links.push_back({0, 7});
+    SubmitMsg submit = makeSubmit(1, 0);
+    submit.machineBytes = packMachine(bad);
+    ASSERT_TRUE(client.submit(submit, error)) << error;
+    auto outcomes = collect(client, {1});
+    ASSERT_EQ(outcomes[1].type, ServeMsgType::Error);
+    EXPECT_EQ(outcomes[1].msg.message, "malformed submit payload");
+
+    // The next request on the same connection still compiles.
+    ASSERT_TRUE(client.submit(makeSubmit(2, 1), error)) << error;
+    outcomes = collect(client, {2});
+    EXPECT_EQ(outcomes[2].type, ServeMsgType::Result);
+    server->stop();
+}
+
+TEST(ServeProto, MachineDecoderRejectsImpossibleMachines)
+{
+    MachineDesc machine;
+    ASSERT_TRUE(readMachine(packMachine(gridMachine(2)), machine));
+
+    MachineDesc badLink = gridMachine(2);
+    badLink.links.push_back({0, 7});
+    EXPECT_FALSE(readMachine(packMachine(badLink), machine));
+
+    MachineDesc noUnits = busedFsMachine(2, 2, 1);
+    noUnits.clusters[1].fsUnits = {};
+    EXPECT_FALSE(readMachine(packMachine(noUnits), machine));
+
+    MachineDesc split = gridMachine(2);
+    split.links = {{0, 1}, {2, 3}};
+    EXPECT_FALSE(readMachine(packMachine(split), machine));
+
+    MachineDesc huge = busedGpMachine(2, 2, 1);
+    huge.clusters.resize(maxClusters + 1, huge.clusters[0]);
+    EXPECT_FALSE(readMachine(packMachine(huge), machine));
+    huge.clusters.resize(maxClusters);
+    EXPECT_TRUE(readMachine(packMachine(huge), machine));
+}
+
 TEST_F(ServeTest, VersionMismatchIsRefused)
 {
     ServeConfig config;
