@@ -27,7 +27,9 @@ namespace
  * mutations run through transactions so a tentative placement can be
  * rolled back exactly. Records, undo logs and request buffers are
  * reused from placement to placement, so placing and rolling back
- * allocate nothing once they are warm.
+ * allocate nothing once they are warm. Per-cluster tallies of the
+ * §4.2 predictions follow every placement and copy change, so scoring
+ * a candidate cluster costs no scan of the graph.
  */
 class AssignState
 {
@@ -119,10 +121,16 @@ class AssignState
         }
     };
 
+    /**
+     * @param timeRoute read the clock around each placement's routing
+     *        work (phase tracing only; otherwise routeMicros() stays 0).
+     */
     AssignState(const Dfg &graph, const ResourceModel &model, Mrt &mrt,
-                FaultInjector *faults, const Adjacency *adjacency)
+                FaultInjector *faults, const Adjacency *adjacency,
+                bool timeRoute)
         : graph_(graph), model_(model), machine_(model.machine()),
-          faults_(faults), adj_(adjacency), mrt_(mrt)
+          clusters_(machine_.numClusters()), faults_(faults),
+          adj_(adjacency), timeRoute_(timeRoute), mrt_(mrt)
     {
         const int nodes = graph.numNodes();
         clusterOf_.assign(nodes, invalidCluster);
@@ -130,36 +138,39 @@ class AssignState
         comm_.resize(nodes);
         hasComm_.assign(nodes, 0);
         // The request is one pool per (cluster, class), served from a
-        // table instead of allocating per probe.
-        opReq_.resize(machine_.numClusters());
-        for (ClusterId c = 0; c < machine_.numClusters(); ++c) {
+        // table instead of allocating per probe; the cluster's local
+        // pools are the distinct class pools plus its ports.
+        opReq_.resize(clusters_);
+        clusterPools_.resize(clusters_);
+        for (ClusterId c = 0; c < clusters_; ++c) {
+            std::vector<PoolId> &pools = clusterPools_[c];
+            pools.reserve(numFuClasses + 2);
             for (int cls = 0; cls < numFuClasses; ++cls) {
                 const PoolId pool =
                     model_.fuPool(c, static_cast<FuClass>(cls));
-                if (pool != invalidPool)
+                if (pool != invalidPool) {
                     opReq_[c][cls] = {pool};
-            }
-        }
-        if (adj_) {
-            // Pool lists per cluster, ascending and deduplicated like
-            // the per-call std::set in freeClusterResources.
-            clusterPools_.resize(machine_.numClusters());
-            for (ClusterId c = 0; c < machine_.numClusters(); ++c) {
-                std::set<PoolId> pools;
-                for (int cls = 0; cls < numFuClasses; ++cls) {
-                    const PoolId pool =
-                        model_.fuPool(c, static_cast<FuClass>(cls));
-                    if (pool != invalidPool)
-                        pools.insert(pool);
+                    pools.push_back(pool);
                 }
-                if (model_.readPool(c) != invalidPool)
-                    pools.insert(model_.readPool(c));
-                if (model_.writePool(c) != invalidPool)
-                    pools.insert(model_.writePool(c));
-                clusterPools_[c].assign(pools.begin(), pools.end());
             }
-            seen_.assign(nodes, false);
+            for (PoolId port : {model_.readPool(c), model_.writePool(c)}) {
+                if (port != invalidPool)
+                    pools.push_back(port);
+            }
+            std::sort(pools.begin(), pools.end());
+            pools.erase(std::unique(pools.begin(), pools.end()),
+                        pools.end());
         }
+        // Nothing is placed yet: every distinct consumer is unplaced.
+        nodeTally_.assign(nodes, {});
+        for (NodeId v = 0; v < nodes; ++v) {
+            for (NodeId succ : succsOf(v)) {
+                if (succ != v)
+                    ++nodeTally_[v].unplacedSuccs;
+            }
+        }
+        clusterTally_.assign(clusters_, {});
+        consumersOn_.assign(static_cast<size_t>(nodes) * clusters_, 0);
     }
 
     /**
@@ -190,7 +201,8 @@ class AssignState
 
     ClusterId clusterOf(NodeId node) const { return clusterOf_[node]; }
 
-    /** Wall time spent routing copies so far, microseconds. */
+    /** Wall time spent routing copies so far, microseconds (0 when
+     *  constructed without timeRoute). */
     int64_t routeMicros() const { return routeMicros_; }
 
     bool assigned(NodeId node) const
@@ -240,14 +252,13 @@ class AssignState
         mrt_.occupy(req, row);
         fuRow_[node] = row;
         log.fuSet = true;
-        clusterOf_[node] = cluster;
+        place(node, cluster);
 
         // Communication of the node's own value, then of each newly
         // crossing predecessor value. This block is the routing phase
-        // of a placement; its wall time feeds CompileResult's
-        // per-phase breakdown (timed per tryAssign, not per value, to
-        // keep the always-on cost to two clock reads per placement).
-        const Stopwatch route_watch;
+        // of a placement. Like an inactive TraceScope, it reads the
+        // clock only under phase tracing.
+        const int64_t route_start = timeRoute_ ? nowMicros() : 0;
         values_.clear();
         values_.push_back(node);
         for (NodeId pred : predsOf(node)) {
@@ -259,13 +270,12 @@ class AssignState
                 outcome.kind = FailKind::Comm;
                 outcome.commValue = value;
                 rollback(log);
-                routeMicros_ += route_watch.elapsedMicros();
-                return outcome;
+                break;
             }
         }
-        routeMicros_ += route_watch.elapsedMicros();
-
-        outcome.ok = true;
+        if (timeRoute_)
+            routeMicros_ += nowMicros() - route_start;
+        outcome.ok = outcome.kind == FailKind::None;
         return outcome;
     }
 
@@ -285,6 +295,7 @@ class AssignState
             std::swap(comm_[entry.value], entry.previous);
             hasComm_[entry.value] = 1;
             copyOps_ += static_cast<int>(comm_[entry.value].rows.size());
+            refreshPcr(entry.value);
         }
         txn.used = 0;
         if (txn.fuSet) {
@@ -317,43 +328,16 @@ class AssignState
 
     /**
      * PCR_c <= MRC_c test of Figure 10 line 6 for one cluster, using
-     * the §4.2 definitions of predicted copy requests and maximum
-     * reservable copies.
+     * the §4.2 definitions of predicted copy requests (a running
+     * tally, see refreshPcr) and maximum reservable copies. Room is
+     * never negative, so MRC is only computed when PCR_c > 0.
      */
     bool
     pcrWithinMrc(ClusterId cluster) const
     {
-        return predictedCopyRequests(cluster) <=
-               maxReservableCopies(cluster);
-    }
-
-    int
-    predictedCopyRequests(ClusterId cluster) const
-    {
-        const int cluster_count = machine_.numClusters();
-        int pcr = 0;
-        for (NodeId v = 0; v < graph_.numNodes(); ++v) {
-            if (clusterOf_[v] != cluster)
-                continue;
-            int unassigned_succs = 0;
-            for (NodeId succ : succsOf(v)) {
-                if (succ != v && !assigned(succ))
-                    ++unassigned_succs;
-            }
-            const int rc = requiredCopiesOf(v);
-            const int upper_bound =
-                machine_.broadcast()
-                    ? std::max(0, 1 - rc)
-                    : std::max(0, cluster_count - rc - 1);
-            pcr += std::min(upper_bound, unassigned_succs);
-        }
-        return pcr;
-    }
-
-    int
-    maxReservableCopies(ClusterId cluster) const
-    {
-        return reservableThrough(cluster, model_.readPool(cluster));
+        const int pcr = clusterTally_[cluster].pcr;
+        return pcr == 0 ||
+               pcr <= reservableThrough(cluster, model_.readPool(cluster));
     }
 
     /**
@@ -365,43 +349,10 @@ class AssignState
     bool
     incomingWithinRoom(ClusterId cluster) const
     {
-        return predictedIncomingCopies(cluster) <=
-               reservableThrough(cluster, model_.writePool(cluster));
-    }
-
-    int
-    predictedIncomingCopies(ClusterId cluster) const
-    {
-        if (adj_) {
-            // Same distinct-producer count, via a reusable mark table
-            // instead of a per-call std::set.
-            int distinct = 0;
-            touched_.clear();
-            for (NodeId v = 0; v < graph_.numNodes(); ++v) {
-                if (clusterOf_[v] != cluster)
-                    continue;
-                for (NodeId pred : adj_->preds(v)) {
-                    if (pred != v && !assigned(pred) && !seen_[pred]) {
-                        seen_[pred] = true;
-                        touched_.push_back(pred);
-                        ++distinct;
-                    }
-                }
-            }
-            for (NodeId pred : touched_)
-                seen_[pred] = false;
-            return distinct;
-        }
-        std::set<NodeId> producers;
-        for (NodeId v = 0; v < graph_.numNodes(); ++v) {
-            if (clusterOf_[v] != cluster)
-                continue;
-            for (NodeId pred : graph_.predecessors(v)) {
-                if (pred != v && !assigned(pred))
-                    producers.insert(pred);
-            }
-        }
-        return static_cast<int>(producers.size());
+        const int incoming = clusterTally_[cluster].incoming;
+        return incoming == 0 ||
+               incoming <=
+                   reservableThrough(cluster, model_.writePool(cluster));
     }
 
     /** Copy slots still available through the given port pool. */
@@ -435,25 +386,8 @@ class AssignState
     int
     freeClusterResources(ClusterId cluster) const
     {
-        if (adj_) {
-            int free = 0;
-            for (PoolId pool : clusterPools_[cluster])
-                free += mrt_.freeTotal(pool);
-            return free;
-        }
         int free = 0;
-        std::set<PoolId> pools;
-        for (int cls = 0; cls < numFuClasses; ++cls) {
-            const PoolId pool =
-                model_.fuPool(cluster, static_cast<FuClass>(cls));
-            if (pool != invalidPool)
-                pools.insert(pool);
-        }
-        if (model_.readPool(cluster) != invalidPool)
-            pools.insert(model_.readPool(cluster));
-        if (model_.writePool(cluster) != invalidPool)
-            pools.insert(model_.writePool(cluster));
-        for (PoolId pool : pools)
+        for (PoolId pool : clusterPools_[cluster])
             free += mrt_.freeTotal(pool);
         return free;
     }
@@ -646,6 +580,7 @@ class AssignState
         }
         hasComm_[value] = 1;
         copyOps_ += static_cast<int>(fresh.rows.size());
+        refreshPcr(value);
         return true;
     }
 
@@ -707,6 +642,7 @@ class AssignState
         freeCopies(comm_[value]);
         copyOps_ -= static_cast<int>(comm_[value].rows.size());
         hasComm_[value] = 0;
+        refreshPcr(value);
     }
 
     /** Releases the node's function-unit slot and unplaces it. */
@@ -717,15 +653,110 @@ class AssignState
         mrt_.free(opReq_[clusterOf_[node]][static_cast<int>(cls)],
                   fuRow_[node]);
         fuRow_[node] = -1;
-        clusterOf_[node] = invalidCluster;
+        unplace(node);
     }
+
+    /**
+     * Sets clusterOf_[node] and keeps the scoring tallies exact: the
+     * node's own PCR term joins its cluster, it stops counting as an
+     * unplaced producer, and each predecessor loses an unplaced
+     * consumer and gains one on the cluster. O(deg + clusters).
+     */
+    void
+    place(NodeId node, ClusterId cluster)
+    {
+        clusterOf_[node] = cluster;
+        refreshPcr(node);
+        const int *on = &consumersOn_[static_cast<size_t>(node) * clusters_];
+        for (ClusterId c = 0; c < clusters_; ++c) {
+            if (on[c] > 0)
+                --clusterTally_[c].incoming;
+        }
+        for (NodeId pred : predsOf(node)) {
+            if (pred == node)
+                continue;
+            --nodeTally_[pred].unplacedSuccs;
+            refreshPcr(pred);
+            if (consumersOn_[static_cast<size_t>(pred) * clusters_ +
+                             cluster]++ == 0 &&
+                !assigned(pred)) {
+                ++clusterTally_[cluster].incoming;
+            }
+        }
+    }
+
+    /** Inverse of place(): the only other writer of clusterOf_. */
+    void
+    unplace(NodeId node)
+    {
+        const ClusterId cluster = clusterOf_[node];
+        clusterTally_[cluster].pcr -= nodeTally_[node].pcrTerm;
+        nodeTally_[node].pcrTerm = 0;
+        clusterOf_[node] = invalidCluster;
+        const int *on = &consumersOn_[static_cast<size_t>(node) * clusters_];
+        for (ClusterId c = 0; c < clusters_; ++c) {
+            if (on[c] > 0)
+                ++clusterTally_[c].incoming;
+        }
+        for (NodeId pred : predsOf(node)) {
+            if (pred == node)
+                continue;
+            ++nodeTally_[pred].unplacedSuccs;
+            refreshPcr(pred);
+            if (--consumersOn_[static_cast<size_t>(pred) * clusters_ +
+                               cluster] == 0 &&
+                !assigned(pred)) {
+                --clusterTally_[cluster].incoming;
+            }
+        }
+    }
+
+    /**
+     * Recomputes a placed value's §4.2 PCR term, min(UB(RC), its
+     * unplaced distinct consumers), and moves the difference into its
+     * cluster's tally. Called whenever the placement, the copy count
+     * or the unplaced-consumer count of the value changes.
+     */
+    void
+    refreshPcr(NodeId value)
+    {
+        const ClusterId cluster = clusterOf_[value];
+        if (cluster == invalidCluster)
+            return;
+        const int rc = requiredCopiesOf(value);
+        const int upper_bound = machine_.broadcast()
+                                    ? std::max(0, 1 - rc)
+                                    : std::max(0, clusters_ - rc - 1);
+        NodeTally &tally = nodeTally_[value];
+        const int term = std::min(upper_bound, tally.unplacedSuccs);
+        clusterTally_[cluster].pcr += term - tally.pcrTerm;
+        tally.pcrTerm = term;
+    }
+
+    struct NodeTally
+    {
+        /** Distinct consumers other than the node itself, unplaced. */
+        int unplacedSuccs = 0;
+        /** The node's term in its cluster's PCR (0 while unplaced). */
+        int pcrTerm = 0;
+    };
+
+    struct ClusterTally
+    {
+        /** PCR_c: the placed values' PCR terms, summed. */
+        int pcr = 0;
+        /** Unplaced producers with at least one consumer placed here. */
+        int incoming = 0;
+    };
 
     const Dfg &graph_;
     const ResourceModel &model_;
     const MachineDesc &machine_;
+    const int clusters_;
     FaultInjector *faults_ = nullptr;
     /** Packed neighbor lists, or null for the pre-cache behavior. */
     const Adjacency *adj_ = nullptr;
+    const bool timeRoute_;
     int64_t routeMicros_ = 0;
     Mrt &mrt_;
     std::vector<ClusterId> clusterOf_;
@@ -746,14 +777,16 @@ class AssignState
     std::vector<ClusterId> desired_;
     std::vector<Hop> hops_;
     std::vector<PoolId> request_;
-    /** Sorted-unique local pools per cluster (adjacency mode only). */
+    /** Sorted-unique local pools per cluster. */
     std::vector<std::vector<PoolId>> clusterPools_;
+    /** Scoring tallies maintained by place/unplace/refreshPcr. */
+    std::vector<NodeTally> nodeTally_;
+    std::vector<ClusterTally> clusterTally_;
+    /** [producer * clusters + c]: its distinct consumers placed on c. */
+    std::vector<int> consumersOn_;
     /** Fallback staging for predsOf/succsOf when adj_ is null. */
     mutable std::vector<NodeId> predScratch_;
     mutable std::vector<NodeId> succScratch_;
-    /** Mark table + undo list for predictedIncomingCopies. */
-    mutable std::vector<bool> seen_;
-    mutable std::vector<NodeId> touched_;
 };
 
 } // namespace
@@ -851,7 +884,8 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
 
     mrt.reset(ii);
     AssignState state(graph, model_, mrt, options_.faults,
-                      ctx ? &ctx->adjacency() : nullptr);
+                      ctx ? &ctx->adjacency() : nullptr,
+                      options_.trace.active(TraceLevel::Phase));
     const Stopwatch order_watch;
     std::optional<SccInfo> local_sccs;
     std::optional<NodeSets> local_sets;

@@ -169,9 +169,11 @@ struct AssignResult
      * Wall time of the §4.1 ordering work (SCC sets, timing, swing
      * order) and of the copy-routing work (planning + reserving
      * communication inside tentative and committed placements),
-     * accumulated over restarts. Always recorded -- the driver folds
-     * these into CompileResult's per-phase times whether or not a
-     * trace sink is attached.
+     * accumulated over restarts; the driver folds both into
+     * CompileResult's per-phase times. Ordering is always recorded.
+     * Routing costs two clock reads per placement, so it is recorded
+     * only when options.trace is active at TraceLevel::Phase and is
+     * 0 otherwise.
      */
     double orderMillis = 0.0;
     double routeMillis = 0.0;

@@ -118,6 +118,35 @@ sccRecMii(const Dfg &graph, const std::vector<NodeId> &members)
     return lo;
 }
 
+bool
+hasZeroDistanceCycle(const Dfg &graph)
+{
+    // Peel nodes with no pending distance-0 in-edge; whatever never
+    // peels lies on (or behind) a distance-0 cycle.
+    std::vector<int> pending(graph.numNodes(), 0);
+    for (const DfgEdge &edge : graph.edges()) {
+        if (edge.distance == 0)
+            ++pending[edge.dst];
+    }
+    std::vector<NodeId> ready;
+    for (NodeId v = 0; v < graph.numNodes(); ++v) {
+        if (pending[v] == 0)
+            ready.push_back(v);
+    }
+    int peeled = 0;
+    while (!ready.empty()) {
+        const NodeId v = ready.back();
+        ready.pop_back();
+        ++peeled;
+        for (EdgeId e : graph.outEdges(v)) {
+            const DfgEdge &edge = graph.edge(e);
+            if (edge.distance == 0 && --pending[edge.dst] == 0)
+                ready.push_back(edge.dst);
+        }
+    }
+    return peeled < graph.numNodes();
+}
+
 int
 recMii(const Dfg &graph, const SccInfo &sccs)
 {

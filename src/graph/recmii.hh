@@ -45,6 +45,14 @@ int recMii(const Dfg &graph);
 int recMii(const Dfg &graph, const SccInfo &sccs);
 
 /**
+ * True when some dependence cycle has zero total distance (a
+ * zero-distance self-edge included): no II can schedule such a loop,
+ * and the RecMII queries above treat it as a fatal input error. One
+ * Kahn pass over the distance-0 edges, O(V + E).
+ */
+bool hasZeroDistanceCycle(const Dfg &graph);
+
+/**
  * Tests whether the subgraph induced by the given nodes contains a
  * cycle of positive weight when edges weigh lat(e) - ii*dist(e).
  */

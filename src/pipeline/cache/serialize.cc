@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <limits>
 
 namespace cams
 {
@@ -12,6 +13,13 @@ namespace
 /** Ceilings that reject garbage before it allocates. */
 constexpr uint64_t maxStringBytes = uint64_t(1) << 28;
 constexpr uint64_t maxListEntries = uint64_t(1) << 24;
+
+/** A latency or distance that survives the narrowing to int. */
+bool
+inIntRange(int64_t value)
+{
+    return value >= 0 && value <= std::numeric_limits<int>::max();
+}
 
 } // namespace
 
@@ -152,7 +160,8 @@ readDfg(const std::string &bytes, Dfg &out)
         int64_t latency = 0;
         std::string node_name;
         if (!r.u32(op) || op >= uint32_t(numOpcodes) ||
-            !r.i64(latency) || latency < 0 || !r.str(node_name)) {
+            !r.i64(latency) || !inIntRange(latency) ||
+            !r.str(node_name)) {
             return false;
         }
         graph.addNode(static_cast<Opcode>(op),
@@ -170,7 +179,8 @@ readDfg(const std::string &bytes, Dfg &out)
             return false;
         }
         if (src < 0 || src >= int64_t(nodes) || dst < 0 ||
-            dst >= int64_t(nodes) || latency < 0 || distance < 0) {
+            dst >= int64_t(nodes) || !inIntRange(latency) ||
+            !inIntRange(distance)) {
             return false;
         }
         graph.addEdge(static_cast<NodeId>(src),

@@ -5,6 +5,7 @@
 
 #include "assign/exhaustive.hh"
 #include "exact/exact.hh"
+#include "graph/recmii.hh"
 #include "pipeline/cache/compile_cache.hh"
 #include "pipeline/context.hh"
 #include "pipeline/degrade.hh"
@@ -59,33 +60,48 @@ traceDecision(const TraceConfig &trace, const char *name,
 }
 
 /**
- * Rejects inputs the assigner would cams_fatal on, as a classified
- * result instead: a driver compile must never take the process down.
+ * Rejects inputs the assigner or RecMII would cams_fatal on, or whose
+ * II arithmetic could overflow, as a classified result instead: a
+ * driver compile must never take the process down.
  */
 bool
 compilablePrecondition(const Dfg &graph, const MachineDesc &machine,
                        CompileResult &result)
 {
-    std::string why;
-    if (!graph.wellFormed(&why)) {
+    auto reject = [&](std::string why) {
         result.failure = FailureKind::InternalInvariant;
-        result.failureDetail = "malformed input graph: " + why;
+        result.failureDetail = std::move(why);
         return false;
-    }
+    };
+    std::string why;
+    if (!graph.wellFormed(&why))
+        return reject("malformed input graph: " + why);
     for (const DfgNode &node : graph.nodes()) {
-        if (node.op == Opcode::Copy) {
-            result.failure = FailureKind::InternalInvariant;
-            result.failureDetail =
-                "input graph already contains copies";
-            return false;
-        }
+        if (node.op == Opcode::Copy)
+            return reject("input graph already contains copies");
         if (!machine.canExecute(node.op)) {
-            result.failure = FailureKind::InternalInvariant;
-            result.failureDetail = detail::concat(
-                "machine '", machine.name, "' cannot execute ",
-                opcodeName(node.op));
-            return false;
+            return reject(detail::concat("machine '", machine.name,
+                                         "' cannot execute ",
+                                         opcodeName(node.op)));
         }
+        if (node.latency > maxLoopLatency) {
+            return reject(detail::concat(
+                "malformed input graph: node latency ", node.latency,
+                " exceeds ", maxLoopLatency));
+        }
+    }
+    for (const DfgEdge &edge : graph.edges()) {
+        if (edge.latency > maxLoopLatency ||
+            edge.distance > maxLoopDistance) {
+            return reject(detail::concat(
+                "malformed input graph: edge latency ", edge.latency,
+                " / distance ", edge.distance, " exceeds ",
+                maxLoopLatency, " / ", maxLoopDistance));
+        }
+    }
+    if (hasZeroDistanceCycle(graph)) {
+        return reject("malformed input graph: dependence cycle with "
+                      "zero total distance");
     }
     return true;
 }

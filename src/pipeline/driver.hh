@@ -45,6 +45,18 @@ namespace cams
 
 class CompileCache;
 
+/**
+ * Ceilings on the latencies (node and edge) and iteration distances
+ * a compile accepts; larger values are refused as a malformed graph.
+ * Opcode latencies are at most 9 and suite distances at most 2. RecMII
+ * is at most 1 + an SCC's summed edge latencies, and a Submit frame
+ * carries fewer than 2^21 edges, so with these ceilings RecMII stays
+ * below 5.4e8, mii * 4 + iiSlack (default 64) inside int, and the MRT
+ * length at most linear in the loop's size.
+ */
+constexpr int maxLoopLatency = 255;
+constexpr int maxLoopDistance = 255;
+
 /** Which phase-two scheduler the driver uses. */
 enum class SchedulerKind
 {
@@ -158,9 +170,11 @@ struct CompileOptions
 
 /**
  * Wall-clock cost of each pipeline phase, milliseconds, summed over
- * every II attempt of one compile. Always recorded, tracing on or
- * off. orderMs and routeMs are sub-slices of assignMs (the §4.1
- * ordering work and the copy-routing work inside the assigner);
+ * every II attempt of one compile. Recorded tracing on or off, except
+ * routeMs: timing the copy routing costs two clock reads per
+ * placement, so it is measured only under TraceLevel::Phase and reads
+ * 0 otherwise. orderMs and routeMs are sub-slices of assignMs (the
+ * §4.1 ordering work and the copy-routing work inside the assigner);
  * totalMs is the whole compile including MII computation and the
  * degradation ladder.
  */
@@ -229,7 +243,7 @@ struct CompileResult
     /** Injected faults that fired during this compile. */
     long faultTrips = 0;
 
-    /** Per-phase wall-time breakdown (always recorded). */
+    /** Per-phase wall-time breakdown (routeMs only when traced). */
     PhaseTimes phaseMs;
 
     /**

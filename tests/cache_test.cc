@@ -132,6 +132,39 @@ TEST(CacheSerialize, DfgRoundTripPreservesIds)
     EXPECT_EQ(packDfg(back), packDfg(graph));
 }
 
+TEST(CacheSerialize, DfgReaderRejectsValuesOutsideInt)
+{
+    // Patches the last edge's latency or distance field (the final
+    // 16 bytes of the image) with a raw 64-bit value.
+    Dfg graph;
+    graph.addNode(Opcode::Load);
+    graph.addNode(Opcode::IntAlu);
+    graph.addEdge(0, 1, 3, 1);
+    auto patched = [&](int field, int64_t value) {
+        std::string bytes = packDfg(graph);
+        const size_t at = bytes.size() - 16 + 8 * field;
+        for (int i = 0; i < 8; ++i) {
+            bytes[at + i] =
+                static_cast<char>((uint64_t(value) >> (8 * i)) & 0xff);
+        }
+        return bytes;
+    };
+    Dfg back;
+    for (int field = 0; field < 2; ++field) {
+        SCOPED_TRACE(field == 0 ? "latency" : "distance");
+        ASSERT_TRUE(readDfg(patched(field, INT32_MAX), back));
+        EXPECT_EQ(field == 0 ? back.edge(0).latency
+                             : back.edge(0).distance,
+                  INT32_MAX);
+        // 2^32 + 3 used to narrow silently to 3.
+        EXPECT_FALSE(readDfg(patched(field, (int64_t(1) << 32) + 3),
+                             back));
+        EXPECT_FALSE(readDfg(patched(field, int64_t(INT32_MAX) + 1),
+                             back));
+        EXPECT_FALSE(readDfg(patched(field, -1), back));
+    }
+}
+
 TEST(CacheSerialize, CompileResultRoundTrip)
 {
     const Dfg graph = sampleLoop();

@@ -116,6 +116,15 @@ TEST(AbDeterminism, EightClusterIterative)
                         true);
 }
 
+// The most eviction-heavy paper machine (~70 evictions per loop on
+// this sweep's loops, against ~36 on the grid): exercises the unplace
+// and shrink paths of the assigner's tallies.
+TEST(AbDeterminism, FourClusterFsSwing)
+{
+    runDeterminismSweep(busedFsMachine(4, 2, 2), SchedulerKind::Swing,
+                        true);
+}
+
 TEST(AbDeterminism, UnifiedSwing)
 {
     runDeterminismSweep(busedGpMachine(2, 2, 1), SchedulerKind::Swing, false);

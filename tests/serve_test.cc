@@ -555,6 +555,55 @@ TEST_F(ServeTest, ImpossibleMachineGetsErrorAndServerKeepsServing)
     server->stop();
 }
 
+TEST_F(ServeTest, HostileLoopGetsClassifiedFailureAndServerKeepsServing)
+{
+    ServeConfig config;
+    config.socketPath = testSocket("hostileloop");
+    startServer(config);
+
+    ServeClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect(config.socketPath, "t", error))
+        << error;
+
+    // A distance-0 cycle and an overflowing latency: both used to end
+    // the process inside RecMII or the II bound; each must come back
+    // as a classified failure instead.
+    Dfg cycle;
+    cycle.addNode(Opcode::IntAlu, -1, "a");
+    cycle.addNode(Opcode::IntAlu, -1, "b");
+    cycle.addEdge(0, 1, 1, 0);
+    cycle.addEdge(1, 0, 1, 0);
+    Dfg slow = suite[0];
+    slow.addEdge(0, 1, 1000000000, 1);
+    const Dfg hostile[] = {cycle, slow};
+    for (uint64_t id = 1; id <= 2; ++id) {
+        SubmitMsg submit = makeSubmit(id, 0);
+        submit.dfgBytes = packDfg(hostile[id - 1]);
+        ASSERT_TRUE(client.submit(submit, error)) << error;
+        auto outcomes = collect(client, {id});
+        ASSERT_EQ(outcomes[id].type, ServeMsgType::Result);
+        CompileResult served;
+        ByteReader reader(outcomes[id].msg.resultBytes);
+        ASSERT_TRUE(readCompileResult(reader, served));
+        EXPECT_FALSE(served.success);
+        EXPECT_EQ(served.failure, FailureKind::InternalInvariant);
+        EXPECT_NE(served.failureDetail.find("malformed input graph"),
+                  std::string::npos)
+            << served.failureDetail;
+    }
+
+    // The next request on the same connection still compiles.
+    ASSERT_TRUE(client.submit(makeSubmit(3, 1), error)) << error;
+    auto outcomes = collect(client, {3});
+    ASSERT_EQ(outcomes[3].type, ServeMsgType::Result);
+    CompileResult served;
+    ByteReader reader(outcomes[3].msg.resultBytes);
+    ASSERT_TRUE(readCompileResult(reader, served));
+    EXPECT_TRUE(served.success);
+    server->stop();
+}
+
 TEST(ServeProto, MachineDecoderRejectsImpossibleMachines)
 {
     MachineDesc machine;

@@ -194,6 +194,73 @@ TEST(Stress, IncompatibleMachineIsClassifiedNotFatal)
         << result.failureDetail;
 }
 
+TEST(Stress, HostileLoopsAreClassifiedNotFatal)
+{
+    // Zero-distance cycles used to cams_fatal inside RecMII, and huge
+    // latencies overflowed the II arithmetic. Both entry points must
+    // refuse them as malformed graphs.
+    const MachineDesc machine = busedGpMachine(2, 2, 1);
+    const MachineDesc unified = machine.unifiedEquivalent();
+    auto expectRejected = [&](const Dfg &loop) {
+        for (bool clustered : {true, false}) {
+            SCOPED_TRACE(clustered ? "clustered" : "unified");
+            const CompileResult result =
+                clustered ? compileClustered(loop, machine)
+                          : compileUnified(loop, unified);
+            EXPECT_FALSE(result.success);
+            EXPECT_EQ(result.failure, FailureKind::InternalInvariant);
+            EXPECT_NE(result.failureDetail.find("malformed input graph"),
+                      std::string::npos)
+                << result.failureDetail;
+        }
+    };
+    auto loopWith = [](int latency, int distance, bool selfEdge) {
+        Dfg loop;
+        loop.addNode(Opcode::IntAlu, -1, "a");
+        loop.addNode(Opcode::IntAlu, -1, "b");
+        loop.addEdge(0, 1);
+        if (selfEdge)
+            loop.addEdge(1, 1, latency, distance);
+        else
+            loop.addEdge(1, 0, latency, distance);
+        return loop;
+    };
+
+    {
+        SCOPED_TRACE("2-node cycle, distance 0");
+        expectRejected(loopWith(1, 0, false));
+    }
+    {
+        SCOPED_TRACE("self-edge, distance 0");
+        expectRejected(loopWith(1, 0, true));
+    }
+    {
+        SCOPED_TRACE("zero-latency zero-distance cycle");
+        expectRejected(loopWith(0, 0, false));
+    }
+    for (int latency : {maxLoopLatency + 1, 1000000000, INT32_MAX}) {
+        SCOPED_TRACE(latency);
+        expectRejected(loopWith(latency, 1, false));
+    }
+    {
+        SCOPED_TRACE("distance beyond the bound");
+        expectRejected(loopWith(1, maxLoopDistance + 1, false));
+    }
+    Dfg slowNode = loopWith(1, 1, false);
+    slowNode.node(0).latency = maxLoopLatency + 1;
+    {
+        SCOPED_TRACE("node latency beyond the bound");
+        expectRejected(slowNode);
+    }
+
+    // At the bounds the same shapes still compile.
+    for (bool selfEdge : {false, true}) {
+        const Dfg ok = loopWith(maxLoopLatency, maxLoopDistance, selfEdge);
+        EXPECT_TRUE(compileClustered(ok, machine).success);
+        EXPECT_TRUE(compileUnified(ok, unified).success);
+    }
+}
+
 TEST(Stress, FaultInjectionIsDeterministic)
 {
     // Same seeds in, bit-identical outcomes out: a failing fuzz job

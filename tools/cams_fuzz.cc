@@ -12,10 +12,13 @@
  *   - nothing may crash, abort, or hang (per-job deadlines bound
  *     runaway searches; the CI job runs this under ASan/UBSan).
  *
- * Two deterministic job classes spice the sweep: every 16th job runs
+ * Three deterministic job classes spice the sweep: every 16th job runs
  * with scheduler-slot denial at probability 1 so the degradation
- * ladder must rescue it, and every 31st job runs with a microscopic
- * deadline and no fallback so Timeout classification is exercised.
+ * ladder must rescue it, every 31st job runs with a microscopic
+ * deadline and no fallback so Timeout classification is exercised,
+ * and every 37th job gets a hostile loop -- a distance-0 cycle or a
+ * latency beyond the driver's ceiling -- that the oracle demands be
+ * rejected as a malformed graph.
  *
  * Everything is a pure function of --seed; a failing job reproduces
  * exactly. Outcome counts per FailureKind land in BENCH_stress.json.
@@ -28,6 +31,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -95,6 +99,39 @@ randomMachine(Rng &rng)
       default:
         // Deliberately starved interconnect: one bus, one port.
         return busedGpMachine(rng.uniformInt(2, 4), 1, 1);
+    }
+}
+
+/** Jobs whose loop makeHostile corrupts. */
+bool
+hostileJob(int i)
+{
+    return i % 37 == 23;
+}
+
+/**
+ * Closes a distance-0 cycle (a self-edge or a 2-node cycle) or adds
+ * an edge whose latency exceeds maxLoopLatency, up to INT_MAX.
+ */
+void
+makeHostile(Rng &rng, Dfg &loop)
+{
+    const NodeId a = rng.uniformInt(0, loop.numNodes() - 1);
+    const NodeId b = rng.uniformInt(0, loop.numNodes() - 1);
+    switch (rng.uniformInt(0, 2)) {
+      case 0:
+        loop.addEdge(a, a, rng.uniformInt(0, 3), 0);
+        break;
+      case 1:
+        loop.addEdge(a, b, 1, 0);
+        loop.addEdge(b, a, 1, 0);
+        break;
+      default: {
+        const int latencies[] = {maxLoopLatency + 1, 1000000000,
+                                 std::numeric_limits<int>::max()};
+        loop.addEdge(a, b, latencies[rng.uniformInt(0, 2)], 1);
+        break;
+      }
     }
 }
 
@@ -212,6 +249,8 @@ main(int argc, char **argv)
             job.options.fallback = false;
             job.options.timeBudgetMs = 0.0001;
         }
+        if (hostileJob(i))
+            makeHostile(rng, loops.back());
         job.options.faults = std::make_shared<FaultInjector>(faults);
         batch_jobs.push_back(std::move(job));
     }
@@ -254,6 +293,13 @@ main(int argc, char **argv)
     int degraded_single = 0;
     for (int i = 0; i < iters; ++i) {
         const CompileResult &result = outcome.results[i];
+        if (hostileJob(i) &&
+            (result.success ||
+             result.failure != FailureKind::InternalInvariant)) {
+            std::cerr << "VIOLATION job " << i
+                      << ": hostile loop not rejected as malformed\n";
+            ++violations;
+        }
         if (result.success) {
             if (result.failure != FailureKind::None) {
                 std::cerr << "VIOLATION job " << i
