@@ -1,16 +1,22 @@
 /**
  * @file
- * The behaviour contract: one digest per (machine, scheduler) over the
- * schedules of the first 400 published-suite loops.
+ * The behaviour contract: digests per (machine, scheduler) over the
+ * compiles of the first 400 published-suite loops, plus one loop that
+ * reaches the degradation ladder.
  *
- * Each digest is a portable 64-bit FNV-1a hash of what a compile
+ * A schedule digest is a portable 64-bit FNV-1a hash of what a compile
  * decides -- success, degradation rung, II, every placement's cluster
  * and copy destinations, every annotated edge and every start cycle --
- * and of nothing measured (no times, no counters). A refactor that
- * keeps every schedule byte-identical keeps every digest; one that
- * moves a single copy or start cycle changes one. On a mismatch the
- * test prints the computed digests so an intended behaviour change can
- * update the table in one edit.
+ * and of nothing measured (no times, no cache counters). Each config
+ * has three: the clustered schedules, the schedules of the same loops
+ * on the config's unifiedEquivalent() machine, and the clustered
+ * search trajectory (attempts, assignment retries, evictions, failure
+ * kind and text, last II tried, verifier rejects, rung). A refactor
+ * that keeps every compile byte-identical keeps every digest; one that
+ * moves a single copy or start cycle, or takes one more eviction to
+ * reach the same schedule, changes one. On a mismatch the test prints
+ * the computed digests so an intended behaviour change can update the
+ * table in one edit.
  */
 
 #include <gtest/gtest.h>
@@ -42,6 +48,14 @@ class Fnv1a
             hash_ *= 0x100000001b3ULL;
             bits >>= 8;
         }
+    }
+
+    void
+    add(const std::string &text)
+    {
+        add(static_cast<int64_t>(text.size()));
+        for (unsigned char c : text)
+            add(c);
     }
 
     uint64_t value() const { return hash_; }
@@ -77,43 +91,84 @@ digestResult(Fnv1a &h, const CompileResult &result)
         h.add(cycle);
 }
 
+/** The search that reached the result, beyond what the schedule shows. */
+void
+digestTrajectory(Fnv1a &h, const CompileResult &result)
+{
+    h.add(result.attempts);
+    h.add(result.assignRetries);
+    h.add(result.evictions);
+    h.add(static_cast<int64_t>(result.failure));
+    h.add(result.failureDetail);
+    h.add(result.finalIiTried);
+    h.add(result.verifierRejects);
+    h.add(static_cast<int64_t>(result.degraded));
+}
+
 struct Config
 {
     const char *name;
     MachineDesc machine;
     SchedulerKind scheduler;
-    uint64_t expected;
+    uint64_t expected;   ///< clustered schedules
+    uint64_t unified;    ///< schedules on machine.unifiedEquivalent()
+    uint64_t trajectory; ///< clustered search trajectories
 };
 
 constexpr int digestLoops = 400;
+
+/** Appends one report line; returns whether the digest matched. */
+bool
+checkRow(std::string &report, const std::string &name, uint64_t computed,
+         uint64_t expected)
+{
+    char line[128];
+    std::snprintf(line, sizeof line, "  %-29s 0x%016" PRIx64 "ULL%s\n",
+                  name.c_str(), computed,
+                  computed == expected ? "" : "  <- differs");
+    report += line;
+    return computed == expected;
+}
 
 TEST(ScheduleDigest, PublishedSuiteOnBenchmarkMachines)
 {
     const std::vector<Config> configs = {
         {"2c-gp-2b-1p/sms", busedGpMachine(2, 2, 1), SchedulerKind::Swing,
-         0x3cb1f7b310b5ec8dULL},
+         0x3cb1f7b310b5ec8dULL,
+         0x45ed008e99b7cdaaULL, 0xa2ec31bfc8773d60ULL},
         {"2c-gp-2b-1p/ims", busedGpMachine(2, 2, 1),
-         SchedulerKind::Iterative, 0xa1401e6dc0daa0fdULL},
+         SchedulerKind::Iterative, 0xa1401e6dc0daa0fdULL,
+         0x335bf92d42b13bf8ULL, 0xa2ec31bfc8773d60ULL},
         {"4c-gp-4b-2p/sms", busedGpMachine(4, 4, 2), SchedulerKind::Swing,
-         0x9227ed87e7f6457dULL},
+         0x9227ed87e7f6457dULL,
+         0x348bb931e4231900ULL, 0x8ad0ba4fe6b5931dULL},
         {"4c-gp-4b-2p/ims", busedGpMachine(4, 4, 2),
-         SchedulerKind::Iterative, 0x61b8102640e15b8aULL},
+         SchedulerKind::Iterative, 0x61b8102640e15b8aULL,
+         0x69f79ccd30fd9a9fULL, 0x157d28ea8332587fULL},
         {"2c-fs-2b-1p/sms", busedFsMachine(2, 2, 1), SchedulerKind::Swing,
-         0xd7c67986cd28a326ULL},
+         0xd7c67986cd28a326ULL,
+         0xcabe45dcfbd903eeULL, 0xd5923915a26fe002ULL},
         {"2c-fs-2b-1p/ims", busedFsMachine(2, 2, 1),
-         SchedulerKind::Iterative, 0x92cba2a90259261dULL},
+         SchedulerKind::Iterative, 0x92cba2a90259261dULL,
+         0xd4e180e3c5350a97ULL, 0xb1864eec0f14270eULL},
         {"4c-fs-2b-2p/sms", busedFsMachine(4, 2, 2), SchedulerKind::Swing,
-         0x4a3e25bc6730dacbULL},
+         0x4a3e25bc6730dacbULL,
+         0x4977d2c2a0e58adeULL, 0x9c3b7f2f2c3efa2cULL},
         {"4c-fs-2b-2p/ims", busedFsMachine(4, 2, 2),
-         SchedulerKind::Iterative, 0xa873e49714672458ULL},
+         SchedulerKind::Iterative, 0xa873e49714672458ULL,
+         0xbcbbc666a9f21fb0ULL, 0x315ff9e4e45e149eULL},
         {"4c-grid-2p/sms", gridMachine(2), SchedulerKind::Swing,
-         0x0ce73aca7ebf46b8ULL},
+         0x0ce73aca7ebf46b8ULL,
+         0x613ecb485ac96b30ULL, 0x7aff896611a9fa07ULL},
         {"4c-grid-2p/ims", gridMachine(2), SchedulerKind::Iterative,
-         0x565b42ae5e337dc0ULL},
+         0x565b42ae5e337dc0ULL,
+         0x4d09afa29fa97c4aULL, 0x00d92ea4e0dd49f9ULL},
         {"8c-gp-7b-3p/sms", busedGpMachine(8, 7, 3), SchedulerKind::Swing,
-         0xab8bf6c54506183aULL},
+         0xab8bf6c54506183aULL,
+         0x197ac5e1616a8d38ULL, 0x9294634f1626e19cULL},
         {"8c-gp-7b-3p/ims", busedGpMachine(8, 7, 3),
-         SchedulerKind::Iterative, 0xdc0f633786961f6aULL},
+         SchedulerKind::Iterative, 0xdc0f633786961f6aULL,
+         0x697440eca346bf32ULL, 0x9294634f1626e19cULL},
     };
     const std::vector<Dfg> suite = buildSuite(digestLoops);
 
@@ -122,19 +177,49 @@ TEST(ScheduleDigest, PublishedSuiteOnBenchmarkMachines)
     for (const Config &config : configs) {
         CompileOptions options;
         options.scheduler = config.scheduler;
-        Fnv1a h;
-        for (const Dfg &loop : suite)
-            digestResult(h, compileClustered(loop, config.machine, options));
-        char line[96];
-        std::snprintf(line, sizeof line,
-                      "  %-18s 0x%016" PRIx64 "ULL%s\n", config.name,
-                      h.value(),
-                      h.value() == config.expected ? "" : "  <- differs");
-        report += line;
-        if (h.value() != config.expected)
-            ++mismatches;
+        const MachineDesc unified = config.machine.unifiedEquivalent();
+        Fnv1a schedules;
+        Fnv1a unifiedSchedules;
+        Fnv1a trajectories;
+        for (const Dfg &loop : suite) {
+            const CompileResult result =
+                compileClustered(loop, config.machine, options);
+            digestResult(schedules, result);
+            digestTrajectory(trajectories, result);
+            digestResult(unifiedSchedules,
+                         compileUnified(loop, unified, options));
+        }
+        const std::string name = config.name;
+        mismatches += !checkRow(report, name, schedules.value(),
+                                config.expected);
+        mismatches += !checkRow(report, name + " unified",
+                                unifiedSchedules.value(), config.unified);
+        mismatches += !checkRow(report, name + " trajectory",
+                                trajectories.value(), config.trajectory);
     }
     EXPECT_EQ(mismatches, 0) << "computed digests:\n" << report;
+}
+
+// No published-suite loop reaches the degradation ladder. This one,
+// from camsbench's seed-107 suite, runs the whole II search dry on the
+// four-cluster FS machine and ends on the single-cluster rung.
+TEST(ScheduleDigest, DegradationLadder)
+{
+    const Dfg loop = buildSuite(2314, 107).back();
+    ASSERT_EQ(loop.name(), "synth2313");
+    const CompileResult result =
+        compileClustered(loop, busedFsMachine(4, 2, 2), CompileOptions{});
+    ASSERT_TRUE(result.success);
+    EXPECT_EQ(result.degraded, DegradeLevel::SingleCluster);
+    EXPECT_EQ(result.ii, 47);
+    EXPECT_EQ(result.attempts, 110);
+    Fnv1a h;
+    digestResult(h, result);
+    digestTrajectory(h, result);
+    std::string report;
+    EXPECT_TRUE(checkRow(report, "4c-fs-2b-2p/sms synth2313", h.value(),
+                         0x962d8d272d534e47ULL))
+        << "computed digest:\n" << report;
 }
 
 } // namespace
