@@ -10,8 +10,12 @@
  *  - tightened: the exact arm found a schedule at a lower II than the
  *    heuristic; the gap (heuristic II - exact II) is the measured
  *    suboptimality of the cascade on that loop.
- *  - certified: UNSAT certificates cover [MII, heuristic II), so the
- *    heuristic answer is provably optimal (gap 0 by proof).
+ *  - proved: the heuristic II sits above MII and UNSAT certificates
+ *    cover [MII, heuristic II), so the answer is provably optimal
+ *    (gap 0 by proof).
+ *  - vacuous: the heuristic already sits at MII, so the window is
+ *    empty and no probe ran. The answer is optimal, but the solver
+ *    decided nothing; the gate does not count these.
  *  - timeout / unsupported: no claim either way; counted so the gate
  *    can bound the fraction of the suite the audit actually covers.
  *
@@ -20,7 +24,7 @@
  *  1. Every successful result -- tightened or not -- is re-run
  *     through AnnotatedLoop::validate and the independent verifier
  *     here, outside the driver. A reject is an optimality_violation.
- *  2. Every UNSAT certificate is spot-checked by re-running the
+ *  2. Every proved certificate is spot-checked by re-running the
  *     heuristic cascade (assignment + scheduler + verifier) pinned at
  *     heuristic II - 1. The heuristic finding a valid schedule at an
  *     II the solver certified infeasible is a violation; the
@@ -53,7 +57,8 @@ struct MachineAudit
     int jobs = 0;
     int succeeded = 0;
     int tightened = 0;
-    int certified = 0;
+    int proved = 0;
+    int vacuous = 0;
     int timeouts = 0;
     int unsupported = 0;
     int spotChecks = 0;
@@ -153,8 +158,12 @@ auditMachine(const MachineDesc &machine)
             if (gap > audit.maxGap)
                 audit.maxGap = gap;
         } else if (result.exact.certified) {
-            ++audit.certified;
             ++audit.gapHistogram[0];
+            if (result.exact.probes == 0) {
+                ++audit.vacuous;
+                continue;
+            }
+            ++audit.proved;
             // Cross-check 2: the certificate says II - 1 (and below)
             // is infeasible. The heuristic agreeing -- failing at
             // II - 1 -- costs one probe; it succeeding disproves the
@@ -187,7 +196,8 @@ auditJson(const MachineAudit &audit)
        << "\"jobs\":" << audit.jobs << ","
        << "\"succeeded\":" << audit.succeeded << ","
        << "\"tightened\":" << audit.tightened << ","
-       << "\"certified\":" << audit.certified << ","
+       << "\"proved\":" << audit.proved << ","
+       << "\"vacuous\":" << audit.vacuous << ","
        << "\"timeouts\":" << audit.timeouts << ","
        << "\"unsupported\":" << audit.unsupported << ","
        << "\"spot_checks\":" << audit.spotChecks << ","
@@ -260,7 +270,8 @@ main(int argc, char **argv)
         std::cout << audit.machine << ": " << audit.succeeded << "/"
                   << audit.jobs << " compiled, " << audit.tightened
                   << " tightened (max gap " << audit.maxGap << "), "
-                  << audit.certified << " certified optimal, "
+                  << audit.proved << " proved optimal, "
+                  << audit.vacuous << " vacuous (heuristic at MII), "
                   << audit.timeouts << " timeouts, "
                   << audit.unsupported << " unsupported, "
                   << audit.spotChecks << " UNSAT spot-checks, "

@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <set>
+#include <optional>
 #include <span>
 
 #include "assign/router.hh"
 #include "assign/selector.hh"
-#include "graph/analysis.hh"
-#include "graph/scc.hh"
-#include "order/scc_sets.hh"
-#include "order/swing_order.hh"
 #include "pipeline/context.hh"
 #include "support/logging.hh"
 #include "support/time.hh"
@@ -126,7 +122,7 @@ class AssignState
      *        work (phase tracing only; otherwise routeMicros() stays 0).
      */
     AssignState(const Dfg &graph, const ResourceModel &model, Mrt &mrt,
-                FaultInjector *faults, const Adjacency *adjacency,
+                FaultInjector *faults, const Adjacency &adjacency,
                 bool timeRoute)
         : graph_(graph), model_(model), machine_(model.machine()),
           clusters_(machine_.numClusters()), faults_(faults),
@@ -164,39 +160,13 @@ class AssignState
         // Nothing is placed yet: every distinct consumer is unplaced.
         nodeTally_.assign(nodes, {});
         for (NodeId v = 0; v < nodes; ++v) {
-            for (NodeId succ : succsOf(v)) {
+            for (NodeId succ : adj_.succs(v)) {
                 if (succ != v)
                     ++nodeTally_[v].unplacedSuccs;
             }
         }
         clusterTally_.assign(clusters_, {});
         consumersOn_.assign(static_cast<size_t>(nodes) * clusters_, 0);
-    }
-
-    /**
-     * The node's distinct predecessors, ascending. Reads the packed
-     * adjacency when the compile carries one; otherwise falls back to
-     * the allocating Dfg query (the pre-cache behavior), staged
-     * through a scratch buffer. Iterations of predsOf and succsOf may
-     * nest with each other but not with themselves.
-     */
-    std::span<const NodeId>
-    predsOf(NodeId node) const
-    {
-        if (adj_)
-            return adj_->preds(node);
-        predScratch_ = graph_.predecessors(node);
-        return {predScratch_.data(), predScratch_.size()};
-    }
-
-    /** The node's distinct successors, ascending (see predsOf). */
-    std::span<const NodeId>
-    succsOf(NodeId node) const
-    {
-        if (adj_)
-            return adj_->succs(node);
-        succScratch_ = graph_.successors(node);
-        return {succScratch_.data(), succScratch_.size()};
     }
 
     ClusterId clusterOf(NodeId node) const { return clusterOf_[node]; }
@@ -261,7 +231,7 @@ class AssignState
         const int64_t route_start = timeRoute_ ? nowMicros() : 0;
         values_.clear();
         values_.push_back(node);
-        for (NodeId pred : predsOf(node)) {
+        for (NodeId pred : adj_.preds(node)) {
             if (pred != node && assigned(pred))
                 values_.push_back(pred);
         }
@@ -316,7 +286,7 @@ class AssignState
         // Predecessor values may stop crossing clusters: shrink their
         // communication. Shrinking can always be re-reserved because
         // the released slots strictly cover the new need.
-        for (NodeId pred : predsOf(node)) {
+        for (NodeId pred : adj_.preds(node)) {
             if (pred == node || !assigned(pred))
                 continue;
             shrinkLog_.reset(invalidNode);
@@ -414,8 +384,8 @@ class AssignState
                 }
             }
         };
-        count(predsOf(node));
-        count(succsOf(node));
+        count(adj_.preds(node));
+        count(adj_.succs(node));
         return conflicts;
     }
 
@@ -512,7 +482,7 @@ class AssignState
 
         // Sorted, distinct clusters of the value's remote consumers.
         desired_.clear();
-        for (NodeId succ : succsOf(value)) {
+        for (NodeId succ : adj_.succs(value)) {
             if (succ != value && assigned(succ) && clusterOf_[succ] != src)
                 desired_.push_back(clusterOf_[succ]);
         }
@@ -672,7 +642,7 @@ class AssignState
             if (on[c] > 0)
                 --clusterTally_[c].incoming;
         }
-        for (NodeId pred : predsOf(node)) {
+        for (NodeId pred : adj_.preds(node)) {
             if (pred == node)
                 continue;
             --nodeTally_[pred].unplacedSuccs;
@@ -698,7 +668,7 @@ class AssignState
             if (on[c] > 0)
                 ++clusterTally_[c].incoming;
         }
-        for (NodeId pred : predsOf(node)) {
+        for (NodeId pred : adj_.preds(node)) {
             if (pred == node)
                 continue;
             ++nodeTally_[pred].unplacedSuccs;
@@ -754,8 +724,8 @@ class AssignState
     const MachineDesc &machine_;
     const int clusters_;
     FaultInjector *faults_ = nullptr;
-    /** Packed neighbor lists, or null for the pre-cache behavior. */
-    const Adjacency *adj_ = nullptr;
+    /** Packed neighbor lists of the graph. */
+    const Adjacency &adj_;
     const bool timeRoute_;
     int64_t routeMicros_ = 0;
     Mrt &mrt_;
@@ -784,9 +754,6 @@ class AssignState
     std::vector<ClusterTally> clusterTally_;
     /** [producer * clusters + c]: its distinct consumers placed on c. */
     std::vector<int> consumersOn_;
-    /** Fallback staging for predsOf/succsOf when adj_ is null. */
-    mutable std::vector<NodeId> predScratch_;
-    mutable std::vector<NodeId> succScratch_;
 };
 
 } // namespace
@@ -800,16 +767,14 @@ ClusterAssigner::ClusterAssigner(const ResourceModel &model,
 AssignResult
 ClusterAssigner::run(const Dfg &graph, int ii, LoopContext *ctx) const
 {
+    std::optional<LoopContext> local;
+    if (!ctx)
+        ctx = &local.emplace(graph);
     const int restarts =
         options_.iterative ? std::max(1, options_.restartsPerIi) : 1;
 
-    // The context's scratch table survives restarts and II probes;
-    // without one, a run-local table does the same across restarts.
-    std::optional<Mrt> local;
-    if (!ctx)
-        local.emplace(model_, ii, options_.mrtScan);
-    Mrt &mrt = ctx ? ctx->scratchMrt(model_, ii) : *local;
-    mrt.setScanMode(options_.mrtScan);
+    // The context's scratch table survives restarts and II probes.
+    Mrt &mrt = ctx->scratchMrt(model_, ii);
     const long scan_base = mrt.wordScans();
 
     AssignResult result;
@@ -817,25 +782,14 @@ ClusterAssigner::run(const Dfg &graph, int ii, LoopContext *ctx) const
     int invariant_failures = 0;
     double order_ms = 0.0;
     double route_ms = 0.0;
-    // A preferred rotation (the cache's warm-start replay) jumps the
-    // queue; the others keep their canonical order behind it, so the
-    // same set of rotations is explored either way.
-    const int preferred = options_.preferredRotation;
-    const bool replay = preferred > 0 && preferred < restarts;
-    for (int attempt = 0; attempt < restarts; ++attempt) {
-        int rotation = attempt;
-        if (replay) {
-            if (attempt == 0)
-                rotation = preferred;
-            else if (attempt <= preferred)
-                rotation = attempt - 1;
-        }
+    for (int rotation = 0; rotation < restarts; ++rotation) {
         try {
-            result = runAttempt(graph, ii, rotation, mrt, ctx);
+            result = runAttempt(graph, ii, rotation, mrt, *ctx);
         } catch (const InternalError &err) {
             // The attempt's state is corrupt; abandon it wholesale and
             // let the next rotation start from scratch. Nothing leaks:
-            // AssignState owns the MRT and dies with the attempt.
+            // AssignState dies with the attempt and the next one
+            // resets the table.
             ++invariant_failures;
             result = AssignResult{};
             result.failure = FailureKind::InternalInvariant;
@@ -852,7 +806,6 @@ ClusterAssigner::run(const Dfg &graph, int ii, LoopContext *ctx) const
         result.routeMillis = route_ms;
         result.invariantFailures = invariant_failures;
         result.wordScans = mrt.wordScans() - scan_base;
-        result.rotationUsed = rotation;
         if (result.success)
             return result;
     }
@@ -861,43 +814,19 @@ ClusterAssigner::run(const Dfg &graph, int ii, LoopContext *ctx) const
 
 AssignResult
 ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
-                            Mrt &mrt, LoopContext *ctx) const
+                            Mrt &mrt, LoopContext &ctx) const
 {
     AssignResult result;
     const MachineDesc &machine = model_.machine();
-
-    if (ctx) {
-        ctx->checkAssignable(machine);
-    } else {
-        std::string why;
-        if (!graph.wellFormed(&why))
-            cams_fatal("assigning a malformed graph: ", why);
-        for (const DfgNode &node : graph.nodes()) {
-            if (node.op == Opcode::Copy)
-                cams_fatal("input graphs must not contain copies");
-            if (!machine.canExecute(node.op)) {
-                cams_fatal("machine '", machine.name,
-                           "' cannot execute ", opcodeName(node.op));
-            }
-        }
-    }
+    ctx.checkAssignable(machine);
 
     mrt.reset(ii);
-    AssignState state(graph, model_, mrt, options_.faults,
-                      ctx ? &ctx->adjacency() : nullptr,
+    const Adjacency &adj = ctx.adjacency();
+    AssignState state(graph, model_, mrt, options_.faults, adj,
                       options_.trace.active(TraceLevel::Phase));
     const Stopwatch order_watch;
-    std::optional<SccInfo> local_sccs;
-    std::optional<NodeSets> local_sets;
-    std::optional<TimeAnalysis> local_timing;
-    const SccInfo &sccs =
-        ctx ? ctx->sccs() : local_sccs.emplace(findSccs(graph));
-    const NodeSets &sets =
-        ctx ? ctx->prioritySets()
-            : local_sets.emplace(buildPrioritySets(graph, sccs));
-    const TimeAnalysis &timing =
-        ctx ? ctx->timing(ii)
-            : local_timing.emplace(analyzeTiming(graph, ii));
+    const SccInfo &sccs = ctx.sccs();
+    const TimeAnalysis &timing = ctx.timing(ii);
     std::vector<NodeId> local_order;
     const std::vector<NodeId> *order_ptr = &local_order;
     if (options_.policy == AssignPolicy::AcyclicBug) {
@@ -910,11 +839,7 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
                              return timing.asap[a] < timing.asap[b];
                          });
     } else if (options_.useSwingOrder) {
-        if (ctx) {
-            order_ptr = &ctx->swingOrder(ii);
-        } else {
-            local_order = swingOrder(graph, sets, timing);
-        }
+        order_ptr = &ctx.swingOrder(ii);
     } else {
         // Ablation: plain id order.
         local_order.resize(graph.numNodes());
@@ -960,52 +885,28 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
         return out;
     };
 
-    // Unassigned nodes, highest priority (lowest rank) first. With a
-    // context the tree set becomes a rank-indexed bitmap with a
-    // moving minimum cursor: identical iteration order (ranks are a
-    // permutation, so (rank, node) pairs sort exactly like ranks),
-    // no tree rebalance or node allocation per eviction round.
+    // Unassigned nodes, highest priority (lowest rank) first: a
+    // rank-indexed bitmap with a moving minimum cursor, so an eviction
+    // round re-queues its victims without allocating.
     const int nn = graph.numNodes();
-    std::set<std::pair<int, NodeId>> pending;
-    std::vector<char> pendingRank;
-    int pendingCount = 0;
+    std::vector<char> pendingRank(nn, 1);
+    int pendingCount = nn;
     int minRank = 0;
-    if (ctx) {
-        pendingRank.assign(nn, 1);
-        pendingCount = nn;
-    } else {
-        for (NodeId v = 0; v < nn; ++v)
-            pending.insert({rank[v], v});
-    }
-    auto pendingEmpty = [&] {
-        return ctx ? pendingCount == 0 : pending.empty();
-    };
     auto pendingTop = [&]() -> NodeId {
-        if (ctx) {
-            while (!pendingRank[minRank])
-                ++minRank;
-            return order[minRank];
-        }
-        return pending.begin()->second;
+        while (!pendingRank[minRank])
+            ++minRank;
+        return order[minRank];
     };
     auto pendingErase = [&](NodeId v) {
-        if (ctx) {
-            pendingRank[rank[v]] = 0;
-            --pendingCount;
-        } else {
-            pending.erase({rank[v], v});
-        }
+        pendingRank[rank[v]] = 0;
+        --pendingCount;
     };
     auto pendingInsert = [&](NodeId v) {
-        if (ctx) {
-            if (!pendingRank[rank[v]]) {
-                pendingRank[rank[v]] = 1;
-                ++pendingCount;
-            }
-            minRank = std::min(minRank, rank[v]);
-        } else {
-            pending.insert({rank[v], v});
+        if (!pendingRank[rank[v]]) {
+            pendingRank[rank[v]] = 1;
+            ++pendingCount;
         }
+        minRank = std::min(minRank, rank[v]);
     };
 
     const int clusters = machine.numClusters();
@@ -1050,7 +951,7 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
     // One undo log serves every tentative placement of the attempt.
     AssignState::Txn tentative;
     std::vector<NodeId> victims;
-    while (!pendingEmpty()) {
+    while (pendingCount > 0) {
         const NodeId node = pendingTop();
         const bool in_scc = sccs.inRecurrence(node);
 
@@ -1206,7 +1107,7 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
                     // around the forced placement. (The node is not
                     // yet assigned, so remoteness is measured against
                     // the forced cluster.)
-                    for (NodeId succ : state.succsOf(node)) {
+                    for (NodeId succ : adj.succs(node)) {
                         if (succ != node && state.assigned(succ) &&
                             state.clusterOf(succ) != forced) {
                             victims.push_back(succ);

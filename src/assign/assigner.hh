@@ -94,22 +94,6 @@ struct AssignOptions
     int restartsPerIi = 3;
 
     /**
-     * Tie-break rotation to try first; -1 (or out of range) keeps
-     * the canonical 0, 1, ... order. Set by the compile cache's
-     * warm-start path to replay the rotation that succeeded last
-     * time; the remaining rotations still follow in canonical order,
-     * so the set of attempts is unchanged -- only their order.
-     */
-    int preferredRotation = -1;
-
-    /**
-     * MRT query implementation. Word is the packed-bitmask fast path;
-     * Reference keeps the original row-counting loops (identical
-     * results, used as the A/B perf baseline).
-     */
-    MrtScanMode mrtScan = MrtScanMode::Word;
-
-    /**
      * Optional fault injector (non-owning; stress testing only).
      * Sites consulted: AssignEvictionStorm vetoes the selection
      * cascade's winner, RouterBusExhaustion fails a copy reservation.
@@ -159,13 +143,6 @@ struct AssignResult
     int invariantFailures = 0;
 
     /**
-     * Tie-break rotation of the last attempt (the successful one when
-     * success is true). Stored in the compile cache's warm-start
-     * hints so a recompile can try the winning rotation first.
-     */
-    int rotationUsed = 0;
-
-    /**
      * Wall time of the §4.1 ordering work (SCC sets, timing, swing
      * order) and of the copy-routing work (planning + reserving
      * communication inside tentative and committed placements),
@@ -178,7 +155,7 @@ struct AssignResult
     double orderMillis = 0.0;
     double routeMillis = 0.0;
 
-    /** MRT occupancy words examined (word-scan mode only). */
+    /** MRT occupancy words examined. */
     long wordScans = 0;
 };
 
@@ -196,11 +173,11 @@ class ClusterAssigner
      * The graph must be well formed and executable on the machine.
      * Single-cluster machines short-circuit to a trivial assignment.
      *
-     * When a LoopContext for the same graph is supplied, the
-     * II-invariant analyses (SCCs, priority sets, timing, swing
-     * order, preconditions) come from its cache and the MRT buffer is
-     * reused across restarts and II probes; the result is identical
-     * to a context-free run.
+     * The II-invariant analyses (SCCs, timing, swing order,
+     * preconditions) come from a LoopContext for the same graph, and
+     * its MRT buffer is reused across restarts; passing the context
+     * of an II escalation keeps both across II probes too. Null runs
+     * on a private context.
      */
     AssignResult run(const Dfg &graph, int ii,
                      LoopContext *ctx = nullptr) const;
@@ -208,7 +185,7 @@ class ClusterAssigner
   private:
     /** One attempt with the given tie-break rotation offset. */
     AssignResult runAttempt(const Dfg &graph, int ii, int rotation,
-                            Mrt &mrt, LoopContext *ctx) const;
+                            Mrt &mrt, LoopContext &ctx) const;
 
     const ResourceModel &model_;
     AssignOptions options_;

@@ -215,8 +215,7 @@ hasDuplicatePool(const std::vector<PoolId> &pools)
 
 } // namespace
 
-Mrt::Mrt(const ResourceModel &model, int ii, MrtScanMode mode)
-    : mode_(mode)
+Mrt::Mrt(const ResourceModel &model, int ii)
 {
     reset(model, ii);
 }
@@ -275,8 +274,6 @@ bool
 Mrt::canReserveAt(const std::vector<PoolId> &pools, int row) const
 {
     cams_assert(row >= 0 && row < ii_, "bad row ", row);
-    if (mode_ == MrtScanMode::Reference)
-        return fitsExactly(pools, row);
     const size_t word = static_cast<size_t>(row) >> 6;
     const uint64_t bit = uint64_t{1} << (row & 63);
     for (PoolId pool : pools) {
@@ -306,13 +303,6 @@ Mrt::combineMasks(const std::vector<PoolId> &pools) const
 int
 Mrt::findRow(const std::vector<PoolId> &pools) const
 {
-    if (mode_ == MrtScanMode::Reference) {
-        for (int row = 0; row < ii_; ++row) {
-            if (fitsExactly(pools, row))
-                return row;
-        }
-        return -1;
-    }
     // A single-pool request (the common case: one FU slot) needs no
     // combining -- the pool's own free-row mask is the answer.
     const uint64_t *mask;
@@ -343,15 +333,6 @@ Mrt::scanRows(const std::vector<PoolId> &pools, int startRow, int count,
 {
     cams_assert(startRow >= 0 && startRow < ii_, "bad row ", startRow);
     cams_assert(step == 1 || step == -1, "bad scan step ", step);
-    if (mode_ == MrtScanMode::Reference) {
-        int row = startRow;
-        for (int skipped = 0; skipped < count; ++skipped) {
-            if (fitsExactly(pools, row))
-                return skipped;
-            row = (row + step + ii_) % ii_;
-        }
-        return -1;
-    }
     const uint64_t *mask;
     if (pools.size() == 1) {
         mask = freeRows_.data() +

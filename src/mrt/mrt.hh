@@ -18,12 +18,11 @@
  *
  * Occupancy is tracked twice: exact per-row slot counts, plus one
  * free-row bitmask per pool (bit r set while row r still has a free
- * slot) packed into uint64_t words. Word mode answers canReserveAt
- * with one bit test per requested pool and drives the first-fit and
- * window scans by AND-ing pool masks; Reference mode keeps the
- * original row-by-row counting loops for A/B comparison and as the
- * oracle in tests. Both modes visit candidate rows in the same order,
- * so every caller sees identical results.
+ * slot) packed into uint64_t words. canReserveAt is one bit test per
+ * requested pool, and the first-fit and window scans AND the pool
+ * masks a word at a time; only a request that names one pool twice
+ * falls back to the exact counts. freeInRow reads the counts
+ * directly, which is what tests check the word scans against.
  */
 
 #ifndef CAMS_MRT_MRT_HH
@@ -138,15 +137,6 @@ struct Reservation
     bool valid() const { return row >= 0; }
 };
 
-/** How the MRT answers occupancy queries (results are identical). */
-enum class MrtScanMode
-{
-    /** Packed free-row bitmasks; bit tests and word scans. */
-    Word,
-    /** The original row-by-row counting loops (A/B oracle). */
-    Reference,
-};
-
 /** Modulo reservation table over a ResourceModel at a fixed II. */
 class Mrt
 {
@@ -155,8 +145,7 @@ class Mrt
     Mrt() = default;
 
     /** Creates an empty table of the given length. */
-    Mrt(const ResourceModel &model, int ii,
-        MrtScanMode mode = MrtScanMode::Word);
+    Mrt(const ResourceModel &model, int ii);
 
     /**
      * Rebinds the table to a model and length, clearing every slot.
@@ -171,12 +160,7 @@ class Mrt
     /** Table length. */
     int ii() const { return ii_; }
 
-    /** Selects the query implementation (state is left untouched). */
-    void setScanMode(MrtScanMode mode) { mode_ = mode; }
-
-    MrtScanMode scanMode() const { return mode_; }
-
-    /** Occupancy words examined by word-mode queries so far. */
+    /** Occupancy words examined by queries so far. */
     long wordScans() const { return wordScans_; }
 
     /** True when every requested pool has a free slot in this row. */
@@ -238,7 +222,7 @@ class Mrt
     std::string dump() const;
 
   private:
-    /** The exact (Reference) admission test; canReserveAt's oracle. */
+    /** The exact admission test over the per-row slot counts. */
     bool fitsExactly(const std::vector<PoolId> &pools, int row) const;
 
     /** AND of the requested pools' free-row masks, into mask_. */
@@ -248,7 +232,6 @@ class Mrt
     int ii_ = 0;
     /** Words per free-row bitmask: ceil(ii / 64). */
     int words_ = 0;
-    MrtScanMode mode_ = MrtScanMode::Word;
     /** use_[pool * ii_ + row] = slots taken. */
     std::vector<int> use_;
     std::vector<int> usedTotal_;

@@ -30,16 +30,17 @@ namespace cams
  *
  * @param timing a timing analysis at the candidate II (depth = asap,
  *        height drives criticality tie-breaks).
- * @param adjacency optional packed neighbor lists of the same graph;
- *        when given, the sweep reads them instead of rebuilding
- *        neighbor vectors per candidate (identical results).
+ * @param adjacency packed neighbor lists of the same graph.
  * @return every node exactly once, highest assignment priority first.
  */
 std::vector<NodeId> swingOrder(const Dfg &graph, const NodeSets &sets,
                                const TimeAnalysis &timing,
-                               const Adjacency *adjacency = nullptr);
+                               const Adjacency &adjacency);
 
-/** Convenience overload: builds SCC sets and timing at the given II. */
+/**
+ * Convenience overload: builds SCC sets, timing at the given II and
+ * the adjacency.
+ */
 std::vector<NodeId> swingOrder(const Dfg &graph, int ii);
 
 } // namespace cams

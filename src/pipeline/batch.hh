@@ -104,7 +104,7 @@ struct BatchStats
     /** LoopContext facts computed fresh across all jobs. */
     long ctxMisses = 0;
 
-    /** MRT occupancy words examined by word-mode scans. */
+    /** MRT occupancy words examined across all jobs. */
     long mrtWordScans = 0;
 
     /** Jobs served whole from the persistent compile cache. */
@@ -112,12 +112,6 @@ struct BatchStats
 
     /** Jobs that probed the cache and compiled cold. */
     long cacheMisses = 0;
-
-    /** Jobs whose warm-start hint satisfied the search. */
-    long hintUsed = 0;
-
-    /** Jobs whose hint probe failed and fell back to the cold path. */
-    long hintStale = 0;
 
     /** Exact-arm outcomes (exact and race backends; see exact.hh). */
     long exactSat = 0;         ///< exact schedule became the result

@@ -31,8 +31,6 @@ constexpr uint32_t entryFormatVersion = 1;
 /** Salts the options hash so schema changes invalidate old keys. */
 constexpr uint64_t optionsSchemaSalt = 0xca5cade100000002ULL;
 
-constexpr const char *hintFileName = "hints.log";
-
 std::string
 hex16(uint64_t value)
 {
@@ -70,24 +68,6 @@ uint64_t
 hashDouble(double value)
 {
     return std::bit_cast<uint64_t>(value);
-}
-
-/** Same acceptance rule as loadHints(), as a predicate. */
-bool
-validHintLine(const std::string &line)
-{
-    std::istringstream fields(line);
-    std::string tag, idText;
-    WarmStartHint hint;
-    if (!(fields >> tag >> idText >> hint.ii >> hint.mii >>
-          hint.rotation))
-        return false;
-    if (tag != "h1")
-        return false;
-    uint64_t id = 0;
-    if (!parseHex16(idText, id))
-        return false;
-    return hint.ii > 0 && hint.mii > 0 && hint.rotation >= 0;
 }
 
 /**
@@ -173,16 +153,6 @@ CacheKey::entryId() const
     return id;
 }
 
-uint64_t
-CacheKey::hintId() const
-{
-    uint64_t id = 0x417e57a2ULL;
-    id = hashCombine(id, loopHash);
-    id = hashCombine(id, machineHash);
-    id = hashCombine(id, hintSalt);
-    return id;
-}
-
 std::string
 CacheKey::fileName() const
 {
@@ -229,17 +199,10 @@ makeCacheKey(const Dfg &graph, const MachineDesc &machine,
     oh = hashCombine(oh, a.useSwingOrder ? 1 : 0);
     oh = hashCombine(oh, hashDouble(a.evictionBudgetFactor));
     oh = hashCombine(oh, static_cast<uint64_t>(a.restartsPerIi));
-    // The tenant namespace salt participates in both identities, so a
-    // salted compile can never serve -- or warm-start from -- another
-    // namespace's state.
+    // The tenant namespace salt keys the entry, so a salted compile
+    // can never serve another namespace's state.
     oh = hashCombine(oh, options.cacheSalt);
     key.optionsHash = oh;
-
-    uint64_t hs = 0x5eedULL;
-    hs = hashCombine(hs, clustered ? 1 : 0);
-    hs = hashCombine(hs, static_cast<uint64_t>(options.scheduler));
-    hs = hashCombine(hs, options.cacheSalt);
-    key.hintSalt = hs;
     return key;
 }
 
@@ -259,7 +222,6 @@ CompileCache::CompileCache(std::string directory, CacheMode mode)
     }
     ok_ = true;
     scanDirectory();
-    loadHints();
 }
 
 CompileCache::Shard &
@@ -297,32 +259,6 @@ CompileCache::scanDirectory()
         Shard &shard = shardFor(id);
         std::lock_guard<std::mutex> lock(shard.mutex);
         shard.entries[id] = size;
-    }
-}
-
-void
-CompileCache::loadHints()
-{
-    std::ifstream in((fs::path(directory_) / hintFileName).string());
-    if (!in)
-        return;
-    std::lock_guard<std::mutex> lock(hintMutex_);
-    std::string line;
-    while (std::getline(in, line)) {
-        std::istringstream fields(line);
-        std::string tag, idText;
-        WarmStartHint hint;
-        if (!(fields >> tag >> idText >> hint.ii >> hint.mii >>
-              hint.rotation))
-            continue;
-        if (tag != "h1")
-            continue;
-        uint64_t id = 0;
-        if (!parseHex16(idText, id))
-            continue;
-        if (hint.ii <= 0 || hint.mii <= 0 || hint.rotation < 0)
-            continue;
-        hints_[id] = hint; // append-only log: last write wins
     }
 }
 
@@ -426,11 +362,10 @@ CompileCache::store(const CacheKey &key, const Dfg &graph,
     if (mode_ != CacheMode::ReadWrite || !ok_)
         return;
 
-    // Only cold, deterministic outcomes are worth persisting: a
-    // served or hint-assisted result is not the from-MII outcome,
-    // and a timeout depends on the wall clock of this run.
-    if (result.fromCache || result.hintUsed ||
-        result.failure == FailureKind::Timeout)
+    // Only deterministic outcomes are worth persisting: a served
+    // result is already stored, and a timeout depends on the wall
+    // clock of this run.
+    if (result.fromCache || result.failure == FailureKind::Timeout)
         return;
 
     const uint64_t id = key.entryId();
@@ -546,44 +481,6 @@ scrubCacheDir(const std::string &directory)
         ++report.entriesOk;
     }
 
-    // hints.log: keep the parseable terminated lines; a torn tail is
-    // dropped even when it happens to parse (a truncated number can
-    // still read as a number -- hints are verified on use, but there
-    // is no reason to keep bytes known to be incomplete).
-    const fs::path hintPath = fs::path(directory) / hintFileName;
-    std::string hintBytes;
-    if (readFileBytes(hintPath.string(), hintBytes) &&
-        !hintBytes.empty()) {
-        std::vector<std::string> kept;
-        long dropped = 0;
-        size_t start = 0;
-        while (start < hintBytes.size()) {
-            const size_t end = hintBytes.find('\n', start);
-            const bool unterminated = end == std::string::npos;
-            const std::string line = hintBytes.substr(
-                start, unterminated ? std::string::npos : end - start);
-            start = unterminated ? hintBytes.size() : end + 1;
-            if (!unterminated && validHintLine(line))
-                kept.push_back(line);
-            else
-                ++dropped;
-        }
-        report.hintLinesKept = static_cast<long>(kept.size());
-        report.hintLinesDropped = dropped;
-        if (dropped > 0) {
-            quarantine(hintPath);
-            const fs::path tmp =
-                fs::path(directory) / ".tmp-hints-rewrite";
-            {
-                std::ofstream out(tmp, std::ios::trunc);
-                for (const std::string &line : kept)
-                    out << line << '\n';
-            }
-            std::error_code rec;
-            fs::rename(tmp, hintPath, rec);
-            report.hintLogRepaired = true;
-        }
-    }
     return report;
 }
 
@@ -604,49 +501,10 @@ CompileCache::scrub()
     }
     scanDirectory();
     {
-        std::lock_guard<std::mutex> lock(hintMutex_);
-        hints_.clear();
-    }
-    loadHints();
-    {
         std::lock_guard<std::mutex> lock(statsMutex_);
         totals_.quarantined += report.quarantined;
     }
     return report;
-}
-
-bool
-CompileCache::hint(const CacheKey &key, WarmStartHint &out) const
-{
-    if (!enabled())
-        return false;
-    std::lock_guard<std::mutex> lock(hintMutex_);
-    const auto it = hints_.find(key.hintId());
-    if (it == hints_.end())
-        return false;
-    out = it->second;
-    {
-        std::lock_guard<std::mutex> stats(statsMutex_);
-        ++totals_.hintHits;
-    }
-    return true;
-}
-
-void
-CompileCache::storeHint(const CacheKey &key, const WarmStartHint &hint)
-{
-    if (mode_ != CacheMode::ReadWrite || !ok_)
-        return;
-    if (hint.ii <= 0 || hint.mii <= 0 || hint.rotation < 0)
-        return;
-    const uint64_t id = key.hintId();
-    std::lock_guard<std::mutex> lock(hintMutex_);
-    hints_[id] = hint;
-    std::ofstream log((fs::path(directory_) / hintFileName).string(),
-                      std::ios::app);
-    if (log)
-        log << "h1 " << hex16(id) << ' ' << hint.ii << ' ' << hint.mii
-            << ' ' << hint.rotation << '\n';
 }
 
 CompileCache::Totals
@@ -670,11 +528,6 @@ void
 CompileCache::publish(MetricsRegistry &registry) const
 {
     const Totals t = totals();
-    long hintCount = 0;
-    {
-        std::lock_guard<std::mutex> lock(hintMutex_);
-        hintCount = static_cast<long>(hints_.size());
-    }
     std::lock_guard<std::mutex> lock(publishMutex_);
     registry.add("cache.entries", t.entries - published_.entries);
     registry.add("cache.bytes", t.bytesOnDisk - published_.bytesOnDisk);
@@ -684,11 +537,9 @@ CompileCache::publish(MetricsRegistry &registry) const
     registry.add("cache.bytes_read", t.bytesRead - published_.bytesRead);
     registry.add("cache.bytes_written",
                  t.bytesWritten - published_.bytesWritten);
-    registry.add("cache.hint_entries", hintCount - publishedHints_);
     registry.add("cache.quarantined",
                  t.quarantined - published_.quarantined);
     published_ = t;
-    publishedHints_ = hintCount;
 }
 
 } // namespace cams

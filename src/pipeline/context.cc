@@ -129,7 +129,7 @@ LoopContext::swingOrder(int ii)
     }
     ++misses_;
     order_ = cams::swingOrder(*graph_, prioritySets(), timing(ii),
-                              &adjacency());
+                              adjacency());
     orderIi_ = ii;
     return order_;
 }

@@ -19,11 +19,12 @@
  *   positive-cycle test per recurrence instead of the binary search,
  *   with monotone bounds remembered across probes).
  *
- * Everything returned is byte-identical to the from-scratch
- * computation -- all cached facts are unique fixpoints or
- * deterministic function results -- so a pipeline run with contexts
- * produces exactly the same schedules as one without (the A/B
- * determinism test in tests/context_test.cc holds this invariant).
+ * Everything returned equals the direct computation -- all cached
+ * facts are unique fixpoints or deterministic function results
+ * (tests/context_test.cc checks the timing, feasibility and RecMII
+ * answers against the direct analyses). Every compile runs on a
+ * context; ClusterAssigner::run and ModuloScheduler::schedule make a
+ * private one when the caller passes none.
  *
  * A context is single-threaded, like the compile it serves; batch
  * parallelism stays at the loop level.
@@ -64,9 +65,8 @@ class LoopContext
 
     /**
      * Packed neighbor lists (computed once). The assigner evaluates
-     * predecessors/successors for every (node, cluster) candidate;
-     * reading them as spans instead of rebuilding sorted vectors is
-     * the single largest win of the incremental pipeline.
+     * predecessors/successors for every (node, cluster) candidate and
+     * reads them here as spans instead of rebuilding sorted vectors.
      */
     const Adjacency &adjacency();
 

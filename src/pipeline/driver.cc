@@ -225,14 +225,12 @@ class IiEscalator
 
     IiEscalator(const Dfg &graph, const CompileOptions &options,
                 CompileResult &result)
-        : options_(options), result_(result)
+        : options_(options), result_(result), ctx_(graph)
     {
-        if (options.incremental)
-            ctx_.emplace(graph);
     }
 
-    /** The shared context; null when the incremental path is off. */
-    LoopContext *context() { return ctx_ ? &*ctx_ : nullptr; }
+    /** The context every probe of this compile shares. */
+    LoopContext &context() { return ctx_; }
 
     /** Whether any sweep so far died on the deadline. */
     bool timedOut() const { return timedOut_; }
@@ -240,10 +238,8 @@ class IiEscalator
     /** Folds the owned context's counters into the result. */
     void foldCounters()
     {
-        if (!ctx_)
-            return;
-        result_.ctxHits += ctx_->hits();
-        result_.ctxMisses += ctx_->misses();
+        result_.ctxHits += ctx_.hits();
+        result_.ctxMisses += ctx_.misses();
     }
 
     /**
@@ -331,7 +327,7 @@ class IiEscalator
   private:
     const CompileOptions &options_;
     CompileResult &result_;
-    std::optional<LoopContext> ctx_;
+    LoopContext ctx_;
     bool timedOut_ = false;
 };
 
@@ -361,11 +357,10 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
     compile_scope.arg("machine", machine.name);
 
     IiEscalator escalator(graph, options, result);
-    LoopContext *ctx = escalator.context();
+    LoopContext &ctx = escalator.context();
 
     const MachineDesc unified = machine.unifiedEquivalent();
-    result.mii = ctx ? computeMii(graph, unified, ctx->recMii())
-                     : computeMii(graph, unified);
+    result.mii = computeMii(graph, unified, ctx.recMii());
 
     const ResourceModel model(machine);
     FaultInjector *faults = options.faults.get();
@@ -375,21 +370,15 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
     AssignOptions assign_options = options.assign;
     assign_options.faults = faults;
     assign_options.trace = options.trace;
-    if (!options.incremental)
-        assign_options.mrtScan = MrtScanMode::Reference;
     const ClusterAssigner assigner(model, assign_options);
     const auto scheduler = makeScheduler(options.scheduler);
     scheduler->setTrace(options.trace);
-    if (!options.incremental)
-        scheduler->setScanMode(MrtScanMode::Reference);
     const int limit = result.mii.mii * 4 + options.iiSlack;
 
     // Stamps everything that must be correct on every exit path, and
     // publishes the finished compile into the cache. store() itself
-    // refuses served, hint-assisted and timed-out results, so only
-    // cold deterministic outcomes persist; hints additionally require
-    // a primary-path success (a degraded II would poison warm starts).
-    int accepted_rotation = 0;
+    // refuses served and timed-out results, so only deterministic
+    // outcomes persist.
     auto finish = [&]() {
         escalator.foldCounters();
         result.mrtWordScans += scheduler->wordScans();
@@ -410,37 +399,19 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
             compile_scope.arg("failure",
                               failureKindName(result.failure));
         }
-        if (cache_on) {
+        if (cache_on)
             options.cache->store(cache_key, graph, machine, result);
-            // Hints replay a heuristic rotation at the achieved II; a
-            // race-tightened II is not heuristically reachable, and
-            // non-heuristic backends skip the probe anyway.
-            if (result.success && !result.hintUsed &&
-                options.backend == CompileBackend::Heuristic &&
-                result.degraded == DegradeLevel::None) {
-                WarmStartHint hint;
-                hint.ii = result.ii;
-                hint.mii = result.mii.mii;
-                hint.rotation = accepted_rotation;
-                options.cache->storeHint(cache_key, hint);
-            }
-        }
     };
 
     // One II attempt of the Figure 5 pipeline: assign, schedule,
-    // verify. Shared between the primary sweep and the warm-start
-    // hint probe, which swaps in a hint-seeded assigner and verifies
-    // unconditionally (a stale hint must never leak an unchecked
-    // schedule).
-    auto attemptIi = [&](int ii, auto &&escalate,
-                         const ClusterAssigner &attempt_assigner,
-                         bool force_verify) -> IiEscalator::Outcome {
+    // verify.
+    auto attemptIi = [&](int ii, auto &&escalate) -> IiEscalator::Outcome {
             const Stopwatch assign_watch;
             AssignResult assignment;
             {
                 TraceScope scope(options.trace, TraceLevel::Phase,
                                  "assign", "phase");
-                assignment = attempt_assigner.run(graph, ii, ctx);
+                assignment = assigner.run(graph, ii, &ctx);
             }
             result.phaseMs.assignMs += assign_watch.elapsedMs();
             result.phaseMs.orderMs += assignment.orderMillis;
@@ -465,24 +436,19 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
             // all), which changes per II, so its context is per
             // attempt: it still pools the analyses shared by the
             // feasibility check, timing, order and requests.
-            std::optional<LoopContext> sched_ctx;
-            if (options.incremental)
-                sched_ctx.emplace(assignment.loop.graph);
+            LoopContext sched_ctx(assignment.loop.graph);
             Schedule schedule;
             const Stopwatch sched_watch;
             bool scheduled;
             {
                 TraceScope scope(options.trace, TraceLevel::Phase,
                                  "schedule", "phase");
-                scheduled = scheduler->schedule(
-                    assignment.loop, model, ii, schedule,
-                    sched_ctx ? &*sched_ctx : nullptr);
+                scheduled = scheduler->schedule(assignment.loop, model,
+                                                ii, schedule, &sched_ctx);
             }
             result.phaseMs.scheduleMs += sched_watch.elapsedMs();
-            if (sched_ctx) {
-                result.ctxHits += sched_ctx->hits();
-                result.ctxMisses += sched_ctx->misses();
-            }
+            result.ctxHits += sched_ctx.hits();
+            result.ctxMisses += sched_ctx.misses();
             if (scheduled && faults &&
                 faults->trip(FaultSite::SchedulerSlotDeny)) {
                 // Injected: pretend the scheduler found no slot.
@@ -495,7 +461,7 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
                 escalate("sched_fail");
                 return IiEscalator::Outcome::Retry;
             }
-            if (options.verify || force_verify) {
+            if (options.verify) {
                 const Stopwatch verify_watch;
                 std::string why;
                 bool verified;
@@ -515,7 +481,6 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
                     return IiEscalator::Outcome::Retry;
                 }
             }
-            accepted_rotation = assignment.rotationUsed;
             acceptSchedule(result, std::move(assignment.loop),
                            std::move(schedule), ii,
                            DegradeLevel::None);
@@ -619,43 +584,6 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
         // Fall through to the degradation ladder below.
     }
 
-    // Warm-start hint: a previous compile of this loop on this
-    // machine (any options) achieved hint.ii, so probe that II first
-    // with the winning rotation replayed. One attempt, verified
-    // unconditionally; failure marks the hint stale and falls back to
-    // the cold search from MII, so a wrong hint costs one probe.
-    // Non-heuristic backends skip the probe: Exact never runs the
-    // cascade, and a Race hint would bypass the exact arm entirely.
-    WarmStartHint hint;
-    if (options.backend == CompileBackend::Heuristic && cache_on &&
-        options.cache->hint(cache_key, hint) &&
-        hint.ii > result.mii.mii && hint.ii <= limit) {
-        AssignOptions hinted_options = assign_options;
-        hinted_options.preferredRotation = hint.rotation;
-        const ClusterAssigner hinted_assigner(model, hinted_options);
-        IiEscalator::Policy probe_policy;
-        probe_policy.countAttempts = true;
-        probe_policy.traceIis = true;
-        probe_policy.catchInvariant = true;
-        const bool hinted_ok = escalator.sweep(
-            hint.ii, hint.ii, deadline, probe_policy,
-            [&](int ii, auto &&escalate) {
-                return attemptIi(ii, escalate, hinted_assigner,
-                                 /*force_verify=*/true);
-            });
-        traceDecision(
-            options.trace, "hint_probe",
-            {{"outcome", hinted_ok ? "used" : "stale"},
-             {"hint_ii", std::to_string(hint.ii)},
-             {"rotation", std::to_string(hint.rotation)}});
-        if (hinted_ok) {
-            result.hintUsed = true;
-            finish();
-            return result;
-        }
-        result.hintStale = true;
-    }
-
     if (options.backend != CompileBackend::Exact) {
         IiEscalator::Policy primary;
         primary.countAttempts = true;
@@ -666,10 +594,7 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
         primary.traceTimeout = true;
 
         escalator.sweep(result.mii.mii, limit, deadline, primary,
-                        [&](int ii, auto &&escalate) {
-                            return attemptIi(ii, escalate, assigner,
-                                             /*force_verify=*/false);
-                        });
+                        attemptIi);
     }
 
     if (options.backend == CompileBackend::Race) {
@@ -790,9 +715,6 @@ compileUnified(const Dfg &graph, const MachineDesc &machine,
     if (!compilablePrecondition(graph, machine, result))
         return result;
 
-    // Full-result caching only: the unified path has no assignment,
-    // so there is no rotation to replay and little for a warm-start
-    // hint to save.
     const bool cache_on = cacheEligible(options);
     CacheKey cache_key;
     if (cache_on) {
@@ -813,9 +735,8 @@ compileUnified(const Dfg &graph, const MachineDesc &machine,
     // every scheduler call.
     const AnnotatedLoop loop = unifiedLoop(graph);
     IiEscalator escalator(loop.graph, options, result);
-    LoopContext *ctx = escalator.context();
-    result.mii = ctx ? computeMii(graph, machine, ctx->recMii())
-                     : computeMii(graph, machine);
+    LoopContext &ctx = escalator.context();
+    result.mii = computeMii(graph, machine, ctx.recMii());
 
     const ResourceModel model(machine);
     FaultInjector *faults = options.faults.get();
@@ -823,8 +744,6 @@ compileUnified(const Dfg &graph, const MachineDesc &machine,
     const Deadline deadline(options.timeBudgetMs);
     const auto scheduler = makeScheduler(options.scheduler);
     scheduler->setTrace(options.trace);
-    if (!options.incremental)
-        scheduler->setScanMode(MrtScanMode::Reference);
     const int limit = result.mii.mii * 4 + options.iiSlack;
 
     auto finish = [&]() {
@@ -861,7 +780,7 @@ compileUnified(const Dfg &graph, const MachineDesc &machine,
                 TraceScope scope(options.trace, TraceLevel::Phase,
                                  "schedule", "phase");
                 scheduled =
-                    scheduler->schedule(loop, model, ii, schedule, ctx);
+                    scheduler->schedule(loop, model, ii, schedule, &ctx);
             }
             result.phaseMs.scheduleMs += sched_watch.elapsedMs();
             if (scheduled && faults &&

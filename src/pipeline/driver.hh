@@ -114,15 +114,6 @@ struct CompileOptions
     int exhaustiveFallbackNodes = 8;
 
     /**
-     * Master switch of the incremental pipeline: per-loop LoopContext
-     * caching of the II-invariant analyses plus word-scan MRTs. Off,
-     * every II probe recomputes from scratch with the reference MRT
-     * scans -- the pre-cache pipeline, kept as the A/B baseline.
-     * Schedules are byte-identical either way (tests/context_test.cc).
-     */
-    bool incremental = true;
-
-    /**
      * Wall-clock budget for one compile in milliseconds; 0 disables.
      * Checked between II attempts and ladder rungs, so one attempt
      * always runs to completion -- this bounds runaway *searches*,
@@ -148,22 +139,19 @@ struct CompileOptions
 
     /**
      * Persistent compile cache (non-owning; null = off). Probed
-     * before the II search: a full hit returns the stored result
-     * (after re-verification), and on a miss a warm-start hint may
-     * seed the search at the previously achieved II -- always behind
-     * a mandatory verify, so a stale hint degrades to the cold path.
-     * Compiles with an active fault injector bypass the cache in
-     * both directions.
+     * before the II search: a hit returns the stored result (after
+     * re-verification), and a miss compiles from MII and stores the
+     * outcome. Compiles with an active fault injector bypass the
+     * cache in both directions.
      */
     CompileCache *cache = nullptr;
 
     /**
-     * Namespace salt folded into every CacheKey (full entries and
-     * warm-start hints). Two compiles that differ only in salt never
-     * share cache state; the compile server salts each tenant's id
-     * here so co-resident tenants cannot observe one another through
-     * hit timing or hint side channels. 0 = the default (unsalted)
-     * namespace every single-tenant tool uses.
+     * Namespace salt folded into every CacheKey. Two compiles that
+     * differ only in salt never share cache state; the compile server
+     * salts each tenant's id here so co-resident tenants cannot
+     * observe one another through hit timing. 0 = the default
+     * (unsalted) namespace every single-tenant tool uses.
      */
     uint64_t cacheSalt = 0;
 };
@@ -253,13 +241,13 @@ struct CompileResult
      */
     ExactStats exact;
 
-    /** LoopContext queries answered from cache (incremental only). */
+    /** LoopContext queries answered from cache. */
     long ctxHits = 0;
 
-    /** LoopContext facts computed fresh (incremental only). */
+    /** LoopContext facts computed fresh. */
     long ctxMisses = 0;
 
-    /** MRT occupancy words examined by word-mode scans. */
+    /** MRT occupancy words examined by the assigner and scheduler. */
     long mrtWordScans = 0;
 
     /**
@@ -269,8 +257,6 @@ struct CompileResult
      */
     bool cacheProbed = false; ///< a cache lookup ran for this compile
     bool fromCache = false;   ///< result served from the compile cache
-    bool hintUsed = false;    ///< warm-start hint satisfied the search
-    bool hintStale = false;   ///< hint probe failed; cold path used
 };
 
 /** Creates a scheduler instance of the given kind. */

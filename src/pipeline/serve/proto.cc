@@ -158,8 +158,8 @@ encodeResult(uint64_t id, const CompileResult &result, double queueMs,
 {
     ByteWriter body;
     writeCompileResult(body, result);
-    return encodeResultBytes(id, result.fromCache, result.hintUsed,
-                             queueMs, compileMs, body.take());
+    return encodeResultBytes(id, result.fromCache, false, queueMs,
+                             compileMs, body.take());
 }
 
 std::string

@@ -232,7 +232,7 @@ struct ServerMsg
 
     // Result
     bool fromCache = false;
-    bool hintUsed = false;
+    bool hintUsed = false;  ///< warm-start flag; this server sends 0
     double queueMs = 0.0;   ///< admission-to-dequeue wait
     double compileMs = 0.0; ///< worker time incl. cache probe
     std::string resultBytes;
@@ -271,7 +271,9 @@ std::string encodeResult(uint64_t id, const CompileResult &result,
 
 /**
  * encodeResult() from pre-serialized writeCompileResult bytes, for
- * replaying a deduplicated result without re-decoding it.
+ * replaying a deduplicated result without re-decoding it. hintUsed
+ * fills the frame's warm-start flag, which v3 clients still decode;
+ * this server always passes false.
  */
 std::string encodeResultBytes(uint64_t id, bool fromCache,
                               bool hintUsed, double queueMs,

@@ -504,9 +504,8 @@ CamsServer::handleSubmit(const std::shared_ptr<Conn> &conn,
                 if (conn->tenantIds)
                     registry_.add(conn->tenantIds->completed);
                 send(*conn,
-                     encodeResultBytes(msg.id, entry.fromCache,
-                                       entry.hintUsed, entry.queueMs,
-                                       entry.compileMs,
+                     encodeResultBytes(msg.id, entry.fromCache, false,
+                                       entry.queueMs, entry.compileMs,
                                        entry.resultBytes));
                 return true;
             } else {
@@ -769,14 +768,14 @@ CamsServer::deliverResult(const std::shared_ptr<Request> &request,
 {
     ByteWriter body;
     writeCompileResult(body, result);
-    deliverEncoded(request, result.fromCache, result.hintUsed,
-                   queueMs, compileMs, body.take());
+    deliverEncoded(request, result.fromCache, queueMs, compileMs,
+                   body.take());
 }
 
 void
 CamsServer::deliverEncoded(const std::shared_ptr<Request> &request,
-                           bool fromCache, bool hintUsed,
-                           double queueMs, double compileMs,
+                           bool fromCache, double queueMs,
+                           double compileMs,
                            const std::string &resultBytes)
 {
     // Exactly one of worker and watchdog wins the exchange; the
@@ -796,7 +795,6 @@ CamsServer::deliverEncoded(const std::shared_ptr<Request> &request,
         if (!entry.done) {
             entry.done = true;
             entry.fromCache = fromCache;
-            entry.hintUsed = hintUsed;
             entry.queueMs = queueMs;
             entry.compileMs = compileMs;
             entry.resultBytes = resultBytes;
@@ -814,9 +812,8 @@ CamsServer::deliverEncoded(const std::shared_ptr<Request> &request,
     }
     for (const auto &[target, id] : targets) {
         registry_.add(ids_.completed);
-        send(*target, encodeResultBytes(id, fromCache, hintUsed,
-                                        queueMs, compileMs,
-                                        resultBytes));
+        send(*target, encodeResultBytes(id, fromCache, false, queueMs,
+                                        compileMs, resultBytes));
     }
 }
 

@@ -29,7 +29,7 @@
  *
  * Multi-tenancy. The Hello handshake names a tenant; each tenant
  * gets its own CompileCache directory under ServeConfig::cacheRoot
- * (own .cce store, own hints.log) *and* its id salted into every
+ * (own .cce store) *and* its id salted into every
  * CacheKey (CompileOptions::cacheSalt), so namespaces stay disjoint
  * even if two tenants were ever pointed at one directory.
  *
@@ -79,7 +79,7 @@ struct ServeConfig
     /**
      * Root directory of the per-tenant compile caches; empty
      * disables caching. Tenant <t> lives in <cacheRoot>/<t> with its
-     * own entry store and hint log.
+     * own entry store.
      */
     std::string cacheRoot;
     CacheMode cacheMode = CacheMode::ReadWrite;
@@ -251,7 +251,6 @@ class CamsServer
         uint64_t payloadHash = 0;
         bool done = false;
         bool fromCache = false;
-        bool hintUsed = false;
         double queueMs = 0.0;
         double compileMs = 0.0;
         std::string resultBytes;
@@ -300,8 +299,7 @@ class CamsServer
                        const CompileResult &result, double queueMs,
                        double compileMs);
     void deliverEncoded(const std::shared_ptr<Request> &request,
-                        bool fromCache, bool hintUsed, double queueMs,
-                        double compileMs,
+                        bool fromCache, double queueMs, double compileMs,
                         const std::string &resultBytes);
     void deliverCancelled(const std::shared_ptr<Request> &request,
                           bool wasQueued);

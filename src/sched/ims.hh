@@ -33,13 +33,11 @@ class IterativeModuloScheduler : public ModuloScheduler
     {
     }
 
-    using ModuloScheduler::schedule;
-
-    bool schedule(const AnnotatedLoop &loop, const ResourceModel &model,
-                  int ii, Schedule &out,
-                  LoopContext *ctx) const override;
-
     std::string name() const override { return "ims"; }
+
+  protected:
+    bool run(const AnnotatedLoop &loop, const ResourceModel &model,
+             int ii, Schedule &out, LoopContext &ctx) const override;
 
   private:
     double budgetRatio_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "pipeline/context.hh"
 #include "support/logging.hh"
 
 namespace cams
@@ -43,11 +44,21 @@ ModuloScheduler::traceAttempt(int ii, bool success, long slotConflicts,
     trace_.sink->instant("sched_attempt", "sched", std::move(args));
 }
 
+bool
+ModuloScheduler::schedule(const AnnotatedLoop &loop,
+                          const ResourceModel &model, int ii,
+                          Schedule &out, LoopContext *ctx) const
+{
+    if (ctx)
+        return run(loop, model, ii, out, *ctx);
+    LoopContext local(loop.graph);
+    return run(loop, model, ii, out, local);
+}
+
 Mrt &
 ModuloScheduler::scratchMrt(const ResourceModel &model, int ii) const
 {
     scratch_.reset(model, ii);
-    scratch_.setScanMode(scanMode_);
     return scratch_;
 }
 

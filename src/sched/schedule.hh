@@ -59,21 +59,13 @@ class ModuloScheduler
      * Attempts to schedule the loop at the given II.
      *
      * A LoopContext bound to loop.graph supplies the cached analyses
-     * (feasibility, timing, order, per-node requests); null computes
-     * everything from scratch. Results are identical either way.
+     * (feasibility, timing, order, per-node requests) and keeps them
+     * for the next call; null runs on a private context.
      * @return true and fills @p out on success.
      */
-    virtual bool schedule(const AnnotatedLoop &loop,
-                          const ResourceModel &model, int ii,
-                          Schedule &out, LoopContext *ctx) const = 0;
-
-    /** Convenience overload: no analysis context. */
-    bool
-    schedule(const AnnotatedLoop &loop, const ResourceModel &model,
-             int ii, Schedule &out) const
-    {
-        return schedule(loop, model, ii, out, nullptr);
-    }
+    bool schedule(const AnnotatedLoop &loop, const ResourceModel &model,
+                  int ii, Schedule &out,
+                  LoopContext *ctx = nullptr) const;
 
     /** Algorithm name for reports. */
     virtual std::string name() const = 0;
@@ -86,26 +78,27 @@ class ModuloScheduler
      */
     void setTrace(TraceConfig trace) { trace_ = std::move(trace); }
 
-    /** MRT query mode for subsequent calls (perf A/B; same results). */
-    void setScanMode(MrtScanMode mode) { scanMode_ = mode; }
-
     /** MRT occupancy words examined across all calls so far. */
     long wordScans() const { return scratch_.wordScans(); }
 
   protected:
+    /** The algorithm: schedule() with its context resolved. */
+    virtual bool run(const AnnotatedLoop &loop,
+                     const ResourceModel &model, int ii, Schedule &out,
+                     LoopContext &ctx) const = 0;
+
     /** Emits the per-II slot-conflict summary (no-op when off). */
     void traceAttempt(int ii, bool success, long slotConflicts,
                       long ejections) const;
 
     /**
      * Hands out the reusable reservation table, cleared to the given
-     * length and set to the current scan mode. Schedulers run one
-     * call at a time, so one table per scheduler suffices.
+     * length. Schedulers run one call at a time, so one table per
+     * scheduler suffices.
      */
     Mrt &scratchMrt(const ResourceModel &model, int ii) const;
 
     TraceConfig trace_;
-    MrtScanMode scanMode_ = MrtScanMode::Word;
     /** Reused across schedule() calls; see scratchMrt(). */
     mutable Mrt scratch_;
 };

@@ -26,13 +26,11 @@ namespace cams
 class SwingModuloScheduler : public ModuloScheduler
 {
   public:
-    using ModuloScheduler::schedule;
-
-    bool schedule(const AnnotatedLoop &loop, const ResourceModel &model,
-                  int ii, Schedule &out,
-                  LoopContext *ctx) const override;
-
     std::string name() const override { return "sms"; }
+
+  protected:
+    bool run(const AnnotatedLoop &loop, const ResourceModel &model,
+             int ii, Schedule &out, LoopContext &ctx) const override;
 };
 
 } // namespace cams

@@ -5,7 +5,7 @@
  * renumberings from being served someone else's node ids, binary
  * round-trips of CompileResult, rejection of version-mismatched and
  * truncated entries, concurrent read/write through the batch thread
- * pool, and the stale-hint fallback to the cold path.
+ * pool, and the scrub's quarantine of torn and bit-rotted entries.
  */
 
 #include <gtest/gtest.h>
@@ -398,87 +398,6 @@ TEST(CompileCacheTest, ConcurrentReadWriteThroughThePool)
     }
 }
 
-TEST(CompileCacheTest, WarmStartHintAndStaleFallback)
-{
-    const MachineDesc machine = busedGpMachine(2, 1, 1); // starved
-    const std::vector<Dfg> suite = buildSuite(60);
-
-    // Find a loop whose clustered search had to escalate: achieved II
-    // at least two above MII, so an intermediate II provably fails.
-    const Dfg *loop = nullptr;
-    CompileResult cold;
-    for (const Dfg &candidate : suite) {
-        const CompileResult res = compileClustered(candidate, machine);
-        if (res.success && res.degraded == DegradeLevel::None &&
-            res.ii >= res.mii.mii + 2) {
-            loop = &candidate;
-            cold = res;
-            break;
-        }
-    }
-    ASSERT_NE(loop, nullptr)
-        << "no loop with II >= MII + 2 in the sample";
-
-    CompileOptions options;
-    const CacheKey key = makeCacheKey(*loop, machine, options, true);
-
-    {
-        // A good hint (the achieved II) satisfies the search in one
-        // verified probe, with the cold result's II.
-        const std::string dir = scratchDir("cache_hint_good");
-        CompileCache cache(dir, CacheMode::ReadWrite);
-        cache.storeHint(key, {cold.ii, cold.mii.mii, 0});
-        options.cache = &cache;
-        const CompileResult hinted =
-            compileClustered(*loop, machine, options);
-        ASSERT_TRUE(hinted.success);
-        EXPECT_TRUE(hinted.hintUsed);
-        EXPECT_FALSE(hinted.hintStale);
-        EXPECT_EQ(hinted.ii, cold.ii);
-        EXPECT_EQ(hinted.attempts, 1);
-        // Hint-assisted results are never stored as full entries.
-        EXPECT_EQ(cache.totals().entries, 0);
-    }
-
-    {
-        // A stale hint (an II the search already proved infeasible)
-        // fails its one probe and falls back to the cold path.
-        const std::string dir = scratchDir("cache_hint_stale");
-        CompileCache cache(dir, CacheMode::ReadWrite);
-        cache.storeHint(key, {cold.mii.mii + 1, cold.mii.mii, 0});
-        options.cache = &cache;
-        const CompileResult res =
-            compileClustered(*loop, machine, options);
-        ASSERT_TRUE(res.success);
-        EXPECT_TRUE(res.hintStale);
-        EXPECT_FALSE(res.hintUsed);
-        EXPECT_EQ(res.ii, cold.ii);
-        // The cold outcome it fell back to is stored.
-        EXPECT_EQ(cache.totals().entries, 1);
-    }
-}
-
-TEST(CompileCacheTest, HintsPersistAcrossReopen)
-{
-    const std::string dir = scratchDir("cache_hint_log");
-    const Dfg graph = sampleLoop();
-    const MachineDesc machine = busedGpMachine(2, 2, 1);
-    CompileOptions options;
-    const CacheKey key = makeCacheKey(graph, machine, options, true);
-
-    {
-        CompileCache cache(dir, CacheMode::ReadWrite);
-        cache.storeHint(key, {5, 3, 2});
-        cache.storeHint(key, {4, 3, 1}); // last write wins
-    }
-    CompileCache reopened(dir, CacheMode::ReadOnly);
-    WarmStartHint hint;
-    ASSERT_TRUE(reopened.hint(key, hint));
-    EXPECT_EQ(hint.ii, 4);
-    EXPECT_EQ(hint.mii, 3);
-    EXPECT_EQ(hint.rotation, 1);
-}
-
 /** Whole-file read/write helpers for corruption tests. */
 std::string
 slurp(const fs::path &path)
@@ -614,71 +533,6 @@ TEST(CompileCacheTest, ScrubRemovesWriterDebrisAndRebuildsIndex)
     const ScrubReport missing =
         scrubCacheDir(dir + "/does-not-exist");
     EXPECT_FALSE(missing.error.empty());
-}
-
-TEST(CompileCacheTest, ScrubRepairsTornHintLogAtEveryBoundary)
-{
-    const std::string dir = scratchDir("cache_scrub_hints");
-    std::vector<CacheKey> keys;
-    {
-        CompileCache cache(dir, CacheMode::ReadWrite);
-        for (int i = 0; i < 3; ++i) {
-            CacheKey key;
-            key.loopHash = 100 + i;
-            key.machineHash = 7;
-            key.optionsHash = 9;
-            key.hintSalt = static_cast<uint64_t>(i);
-            keys.push_back(key);
-            WarmStartHint hint;
-            hint.ii = 4 + i;
-            hint.mii = 3;
-            hint.rotation = i;
-            cache.storeHint(key, hint);
-        }
-    }
-    const fs::path hintPath = fs::path(dir) / "hints.log";
-    const std::string valid = slurp(hintPath);
-    ASSERT_FALSE(valid.empty());
-    ASSERT_EQ(valid.back(), '\n');
-    std::vector<size_t> newlines;
-    for (size_t i = 0; i < valid.size(); ++i)
-        if (valid[i] == '\n')
-            newlines.push_back(i);
-    ASSERT_EQ(newlines.size(), 3u);
-
-    for (size_t length = 0; length < valid.size(); ++length) {
-        spill(hintPath, valid, length);
-        const ScrubReport report = scrubCacheDir(dir);
-        ASSERT_TRUE(report.error.empty()) << report.error;
-        long fullLines = 0;
-        for (const size_t pos : newlines)
-            fullLines += pos < length ? 1 : 0;
-        const bool tornTail =
-            length > 0 && valid[length - 1] != '\n';
-        ASSERT_EQ(report.hintLinesKept, fullLines)
-            << "length " << length;
-        ASSERT_EQ(report.hintLinesDropped, tornTail ? 1 : 0)
-            << "length " << length;
-        ASSERT_EQ(report.hintLogRepaired, tornTail)
-            << "length " << length;
-        if (tornTail) {
-            // The rewritten log is clean: scrubbing again drops
-            // nothing and keeps the same lines.
-            const ScrubReport again = scrubCacheDir(dir);
-            ASSERT_EQ(again.hintLinesKept, fullLines);
-            ASSERT_EQ(again.hintLinesDropped, 0);
-        }
-        fs::remove_all(fs::path(dir) / "corrupt");
-    }
-
-    // With the intact log back, every stored hint is served.
-    spill(hintPath, valid, valid.size());
-    CompileCache cache(dir, CacheMode::ReadWrite);
-    for (size_t i = 0; i < keys.size(); ++i) {
-        WarmStartHint hint;
-        ASSERT_TRUE(cache.hint(keys[i], hint)) << "key " << i;
-        EXPECT_EQ(hint.ii, 4 + static_cast<int>(i));
-    }
 }
 
 TEST(CompileCacheTest, ModeParsing)

@@ -1,13 +1,15 @@
 /**
  * @file
- * Tests of the incremental-compilation layer: the A/B determinism
- * guarantee (cached and from-scratch pipelines produce byte-identical
- * results), the incremental TimingSolver against analyzeTiming, the
- * word-scan MRT against the reference row scan, and the LoopContext
- * cache itself.
+ * Tests of the per-loop analysis layer: the incremental TimingSolver
+ * against analyzeTiming, the LoopContext cache against the direct
+ * analyses, and the word-scan MRT against a row-by-row count of its
+ * free slots. tests/schedule_digest_test.cc pins the schedules and
+ * search trajectories the layer produces.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "graph/analysis.hh"
 #include "graph/recmii.hh"
@@ -22,119 +24,6 @@ namespace cams
 {
 namespace
 {
-
-/** Asserts two compile results are indistinguishable, down to every
- *  start cycle, placement, and bookkeeping counter that must not
- *  depend on the caching mode. */
-void
-expectSameResult(const CompileResult &a, const CompileResult &b)
-{
-    ASSERT_EQ(a.success, b.success);
-    EXPECT_EQ(a.ii, b.ii);
-    EXPECT_EQ(a.mii.recMii, b.mii.recMii);
-    EXPECT_EQ(a.mii.resMii, b.mii.resMii);
-    EXPECT_EQ(a.mii.mii, b.mii.mii);
-    EXPECT_EQ(a.copies, b.copies);
-    EXPECT_EQ(a.attempts, b.attempts);
-    EXPECT_EQ(a.assignRetries, b.assignRetries);
-    EXPECT_EQ(a.evictions, b.evictions);
-    EXPECT_EQ(a.failure, b.failure);
-    EXPECT_EQ(a.failureDetail, b.failureDetail);
-    EXPECT_EQ(a.finalIiTried, b.finalIiTried);
-    EXPECT_EQ(a.degraded, b.degraded);
-    EXPECT_EQ(a.verifierRejects, b.verifierRejects);
-    if (!a.success)
-        return;
-    EXPECT_EQ(a.schedule.ii, b.schedule.ii);
-    EXPECT_EQ(a.schedule.startCycle, b.schedule.startCycle);
-    ASSERT_EQ(a.loop.placement.size(), b.loop.placement.size());
-    for (size_t i = 0; i < a.loop.placement.size(); ++i) {
-        EXPECT_EQ(a.loop.placement[i].cluster,
-                  b.loop.placement[i].cluster);
-        EXPECT_EQ(a.loop.placement[i].copyDsts,
-                  b.loop.placement[i].copyDsts);
-    }
-}
-
-/** Compiles the suite with and without the incremental layer and
- *  demands byte-identical outcomes, loop by loop. */
-void
-runDeterminismSweep(const MachineDesc &machine, SchedulerKind kind,
-                    bool clustered)
-{
-    const std::vector<Dfg> suite = buildSuite(48, 0xAB12CD34ULL);
-    const MachineDesc unified = machine.unifiedEquivalent();
-
-    CompileOptions cached;
-    cached.scheduler = kind;
-    cached.incremental = true;
-    CompileOptions scratch = cached;
-    scratch.incremental = false;
-
-    for (const Dfg &loop : suite) {
-        const CompileResult a =
-            clustered ? compileClustered(loop, machine, cached)
-                      : compileUnified(loop, unified, cached);
-        const CompileResult b =
-            clustered ? compileClustered(loop, machine, scratch)
-                      : compileUnified(loop, unified, scratch);
-        SCOPED_TRACE(loop.name());
-        expectSameResult(a, b);
-    }
-}
-
-TEST(AbDeterminism, ClusteredSwing)
-{
-    runDeterminismSweep(busedGpMachine(2, 2, 1), SchedulerKind::Swing, true);
-}
-
-TEST(AbDeterminism, ClusteredIterative)
-{
-    runDeterminismSweep(busedGpMachine(2, 2, 1), SchedulerKind::Iterative,
-                        true);
-}
-
-// Point-to-point routing, relays and their rollback.
-TEST(AbDeterminism, GridSwing)
-{
-    runDeterminismSweep(gridMachine(2), SchedulerKind::Swing, true);
-}
-
-TEST(AbDeterminism, GridIterative)
-{
-    runDeterminismSweep(gridMachine(2), SchedulerKind::Iterative, true);
-}
-
-TEST(AbDeterminism, EightClusterSwing)
-{
-    runDeterminismSweep(busedGpMachine(8, 7, 3), SchedulerKind::Swing, true);
-}
-
-TEST(AbDeterminism, EightClusterIterative)
-{
-    runDeterminismSweep(busedGpMachine(8, 7, 3), SchedulerKind::Iterative,
-                        true);
-}
-
-// The most eviction-heavy paper machine (~70 evictions per loop on
-// this sweep's loops, against ~36 on the grid): exercises the unplace
-// and shrink paths of the assigner's tallies.
-TEST(AbDeterminism, FourClusterFsSwing)
-{
-    runDeterminismSweep(busedFsMachine(4, 2, 2), SchedulerKind::Swing,
-                        true);
-}
-
-TEST(AbDeterminism, UnifiedSwing)
-{
-    runDeterminismSweep(busedGpMachine(2, 2, 1), SchedulerKind::Swing, false);
-}
-
-TEST(AbDeterminism, UnifiedIterative)
-{
-    runDeterminismSweep(busedGpMachine(2, 2, 1), SchedulerKind::Iterative,
-                        false);
-}
 
 void
 expectSameTiming(const TimeAnalysis &a, const TimeAnalysis &b)
@@ -206,15 +95,43 @@ TEST(LoopContext, FeasibilityBoundsCacheWithoutRecMii)
     EXPECT_GT(ctx.hits(), 0);
 }
 
-/** One randomized Mrt trajectory, mirrored in Word and Reference
- *  modes; every query along the way must agree. */
+/** canReserveAt from the per-row slot counts alone: every requested
+ *  pool, counted with its multiplicity, must have that many free. */
+bool
+fitsByCount(const Mrt &mrt, const std::vector<PoolId> &request, int row)
+{
+    for (PoolId pool : request) {
+        const long need = std::count(request.begin(), request.end(), pool);
+        if (mrt.freeInRow(pool, row) < need)
+            return false;
+    }
+    return true;
+}
+
+/** scanRows by walking the rows one at a time with fitsByCount. */
+int
+scanByCount(const Mrt &mrt, const std::vector<PoolId> &request,
+            int startRow, int count, int step)
+{
+    int row = startRow;
+    for (int skipped = 0; skipped < count; ++skipped) {
+        if (fitsByCount(mrt, request, row))
+            return skipped;
+        row = (row + step + mrt.ii()) % mrt.ii();
+    }
+    return -1;
+}
+
+/**
+ * One randomized Mrt trajectory; every word-scan answer along the way
+ * must equal the row-by-row count over freeInRow, which reads the
+ * per-row slot counts the free-row bitmasks shadow.
+ */
 void
-runMirroredMrtTrajectory(const MachineDesc &machine, uint64_t seed,
-                         int ii)
+runCheckedMrtTrajectory(const MachineDesc &machine, uint64_t seed, int ii)
 {
     const ResourceModel model(machine);
-    Mrt word(model, ii, MrtScanMode::Word);
-    Mrt reference(model, ii, MrtScanMode::Reference);
+    Mrt mrt(model, ii);
     Rng rng(seed);
 
     // A menu of requests: single pools plus a few multi-pool combos
@@ -232,48 +149,41 @@ runMirroredMrtTrajectory(const MachineDesc &machine, uint64_t seed,
         menu.push_back(std::move(combo));
     }
 
-    std::vector<Reservation> wordHeld;
-    std::vector<Reservation> refHeld;
+    std::vector<Reservation> held;
     for (int step = 0; step < 400; ++step) {
         const std::vector<PoolId> &request =
             menu[rng.uniformInt(0, static_cast<int>(menu.size()) - 1)];
         const int row = rng.uniformInt(0, ii - 1);
-        ASSERT_EQ(word.canReserveAt(request, row),
-                  reference.canReserveAt(request, row))
+        ASSERT_EQ(mrt.canReserveAt(request, row),
+                  fitsByCount(mrt, request, row))
             << "step " << step << " row " << row;
         const int count = rng.uniformInt(1, ii);
         const int step_dir = rng.chance(0.5) ? 1 : -1;
-        ASSERT_EQ(word.scanRows(request, row, count, step_dir),
-                  reference.scanRows(request, row, count, step_dir))
+        ASSERT_EQ(mrt.scanRows(request, row, count, step_dir),
+                  scanByCount(mrt, request, row, count, step_dir))
             << "step " << step << " row " << row << " count " << count
             << " dir " << step_dir;
 
-        if (rng.chance(0.65) && word.canReserveAt(request, row)) {
-            wordHeld.push_back(word.reserveAt(request, row));
-            refHeld.push_back(reference.reserveAt(request, row));
-        } else if (!wordHeld.empty() && rng.chance(0.5)) {
-            const int victim = rng.uniformInt(
-                0, static_cast<int>(wordHeld.size()) - 1);
-            word.release(wordHeld[victim]);
-            reference.release(refHeld[victim]);
-            wordHeld.erase(wordHeld.begin() + victim);
-            refHeld.erase(refHeld.begin() + victim);
+        if (rng.chance(0.65) && mrt.canReserveAt(request, row)) {
+            held.push_back(mrt.reserveAt(request, row));
+        } else if (!held.empty() && rng.chance(0.5)) {
+            const int victim =
+                rng.uniformInt(0, static_cast<int>(held.size()) - 1);
+            mrt.release(held[victim]);
+            held.erase(held.begin() + victim);
         }
     }
-    // Reference mode records no word scans; word mode must have.
-    EXPECT_EQ(reference.wordScans(), 0);
-    EXPECT_GT(word.wordScans(), 0);
+    EXPECT_GT(mrt.wordScans(), 0);
 }
 
-TEST(MrtWordScan, AgreesWithReferenceUnderRandomTraffic)
+TEST(MrtWordScan, AgreesWithRowCountsUnderRandomTraffic)
 {
-    runMirroredMrtTrajectory(busedGpMachine(2, 2, 1), 0x11AA22BBULL, 7);
-    runMirroredMrtTrajectory(busedFsMachine(2, 2, 1), 0x33CC44DDULL,
-                             13);
-    runMirroredMrtTrajectory(gridMachine(), 0x55EE66FFULL, 64);
+    runCheckedMrtTrajectory(busedGpMachine(2, 2, 1), 0x11AA22BBULL, 7);
+    runCheckedMrtTrajectory(busedFsMachine(2, 2, 1), 0x33CC44DDULL, 13);
+    runCheckedMrtTrajectory(gridMachine(), 0x55EE66FFULL, 64);
     // An II past one occupancy word exercises the multi-word hop.
-    runMirroredMrtTrajectory(busedGpMachine(4, 2, 2), 0x7788AA99ULL,
-                             131);
+    runCheckedMrtTrajectory(busedGpMachine(4, 2, 2), 0x7788AA99ULL,
+                            131);
 }
 
 TEST(MrtWordScan, ResetReusesTheTable)
@@ -291,24 +201,14 @@ TEST(MrtWordScan, ResetReusesTheTable)
     EXPECT_EQ(mrt.scanRows(request, 5, 8, 1), 0);
 }
 
-TEST(CompileResult, IncrementalModeReportsCacheCounters)
+TEST(CompileResult, ReportsCacheCounters)
 {
     const std::vector<Dfg> suite = buildSuite(6, 0x5EED0005ULL);
-    const MachineDesc machine = busedGpMachine(2, 2, 1);
-    CompileOptions options;
-    const CompileResult cached =
-        compileClustered(suite.front(), machine, options);
-    ASSERT_TRUE(cached.success);
-    EXPECT_GT(cached.ctxMisses, 0);
-    EXPECT_GT(cached.mrtWordScans, 0);
-
-    options.incremental = false;
-    const CompileResult scratch =
-        compileClustered(suite.front(), machine, options);
-    ASSERT_TRUE(scratch.success);
-    EXPECT_EQ(scratch.ctxHits, 0);
-    EXPECT_EQ(scratch.ctxMisses, 0);
-    EXPECT_EQ(scratch.mrtWordScans, 0);
+    const CompileResult result =
+        compileClustered(suite.front(), busedGpMachine(2, 2, 1));
+    ASSERT_TRUE(result.success);
+    EXPECT_GT(result.ctxMisses, 0);
+    EXPECT_GT(result.mrtWordScans, 0);
 }
 
 } // namespace

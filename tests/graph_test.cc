@@ -1,16 +1,19 @@
 /**
  * @file
  * Unit tests for the graph substrate: opcodes (Table 2), the DFG
- * container, the builder, text round-tripping and DOT output.
+ * container and its packed adjacency, the builder, text round-tripping
+ * and DOT output.
  */
 
 #include <gtest/gtest.h>
 
+#include "graph/adjacency.hh"
 #include "graph/builder.hh"
 #include "graph/dfg.hh"
 #include "graph/dot.hh"
 #include "graph/opcode.hh"
 #include "graph/textio.hh"
+#include "workload/suite.hh"
 
 namespace cams
 {
@@ -79,6 +82,50 @@ TEST(Dfg, AdjacencyAndDedup)
     EXPECT_EQ(graph.inEdges(b).size(), 2u);
     EXPECT_EQ(graph.successors(a), std::vector<NodeId>{b});
     EXPECT_EQ(graph.predecessors(b), std::vector<NodeId>{a});
+}
+
+// The compile path reads neighbors only through Adjacency, so it must
+// list them exactly as the Dfg queries do, in the same order.
+TEST(Adjacency, MatchesDfgQueries)
+{
+    auto expectSameEdges = [](std::span<const AdjEdge> packed,
+                              const Dfg &graph,
+                              const std::vector<EdgeId> &edges,
+                              bool incoming) {
+        ASSERT_EQ(packed.size(), edges.size());
+        for (size_t i = 0; i < edges.size(); ++i) {
+            const DfgEdge &edge = graph.edge(edges[i]);
+            EXPECT_EQ(packed[i].node, incoming ? edge.src : edge.dst);
+            EXPECT_EQ(packed[i].latency, edge.latency);
+            EXPECT_EQ(packed[i].distance, edge.distance);
+        }
+    };
+    // The suite plus parallel edges and a self-edge, which the
+    // neighbor lists must deduplicate and the edge lists must keep.
+    std::vector<Dfg> graphs = buildSuite(64);
+    Dfg &parallel = graphs.emplace_back();
+    const NodeId a = parallel.addNode(Opcode::IntAlu);
+    const NodeId b = parallel.addNode(Opcode::IntAlu);
+    parallel.addEdge(a, b);
+    parallel.addEdge(a, b, -1, 1);
+    parallel.addEdge(b, a, -1, 2);
+    parallel.addEdge(b, b, -1, 1);
+    for (const Dfg &graph : graphs) {
+        SCOPED_TRACE(graph.name());
+        const Adjacency adj(graph);
+        ASSERT_EQ(adj.numNodes(), graph.numNodes());
+        for (NodeId v = 0; v < graph.numNodes(); ++v) {
+            const std::span<const NodeId> preds = adj.preds(v);
+            const std::span<const NodeId> succs = adj.succs(v);
+            EXPECT_EQ(std::vector<NodeId>(preds.begin(), preds.end()),
+                      graph.predecessors(v));
+            EXPECT_EQ(std::vector<NodeId>(succs.begin(), succs.end()),
+                      graph.successors(v));
+            expectSameEdges(adj.inEdges(v), graph, graph.inEdges(v), true);
+            expectSameEdges(adj.outEdges(v), graph, graph.outEdges(v),
+                            false);
+        }
+    }
 }
 
 TEST(Dfg, TotalLatency)

@@ -93,8 +93,6 @@ usage()
            "  --simple           drop the selection heuristic\n"
            "  --no-iterate       drop the eviction/repair iteration\n"
            "  --no-fallback      disable the degradation ladder\n"
-           "  --no-incremental   disable the per-loop analysis cache "
-           "and word-scan MRTs (A/B baseline)\n"
            "  --fault P          inject faults with probability P per "
            "site (stress testing)\n"
            "  --fault-seed S     seed of the fault injector "
@@ -188,10 +186,6 @@ runSuiteMode(int count, uint64_t seed, int jobs,
                   << " misses="
                   << base.stats.cacheMisses +
                          clustered.stats.cacheMisses
-                  << " hint_used="
-                  << base.stats.hintUsed + clustered.stats.hintUsed
-                  << " hint_stale="
-                  << base.stats.hintStale + clustered.stats.hintStale
                   << " entries=" << totals.entries
                   << " bytes=" << totals.bytesOnDisk << "\n";
         cache->publish(registry);
@@ -297,8 +291,6 @@ main(int argc, char **argv)
             options.assign.iterative = false;
         } else if (arg == "--no-fallback") {
             options.fallback = false;
-        } else if (arg == "--no-incremental") {
-            options.incremental = false;
         } else if (arg == "--fault") {
             const char *value = next();
             if (!value)
@@ -480,10 +472,6 @@ main(int argc, char **argv)
             if (r->cacheProbed)
                 registry.add(r->fromCache ? "cache.hits"
                                           : "cache.misses");
-            if (r->hintUsed)
-                registry.add("hint.used");
-            if (r->hintStale)
-                registry.add("hint.stale");
         }
         if (cache)
             cache->publish(registry);
@@ -528,10 +516,7 @@ main(int argc, char **argv)
               << " ops)\n";
     std::cout << "machine:   " << machine.name << "\n";
     if (cache) {
-        std::cout << "cache:     "
-                  << (result.fromCache  ? "hit"
-                      : result.hintUsed ? "warm start"
-                                        : "miss")
+        std::cout << "cache:     " << (result.fromCache ? "hit" : "miss")
                   << " (" << cacheModeName(cache->mode()) << " "
                   << cache->directory() << ")\n";
     }

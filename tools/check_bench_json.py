@@ -28,7 +28,7 @@ COUNTER_KEYS = {
     "captured_exceptions", "threads", "ii_attempts", "assign_retries",
     "evictions", "copies", "invariant_recoveries", "verifier_rejects",
     "fault_trips", "ctx_hits", "ctx_misses", "mrt_word_scans",
-    "cache_hits", "cache_misses", "hint_used", "hint_stale",
+    "cache_hits", "cache_misses",
     "iters", "violations", "degraded_exhaustive",
     "degraded_single_cluster", "reps",
     "corpus", "connections", "requests", "completed", "shed",
@@ -39,9 +39,10 @@ COUNTER_KEYS = {
     "reconnects",
     "kills", "restarts",
     "directories", "entries_scanned", "entries_ok", "quarantined",
-    "tmp_removed", "hint_lines_kept", "hint_lines_dropped",
-    "tightened", "certified", "unsupported", "spot_checks",
+    "tmp_removed",
+    "tightened", "proved", "vacuous", "unsupported", "spot_checks",
     "max_gap", "exact_conflicts",
+    "ii_sum",
 }
 
 # Per-kind required top-level keys ("bench" selects the row).
@@ -52,8 +53,8 @@ REQUIRED = {
     ),
     "cams_fuzz": ("iters", "seed", "jobs", "violations", "stats"),
     "compile_perf": (
-        "loops", "reps", "identical_schedules", "speedup_mean",
-        "normalized_mean", "incremental", "baseline",
+        "loops", "machine", "reps", "counters", "mean_ns_per_loop",
+        "p50_ns", "p90_ns", "phase_ns_per_loop",
     ),
     "cams_load": (
         "corpus", "connections", "send_failures", "protocol_errors",
@@ -85,9 +86,15 @@ SCRUB_KEYS = (
     "entries_scanned", "entries_ok", "quarantined", "tmp_removed",
 )
 
+# The deterministic work counters of a compile_perf file.
+COMPILE_PERF_COUNTERS = (
+    "ii_sum", "ii_attempts", "assign_retries", "evictions", "copies",
+    "ctx_misses", "mrt_word_scans",
+)
+
 # Required keys of one machine's audit in an exact_gap file.
 EXACT_GAP_MACHINE_KEYS = (
-    "machine", "jobs", "succeeded", "tightened", "certified",
+    "machine", "jobs", "succeeded", "tightened", "proved", "vacuous",
     "timeouts", "unsupported", "spot_checks", "violations",
     "max_gap", "timeout_fraction", "gap_histogram",
     "violation_details",
@@ -259,6 +266,10 @@ def check_file(path):
         if "server_stats" in data:
             check_server_stats("server_stats", data["server_stats"],
                                problems)
+    elif kind == "compile_perf":
+        if "counters" in data:
+            require_keys("counters", data["counters"],
+                         COMPILE_PERF_COUNTERS, problems)
     elif kind == "exact_gap":
         machines = data.get("machines")
         if isinstance(machines, list):

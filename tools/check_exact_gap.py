@@ -13,7 +13,10 @@ following hold:
     heuristic it raced);
   * the overall timeout fraction exceeds --max-timeout-fraction: an
     audit that times out on most loops proves nothing, so bound how
-    much of the suite the exact arm must actually decide.
+    much of the suite the exact arm must actually decide;
+  * the exact arm decided nothing: no machine has a tightened or a
+    proved loop. Vacuous certificates (heuristic already at MII, no
+    probe ran) are reported but never count as decisions.
 
 Malformed or incomplete input fails with a one-line error.
 
@@ -92,10 +95,11 @@ def main() -> int:
         violations = require(machine, "violations", int, where)
         max_gap = require(machine, "max_gap", int, where)
         tightened = require(machine, "tightened", int, where)
-        certified = require(machine, "certified", int, where)
+        proved = require(machine, "proved", int, where)
+        vacuous = require(machine, "vacuous", int, where)
         jobs = require(machine, "jobs", int, where)
         timeouts = require(machine, "timeouts", int, where)
-        decided += tightened + certified
+        decided += tightened + proved
 
         if violations > 0:
             details = machine.get("violation_details") or []
@@ -122,14 +126,15 @@ def main() -> int:
                 )
         print(
             f"{name}: {jobs} loops, {tightened} tightened "
-            f"(max gap {max_gap}), {certified} certified, "
+            f"(max gap {max_gap}), {proved} proved, "
+            f"{vacuous} vacuous, "
             f"{timeouts} timeouts, {violations} violations"
         )
 
     if decided == 0:
         failures.append(
             "exact arm decided zero loops (no tightened, no "
-            "certified); the audit is vacuous"
+            "proved); the audit is vacuous"
         )
     if timeout_fraction > args.max_timeout_fraction:
         failures.append(

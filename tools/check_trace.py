@@ -11,8 +11,7 @@ verdicts.
 cache_probe instants (emitted whenever a compile consults the
 persistent compile cache) are always validated when present: the
 outcome arg must be "hit" or "miss", and a hit must carry the served
-II. hint_probe instants must carry outcome "used" or "stale" plus the
-probed hint_ii. --expect-cache-probes N requires at least N
+II. --expect-cache-probes N requires at least N
 cache_probe events (use on runs driven with --cache-dir).
 
 Usage: check_trace.py TRACE.json [--expect-decisions] [--min-lanes N]
@@ -100,11 +99,6 @@ def main():
                         event_args.get("ii", "")).isdigit():
                     fail(f"cache_probe hit without served II: {event}")
                 cache_probes += 1
-            elif event["name"] == "hint_probe":
-                if event_args.get("outcome") not in ("used", "stale"):
-                    fail(f"hint_probe with bad outcome: {event}")
-                if not str(event_args.get("hint_ii", "")).isdigit():
-                    fail(f"hint_probe without hint_ii: {event}")
         else:
             fail(f"event {i} has unexpected ph '{ph}'")
 
