@@ -1,17 +1,22 @@
 /**
  * @file
  * The behaviour contract: digests per (machine, scheduler) over the
- * compiles of the first 400 published-suite loops, plus one loop that
- * reaches the degradation ladder.
+ * compiles of the first 400 published-suite loops, plus the paths the
+ * published suite never takes on the heuristic backend: the race arm,
+ * the exact backend, the degradation ladder, time budgets, an empty II
+ * window and fallback-off compiles.
  *
  * A schedule digest is a portable 64-bit FNV-1a hash of what a compile
  * decides -- success, degradation rung, II, every placement's cluster
  * and copy destinations, every annotated edge and every start cycle --
  * and of nothing measured (no times, no cache counters). Each config
- * has three: the clustered schedules, the schedules of the same loops
- * on the config's unifiedEquivalent() machine, and the clustered
- * search trajectory (attempts, assignment retries, evictions, failure
- * kind and text, last II tried, verifier rejects, rung). A refactor
+ * has four: the clustered schedules, the schedules of the same loops
+ * on the config's unifiedEquivalent() machine, and the clustered and
+ * unified search trajectories (attempts, assignment retries,
+ * evictions, failure kind and text, last II tried, verifier rejects,
+ * rung). The race and exact rows add the exact arm's accounting
+ * (ExactStats), and the ladder rows the fault trips and recovered
+ * invariants. A refactor
  * that keeps every compile byte-identical keeps every digest; one that
  * moves a single copy or start cycle, or takes one more eviction to
  * reach the same schedule, changes one. On a mismatch the test prints
@@ -23,11 +28,14 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "machine/configs.hh"
 #include "pipeline/driver.hh"
+#include "workload/generator.hh"
 #include "workload/suite.hh"
 
 namespace cams
@@ -105,6 +113,35 @@ digestTrajectory(Fnv1a &h, const CompileResult &result)
     h.add(static_cast<int64_t>(result.degraded));
 }
 
+/** The exact arm's accounting, as camsbench's fingerprint prints it. */
+void
+digestExact(Fnv1a &h, const CompileResult &result)
+{
+    const ExactStats &e = result.exact;
+    h.add(static_cast<int64_t>(e.outcome));
+    h.add(e.tightened ? 1 : 0);
+    h.add(e.certified ? 1 : 0);
+    h.add(e.exactIi);
+    h.add(e.heuristicIi);
+    h.add(e.probes);
+    h.add(e.conflicts);
+    h.add(e.decisions);
+    h.add(e.propagations);
+    h.add(e.detail);
+}
+
+/** Everything deterministic a compile reports: schedule, search,
+ *  exact arm, fault trips and recovered invariants. */
+void
+digestAll(Fnv1a &h, const CompileResult &result)
+{
+    digestResult(h, result);
+    digestTrajectory(h, result);
+    digestExact(h, result);
+    h.add(result.faultTrips);
+    h.add(result.invariantRecoveries);
+}
+
 struct Config
 {
     const char *name;
@@ -113,6 +150,7 @@ struct Config
     uint64_t expected;   ///< clustered schedules
     uint64_t unified;    ///< schedules on machine.unifiedEquivalent()
     uint64_t trajectory; ///< clustered search trajectories
+    uint64_t unifiedTrajectory; ///< unified search trajectories
 };
 
 constexpr int digestLoops = 400;
@@ -123,7 +161,7 @@ checkRow(std::string &report, const std::string &name, uint64_t computed,
          uint64_t expected)
 {
     char line[128];
-    std::snprintf(line, sizeof line, "  %-29s 0x%016" PRIx64 "ULL%s\n",
+    std::snprintf(line, sizeof line, "  %-36s 0x%016" PRIx64 "ULL%s\n",
                   name.c_str(), computed,
                   computed == expected ? "" : "  <- differs");
     report += line;
@@ -135,40 +173,52 @@ TEST(ScheduleDigest, PublishedSuiteOnBenchmarkMachines)
     const std::vector<Config> configs = {
         {"2c-gp-2b-1p/sms", busedGpMachine(2, 2, 1), SchedulerKind::Swing,
          0x3cb1f7b310b5ec8dULL,
-         0x45ed008e99b7cdaaULL, 0xa2ec31bfc8773d60ULL},
+         0x45ed008e99b7cdaaULL, 0xa2ec31bfc8773d60ULL,
+         0x8471ba275b0f8940ULL},
         {"2c-gp-2b-1p/ims", busedGpMachine(2, 2, 1),
          SchedulerKind::Iterative, 0xa1401e6dc0daa0fdULL,
-         0x335bf92d42b13bf8ULL, 0xa2ec31bfc8773d60ULL},
+         0x335bf92d42b13bf8ULL, 0xa2ec31bfc8773d60ULL,
+         0x8471ba275b0f8940ULL},
         {"4c-gp-4b-2p/sms", busedGpMachine(4, 4, 2), SchedulerKind::Swing,
          0x9227ed87e7f6457dULL,
-         0x348bb931e4231900ULL, 0x8ad0ba4fe6b5931dULL},
+         0x348bb931e4231900ULL, 0x8ad0ba4fe6b5931dULL,
+         0x1355059b0de640adULL},
         {"4c-gp-4b-2p/ims", busedGpMachine(4, 4, 2),
          SchedulerKind::Iterative, 0x61b8102640e15b8aULL,
-         0x69f79ccd30fd9a9fULL, 0x157d28ea8332587fULL},
+         0x69f79ccd30fd9a9fULL, 0x157d28ea8332587fULL,
+         0x1355059b0de640adULL},
         {"2c-fs-2b-1p/sms", busedFsMachine(2, 2, 1), SchedulerKind::Swing,
          0xd7c67986cd28a326ULL,
-         0xcabe45dcfbd903eeULL, 0xd5923915a26fe002ULL},
+         0xcabe45dcfbd903eeULL, 0xd5923915a26fe002ULL,
+         0xb46318b02f799330ULL},
         {"2c-fs-2b-1p/ims", busedFsMachine(2, 2, 1),
          SchedulerKind::Iterative, 0x92cba2a90259261dULL,
-         0xd4e180e3c5350a97ULL, 0xb1864eec0f14270eULL},
+         0xd4e180e3c5350a97ULL, 0xb1864eec0f14270eULL,
+         0xb46318b02f799330ULL},
         {"4c-fs-2b-2p/sms", busedFsMachine(4, 2, 2), SchedulerKind::Swing,
          0x4a3e25bc6730dacbULL,
-         0x4977d2c2a0e58adeULL, 0x9c3b7f2f2c3efa2cULL},
+         0x4977d2c2a0e58adeULL, 0x9c3b7f2f2c3efa2cULL,
+         0x54b2a4dec033a2b5ULL},
         {"4c-fs-2b-2p/ims", busedFsMachine(4, 2, 2),
          SchedulerKind::Iterative, 0xa873e49714672458ULL,
-         0xbcbbc666a9f21fb0ULL, 0x315ff9e4e45e149eULL},
+         0xbcbbc666a9f21fb0ULL, 0x315ff9e4e45e149eULL,
+         0x54b2a4dec033a2b5ULL},
         {"4c-grid-2p/sms", gridMachine(2), SchedulerKind::Swing,
          0x0ce73aca7ebf46b8ULL,
-         0x613ecb485ac96b30ULL, 0x7aff896611a9fa07ULL},
+         0x613ecb485ac96b30ULL, 0x7aff896611a9fa07ULL,
+         0x0ad76c1d2e639650ULL},
         {"4c-grid-2p/ims", gridMachine(2), SchedulerKind::Iterative,
          0x565b42ae5e337dc0ULL,
-         0x4d09afa29fa97c4aULL, 0x00d92ea4e0dd49f9ULL},
+         0x4d09afa29fa97c4aULL, 0x00d92ea4e0dd49f9ULL,
+         0x0ad76c1d2e639650ULL},
         {"8c-gp-7b-3p/sms", busedGpMachine(8, 7, 3), SchedulerKind::Swing,
          0xab8bf6c54506183aULL,
-         0x197ac5e1616a8d38ULL, 0x9294634f1626e19cULL},
+         0x197ac5e1616a8d38ULL, 0x9294634f1626e19cULL,
+         0xcd12eeb4806f1b6bULL},
         {"8c-gp-7b-3p/ims", busedGpMachine(8, 7, 3),
          SchedulerKind::Iterative, 0xdc0f633786961f6aULL,
-         0x697440eca346bf32ULL, 0x9294634f1626e19cULL},
+         0x697440eca346bf32ULL, 0x9294634f1626e19cULL,
+         0xcd12eeb4806f1b6bULL},
     };
     const std::vector<Dfg> suite = buildSuite(digestLoops);
 
@@ -181,13 +231,15 @@ TEST(ScheduleDigest, PublishedSuiteOnBenchmarkMachines)
         Fnv1a schedules;
         Fnv1a unifiedSchedules;
         Fnv1a trajectories;
+        Fnv1a unifiedTrajectories;
         for (const Dfg &loop : suite) {
             const CompileResult result =
                 compileClustered(loop, config.machine, options);
             digestResult(schedules, result);
             digestTrajectory(trajectories, result);
-            digestResult(unifiedSchedules,
-                         compileUnified(loop, unified, options));
+            const CompileResult base = compileUnified(loop, unified, options);
+            digestResult(unifiedSchedules, base);
+            digestTrajectory(unifiedTrajectories, base);
         }
         const std::string name = config.name;
         mismatches += !checkRow(report, name, schedules.value(),
@@ -196,6 +248,9 @@ TEST(ScheduleDigest, PublishedSuiteOnBenchmarkMachines)
                                 unifiedSchedules.value(), config.unified);
         mismatches += !checkRow(report, name + " trajectory",
                                 trajectories.value(), config.trajectory);
+        mismatches += !checkRow(report, name + " unified trajectory",
+                                unifiedTrajectories.value(),
+                                config.unifiedTrajectory);
     }
     EXPECT_EQ(mismatches, 0) << "computed digests:\n" << report;
 }
@@ -220,6 +275,155 @@ TEST(ScheduleDigest, DegradationLadder)
     EXPECT_TRUE(checkRow(report, "4c-fs-2b-2p/sms synth2313", h.value(),
                          0x962d8d272d534e47ULL))
         << "computed digest:\n" << report;
+}
+
+// Race mode: the heuristic answers first, then the exact arm tightens
+// the II or certifies it optimal (or rescues a failed search).
+TEST(ScheduleDigest, RaceArm)
+{
+    struct Row
+    {
+        const char *name;
+        MachineDesc machine;
+        uint64_t expected;
+    };
+    const std::vector<Row> rows = {
+        {"4c-fs-2b-2p/race", busedFsMachine(4, 2, 2),
+         0xfe26fa37f1ca8e81ULL},
+        {"4c-gp-4b-2p/race", busedGpMachine(4, 4, 2),
+         0xe5f34118281e1dd0ULL},
+    };
+    const std::vector<Dfg> suite = buildSuite(100);
+    CompileOptions options;
+    options.backend = CompileBackend::Race;
+    std::string report;
+    int mismatches = 0;
+    for (const Row &row : rows) {
+        Fnv1a h;
+        for (const Dfg &loop : suite)
+            digestAll(h, compileClustered(loop, row.machine, options));
+        mismatches += !checkRow(report, row.name, h.value(), row.expected);
+    }
+    EXPECT_EQ(mismatches, 0) << "computed digests:\n" << report;
+}
+
+// Exact mode: the SAT ladder is the whole II search.
+TEST(ScheduleDigest, ExactBackend)
+{
+    const std::vector<Dfg> suite = buildSuite(60);
+    CompileOptions options;
+    options.backend = CompileBackend::Exact;
+    Fnv1a h;
+    for (const Dfg &loop : suite)
+        digestAll(h, compileClustered(loop, busedGpMachine(2, 2, 1),
+                                      options));
+    std::string report;
+    EXPECT_TRUE(checkRow(report, "2c-gp-2b-1p/exact", h.value(),
+                         0x17c6343fb9a878c3ULL))
+        << "computed digest:\n" << report;
+}
+
+// Seeded generated loops, a third of them small enough for the
+// exhaustive rung, under options that drive every compile off the
+// primary path: a scheduler that never finds a slot, an expired time
+// budget, an empty II window and an exact backend the machine cannot
+// encode -- each with the ladder on, and the first three with it off.
+TEST(ScheduleDigest, LadderAndBudgets)
+{
+    std::vector<Dfg> loops;
+    int small = 0;
+    for (uint64_t seed = 0; seed < 48; ++seed) {
+        loops.push_back(generateLoop(
+            5000 + seed, GeneratorParams{.maxNodes = 24}));
+        small += loops.back().numNodes() <= 8;
+    }
+    ASSERT_GE(small, 8);
+
+    // Every found schedule is discarded, so the sweep runs to its
+    // limit; no II slack keeps that limit at 4 * MII.
+    auto denySlots = [](CompileOptions &o) {
+        FaultConfig faults;
+        faults.probability[int(FaultSite::SchedulerSlotDeny)] = 1.0;
+        o.faults = std::make_shared<FaultInjector>(faults);
+        o.iiSlack = 0;
+    };
+    struct Variant
+    {
+        const char *name;
+        std::function<void(CompileOptions &)> set;
+        uint64_t expected;
+    };
+    const std::vector<Variant> variants = {
+        {"slot-deny", denySlots,
+         0xcaf0e3c3a47aa77eULL},
+        {"slot-deny no-fallback",
+         [&](CompileOptions &o) {
+             denySlots(o);
+             o.fallback = false;
+         },
+         0x18530dbdf110566fULL},
+        {"expired budget",
+         [](CompileOptions &o) { o.timeBudgetMs = 1e-6; },
+         0x5387dedf5780a3e5ULL},
+        {"expired budget no-fallback",
+         [](CompileOptions &o) {
+             o.timeBudgetMs = 1e-6;
+             o.fallback = false;
+         },
+         0x093b4bb8c9091b25ULL},
+        {"empty II window",
+         [](CompileOptions &o) { o.iiSlack = -1000; },
+         0x5387dedf5780a3e5ULL},
+        {"empty II window no-fallback",
+         [](CompileOptions &o) {
+             o.iiSlack = -1000;
+             o.fallback = false;
+         },
+         0x850b1e06b3fafd45ULL},
+        {"exact backend",
+         [](CompileOptions &o) { o.backend = CompileBackend::Exact; },
+         0xf553c99eea82cba3ULL},
+        {"exact probe limit",
+         [](CompileOptions &o) {
+             o.backend = CompileBackend::Exact;
+             o.exact.maxProbes = 1;
+         },
+         0x400f61cb6fd5f84bULL},
+        {"exact expired budget",
+         [](CompileOptions &o) {
+             o.backend = CompileBackend::Exact;
+             o.timeBudgetMs = 1e-6;
+         },
+         0x2dfc1a6bce359565ULL},
+        {"race slot-deny",
+         [&](CompileOptions &o) {
+             denySlots(o);
+             o.backend = CompileBackend::Race;
+         },
+         0x8ae06e6e29fdd860ULL},
+    };
+    const std::vector<MachineDesc> machines = {busedGpMachine(2, 2, 1),
+                                               gridMachine(2)};
+    std::string report;
+    int mismatches = 0;
+    for (const Variant &variant : variants) {
+        Fnv1a h;
+        for (const MachineDesc &machine : machines) {
+            const MachineDesc unified = machine.unifiedEquivalent();
+            for (const Dfg &loop : loops) {
+                // A fresh injector per compile keeps each one's
+                // coin-flip stream independent of the others.
+                CompileOptions options;
+                variant.set(options);
+                digestAll(h, compileClustered(loop, machine, options));
+                variant.set(options);
+                digestAll(h, compileUnified(loop, unified, options));
+            }
+        }
+        mismatches += !checkRow(report, variant.name, h.value(),
+                                variant.expected);
+    }
+    EXPECT_EQ(mismatches, 0) << "computed digests:\n" << report;
 }
 
 } // namespace
