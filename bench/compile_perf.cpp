@@ -4,12 +4,13 @@
  * suite through compileClustered on one worker thread and writes
  * BENCH_compile_perf.json with two kinds of numbers.
  *
- * Deterministic work counters -- the summed II, II attempts,
- * assignment retries, evictions, copies, LoopContext misses and MRT
- * word scans -- depend only on the code and the suite, never on the
- * machine or its load. CI gates them via tools/check_compile_perf.py
- * against the checked-in bench/baselines/compile_perf_baseline.json:
- * a change that does more work shows up as a larger counter.
+ * Deterministic work counters -- the summed II and every batch
+ * counter (CAMS_BATCH_COUNTERS: II attempts, assignment retries,
+ * evictions, copies, LoopContext hits and misses, MRT word scans, ...)
+ * -- depend only on the code and the suite, never on the machine or
+ * its load. CI gates them via tools/check_compile_perf.py against the
+ * checked-in bench/baselines/compile_perf_baseline.json: a change that
+ * does more work shows up as a larger counter.
  *
  * Wall time -- the mean, p50 and p90 per loop and the per-phase
  * breakdown, fastest of --reps repetitions (default 3) -- is reported
@@ -74,22 +75,20 @@ timeSuite(const std::vector<CompileJob> &jobs, int reps)
     return times;
 }
 
-/** The deterministic work counters the CI gate compares. */
+/** The deterministic work counters the CI gate compares: the summed
+ *  II plus every batch counter. */
 std::string
 countersJson(const BatchOutcome &outcome)
 {
-    const BatchStats &stats = outcome.stats;
     long ii_sum = 0;
     for (const CompileResult &result : outcome.results)
         ii_sum += result.ii;
     std::ostringstream os;
-    os << "{\"ii_sum\":" << ii_sum << ","
-       << "\"ii_attempts\":" << stats.iiAttempts << ","
-       << "\"assign_retries\":" << stats.assignRetries << ","
-       << "\"evictions\":" << stats.evictions << ","
-       << "\"copies\":" << stats.copies << ","
-       << "\"ctx_misses\":" << stats.ctxMisses << ","
-       << "\"mrt_word_scans\":" << stats.mrtWordScans << "}";
+    os << "{\"ii_sum\":" << ii_sum;
+    outcome.stats.forEachCounter([&](const char *name, long value) {
+        os << ",\"" << name << "\":" << value;
+    });
+    os << "}";
     return os.str();
 }
 

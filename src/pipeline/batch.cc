@@ -9,6 +9,22 @@
 namespace cams
 {
 
+void
+BatchStats::add(const CompileResult &r)
+{
+#define CAMS_ADD_COUNTER(field, name, value) field += (value);
+    CAMS_BATCH_COUNTERS(CAMS_ADD_COUNTER)
+#undef CAMS_ADD_COUNTER
+}
+
+void
+BatchStats::publish(MetricsRegistry &registry) const
+{
+    forEachCounter([&](const char *name, long value) {
+        registry.add(name, value);
+    });
+}
+
 std::string
 BatchStats::toJson() const
 {
@@ -21,26 +37,11 @@ BatchStats::toJson() const
        << "\"captured_exceptions\":" << capturedExceptions << ","
        << "\"threads\":" << threads << ","
        << "\"wall_ms\":" << wallMillis << ","
-       << "\"cpu_ms\":" << cpuMillis << ","
-       << "\"ii_attempts\":" << iiAttempts << ","
-       << "\"assign_retries\":" << assignRetries << ","
-       << "\"evictions\":" << evictions << ","
-       << "\"copies\":" << copies << ","
-       << "\"invariant_recoveries\":" << invariantRecoveries << ","
-       << "\"verifier_rejects\":" << verifierRejects << ","
-       << "\"fault_trips\":" << faultTrips << ","
-       << "\"ctx_hits\":" << ctxHits << ","
-       << "\"ctx_misses\":" << ctxMisses << ","
-       << "\"mrt_word_scans\":" << mrtWordScans << ","
-       << "\"cache_hits\":" << cacheHits << ","
-       << "\"cache_misses\":" << cacheMisses << ","
-       << "\"exact_sat\":" << exactSat << ","
-       << "\"exact_unsat\":" << exactUnsat << ","
-       << "\"exact_timeout\":" << exactTimeout << ","
-       << "\"exact_unsupported\":" << exactUnsupported << ","
-       << "\"exact_tightened\":" << exactTightened << ","
-       << "\"exact_certified\":" << exactCertified << ","
-       << "\"failure_kinds\":{";
+       << "\"cpu_ms\":" << cpuMillis << ",";
+    forEachCounter([&](const char *name, long value) {
+        os << "\"" << name << "\":" << value << ",";
+    });
+    os << "\"failure_kinds\":{";
     bool first = true;
     for (int kind = 1; kind < numFailureKinds; ++kind) {
         if (!first)
@@ -128,83 +129,38 @@ BatchRunner::run(const std::vector<CompileJob> &jobs, int threads,
         if (metrics)
             metrics->record(name, value);
     };
-    auto count = [&](const char *name, int64_t delta) {
-        internal.add(name, delta);
-        if (metrics)
-            metrics->add(name, delta);
-    };
 
-    outcome.stats.jobs = static_cast<int>(jobs.size());
+    BatchStats &stats = outcome.stats;
+    stats.jobs = static_cast<int>(jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
         const CompileResult &result = outcome.results[i];
         if (result.success) {
-            ++outcome.stats.succeeded;
+            ++stats.succeeded;
             if (result.degraded != DegradeLevel::None)
-                ++outcome.stats.degraded;
+                ++stats.degraded;
             else
                 record("ii_slack", result.ii - result.mii.mii);
         } else {
-            ++outcome.stats.failed;
-            ++outcome.stats.failuresByKind[int(result.failure)];
+            ++stats.failed;
+            ++stats.failuresByKind[int(result.failure)];
             record("final_ii_tried", result.finalIiTried);
         }
         if (captured[i])
-            ++outcome.stats.capturedExceptions;
+            ++stats.capturedExceptions;
         record("job_ms", outcome.jobMillis[i]);
         record("assign_ms", result.phaseMs.assignMs);
-        outcome.stats.cpuMillis += outcome.jobMillis[i];
-        outcome.stats.iiAttempts += result.attempts;
-        outcome.stats.assignRetries += result.assignRetries;
-        outcome.stats.evictions += result.evictions;
-        outcome.stats.copies += result.copies;
-        outcome.stats.invariantRecoveries += result.invariantRecoveries;
-        outcome.stats.verifierRejects += result.verifierRejects;
-        outcome.stats.faultTrips += result.faultTrips;
-        outcome.stats.ctxHits += result.ctxHits;
-        outcome.stats.ctxMisses += result.ctxMisses;
-        outcome.stats.mrtWordScans += result.mrtWordScans;
-        if (result.cacheProbed) {
-            if (result.fromCache)
-                ++outcome.stats.cacheHits;
-            else
-                ++outcome.stats.cacheMisses;
-        }
-        switch (result.exact.outcome) {
-          case ExactOutcome::NotRun:
-            break;
-          case ExactOutcome::Sat:
-            ++outcome.stats.exactSat;
-            break;
-          case ExactOutcome::Unsat:
-            ++outcome.stats.exactUnsat;
-            break;
-          case ExactOutcome::Timeout:
-            ++outcome.stats.exactTimeout;
-            break;
-          case ExactOutcome::Unsupported:
-            ++outcome.stats.exactUnsupported;
-            break;
-        }
-        if (result.exact.tightened)
-            ++outcome.stats.exactTightened;
-        if (result.exact.certified)
-            ++outcome.stats.exactCertified;
+        stats.cpuMillis += outcome.jobMillis[i];
+        stats.add(result);
     }
-    count("jobs_succeeded", outcome.stats.succeeded);
-    count("jobs_failed", outcome.stats.failed);
-    count("jobs_degraded", outcome.stats.degraded);
-    count("ctx.hits", outcome.stats.ctxHits);
-    count("ctx.misses", outcome.stats.ctxMisses);
-    count("mrt.word_scans", outcome.stats.mrtWordScans);
-    count("cache.hits", outcome.stats.cacheHits);
-    count("cache.misses", outcome.stats.cacheMisses);
-    count("exact.sat", outcome.stats.exactSat);
-    count("exact.unsat", outcome.stats.exactUnsat);
-    count("exact.timeout", outcome.stats.exactTimeout);
-    count("exact.unsupported", outcome.stats.exactUnsupported);
-    count("exact.tightened", outcome.stats.exactTightened);
-    count("exact.certified", outcome.stats.exactCertified);
-    outcome.stats.metricsJson = internal.toJson();
+    for (MetricsRegistry *registry : {&internal, metrics}) {
+        if (registry == nullptr)
+            continue;
+        registry->add("jobs_succeeded", stats.succeeded);
+        registry->add("jobs_failed", stats.failed);
+        registry->add("jobs_degraded", stats.degraded);
+        stats.publish(*registry);
+    }
+    stats.metricsJson = internal.toJson();
     return outcome;
 }
 

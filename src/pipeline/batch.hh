@@ -52,6 +52,36 @@ struct CompileJob
     bool clustered = true;
 };
 
+/**
+ * Every per-compile batch counter, once: X(field, "name", value),
+ * where value reads the CompileResult r. The rows generate BatchStats'
+ * fields, the keys of its JSON (in row order), add() and the metric
+ * names publish() records.
+ */
+#define CAMS_BATCH_COUNTERS(X)                                             \
+    X(iiAttempts, "ii_attempts", r.attempts)                               \
+    X(assignRetries, "assign_retries", r.assignRetries)                    \
+    X(evictions, "evictions", r.evictions)                                 \
+    X(copies, "copies", r.copies)                                          \
+    X(invariantRecoveries, "invariant_recoveries", r.invariantRecoveries)  \
+    X(verifierRejects, "verifier_rejects", r.verifierRejects)              \
+    X(faultTrips, "fault_trips", r.faultTrips)                             \
+    X(ctxHits, "ctx_hits", r.ctxHits)                                      \
+    X(ctxMisses, "ctx_misses", r.ctxMisses)                                \
+    X(mrtWordScans, "mrt_word_scans", r.mrtWordScans)                      \
+    X(cacheHits, "cache_hits", r.cacheProbed && r.fromCache)               \
+    X(cacheMisses, "cache_misses", r.cacheProbed && !r.fromCache)          \
+    X(exactSat, "exact_sat", r.exact.outcome == ExactOutcome::Sat)         \
+    X(exactUnsat, "exact_unsat", r.exact.outcome == ExactOutcome::Unsat)   \
+    X(exactTimeout, "exact_timeout",                                       \
+      r.exact.outcome == ExactOutcome::Timeout)                            \
+    X(exactUnsupported, "exact_unsupported",                               \
+      r.exact.outcome == ExactOutcome::Unsupported)                        \
+    X(exactTightened, "exact_tightened", r.exact.tightened)                \
+    X(exactProved, "exact_proved", r.exact.certified && r.exact.probes > 0) \
+    X(exactVacuous, "exact_vacuous",                                       \
+      r.exact.certified && r.exact.probes == 0)
+
 /** Aggregate accounting of one batch run. */
 struct BatchStats
 {
@@ -68,18 +98,6 @@ struct BatchStats
     /** Sum of per-job wall times (the serial-equivalent cost). */
     double cpuMillis = 0.0;
 
-    /** Total II values tried across all jobs. */
-    long iiAttempts = 0;
-
-    /** II attempts whose cluster assignment failed. */
-    long assignRetries = 0;
-
-    /** Evictions performed by the assignment iteration. */
-    long evictions = 0;
-
-    /** Copy operations inserted across all successful jobs. */
-    long copies = 0;
-
     /** Failed jobs per failure classification, FailureKind order. */
     std::array<long, numFailureKinds> failuresByKind{};
 
@@ -89,37 +107,18 @@ struct BatchStats
     /** Jobs whose compile threw and was captured by the runner. */
     int capturedExceptions = 0;
 
-    /** cams_check invariant violations recovered across all jobs. */
-    long invariantRecoveries = 0;
-
-    /** Verifier rejections absorbed mid-search across all jobs. */
-    long verifierRejects = 0;
-
-    /** Injected faults that fired across all jobs. */
-    long faultTrips = 0;
-
-    /** LoopContext queries answered from cache across all jobs. */
-    long ctxHits = 0;
-
-    /** LoopContext facts computed fresh across all jobs. */
-    long ctxMisses = 0;
-
-    /** MRT occupancy words examined across all jobs. */
-    long mrtWordScans = 0;
-
-    /** Jobs served whole from the persistent compile cache. */
-    long cacheHits = 0;
-
-    /** Jobs that probed the cache and compiled cold. */
-    long cacheMisses = 0;
-
-    /** Exact-arm outcomes (exact and race backends; see exact.hh). */
-    long exactSat = 0;         ///< exact schedule became the result
-    long exactUnsat = 0;       ///< heuristic II certified optimal
-    long exactTimeout = 0;     ///< exact budget died before an answer
-    long exactUnsupported = 0; ///< loop/machine outside the encoding
-    long exactTightened = 0;   ///< race arm beat the heuristic II
-    long exactCertified = 0;   ///< race arm certified the heuristic II
+    /**
+     * The CAMS_BATCH_COUNTERS sums over every job: II attempts,
+     * failed assignments, evictions, copies, recovered invariants,
+     * verifier rejections, fault trips, LoopContext hits and misses,
+     * MRT word scans, cache hits and misses (jobs served whole, jobs
+     * that probed and compiled cold), and the exact arm's outcomes
+     * (see exact.hh). A race certificate is proved when the arm ran a
+     * probe, vacuous when the heuristic already sat at MII.
+     */
+#define CAMS_DECLARE_COUNTER(field, name, value) long field = 0;
+    CAMS_BATCH_COUNTERS(CAMS_DECLARE_COUNTER)
+#undef CAMS_DECLARE_COUNTER
 
     /**
      * Metrics snapshot of this run (MetricsRegistry::toJson of the
@@ -127,6 +126,21 @@ struct BatchStats
      * toJson() under "metrics" when non-empty.
      */
     std::string metricsJson;
+
+    /** Adds one compile's counters. */
+    void add(const CompileResult &r);
+
+    /** Calls visit(name, value) for every counter, in table order. */
+    template <typename Visit>
+    void forEachCounter(Visit &&visit) const
+    {
+#define CAMS_VISIT_COUNTER(field, name, value) visit(name, field);
+        CAMS_BATCH_COUNTERS(CAMS_VISIT_COUNTER)
+#undef CAMS_VISIT_COUNTER
+    }
+
+    /** Adds every counter to the registry under its JSON name. */
+    void publish(MetricsRegistry &registry) const;
 
     /** One-line JSON rendering for machine-readable logs. */
     std::string toJson() const;
@@ -162,10 +176,11 @@ class BatchRunner
      *        BatchStats snapshot always comes from a fresh internal
      *        registry, so per-run numbers never mix.
      *
-     * Metrics recorded per run: counter jobs_succeeded/jobs_failed/
-     * jobs_degraded; histograms job_ms and assign_ms over all jobs,
-     * ii_slack (achieved II - MII) over non-degraded successes, and
-     * final_ii_tried over failures.
+     * Metrics recorded per run: the counters jobs_succeeded/
+     * jobs_failed/jobs_degraded and every CAMS_BATCH_COUNTERS row
+     * under its JSON name; histograms job_ms and assign_ms over all
+     * jobs, ii_slack (achieved II - MII) over non-degraded successes,
+     * and final_ii_tried over failures.
      *
      * A compile that throws is captured as that job's classified
      * FailureKind::InternalInvariant result; the other jobs are

@@ -178,9 +178,9 @@ class CompileCache
     /**
      * Publishes cache.bytes / cache.entries / cache.rejects (and the
      * cache's own hit/miss view under cache.lookup_*) into a metrics
-     * registry. The per-job cache.hits/cache.misses counters come
-     * from BatchStats, which sees every compile's flags; these are
-     * the store-side complements.
+     * registry. The per-job hit and miss counters come from
+     * BatchStats, which sees every compile's flags; these are the
+     * store-side complements.
      *
      * Adds the *delta* since this cache's previous publish call, so
      * repeated publishes into one cumulative registry (the bench

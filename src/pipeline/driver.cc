@@ -107,40 +107,35 @@ compilablePrecondition(const Dfg &graph, const MachineDesc &machine,
 }
 
 /**
- * True when this compile may talk to the cache at all. Fault
- * injection makes outcomes intentionally nondeterministic, so those
- * compiles bypass the cache in both directions.
+ * Admission, the first stage of every compile: the precondition check
+ * and the cache probe. Fault injection makes outcomes intentionally
+ * nondeterministic, so those compiles bypass the cache in both
+ * directions. @return false when the result is already final (refused
+ * or served from the cache); otherwise key holds the cache key when
+ * finish() is to store the result.
  */
 bool
-cacheEligible(const CompileOptions &options)
+admit(const Dfg &graph, const MachineDesc &machine,
+      const CompileOptions &options, bool clustered, CompileResult &result,
+      std::optional<CacheKey> &key)
 {
-    if (options.cache == nullptr || !options.cache->enabled())
+    if (!compilablePrecondition(graph, machine, result))
         return false;
-    return !(options.faults && options.faults->config().any());
-}
-
-/**
- * Probes the cache for a full-result hit; stamps the probe flags and
- * the cache_probe decision instant either way. @return true when the
- * result was served.
- */
-bool
-probeCache(CompileCache &cache, const CacheKey &key, const Dfg &graph,
-           const MachineDesc &machine, const CompileOptions &options,
-           CompileResult &result)
-{
-    if (cache.lookup(key, graph, machine, result)) {
-        // lookup overwrote the whole result with the stored image
-        // (whose transient flags are false); restamp them.
-        result.cacheProbed = true;
-        result.fromCache = true;
-        traceDecision(options.trace, "cache_probe",
-                      {{"outcome", "hit"},
-                       {"ii", std::to_string(result.ii)}});
+    if (options.cache == nullptr || !options.cache->enabled() ||
+        (options.faults && options.faults->config().any()))
+        return true;
+    key = makeCacheKey(graph, machine, options, clustered);
+    const bool hit = options.cache->lookup(*key, graph, machine, result);
+    // A hit overwrote the whole result with the stored image, whose
+    // transient flags are false: stamp them after the lookup.
+    result.cacheProbed = true;
+    result.fromCache = hit;
+    if (!hit) {
+        traceDecision(options.trace, "cache_probe", {{"outcome", "miss"}});
         return true;
     }
-    result.cacheProbed = true;
-    traceDecision(options.trace, "cache_probe", {{"outcome", "miss"}});
+    traceDecision(options.trace, "cache_probe",
+                  {{"outcome", "hit"}, {"ii", std::to_string(result.ii)}});
     return false;
 }
 
@@ -177,341 +172,152 @@ acceptSchedule(CompileResult &result, AnnotatedLoop loop,
 }
 
 /**
- * The II-escalation engine shared by the driver's three search loops
- * (the primary clustered search, the exhaustive fallback rung, and
- * the unified search), which used to be three near-identical copies.
- * It owns the per-loop LoopContext every probe shares, walks II
- * upward calling the probe at each step, and centralizes the
- * per-attempt bookkeeping: deadline checks, attempt counting, the
- * per-II trace scope with its outcome arg, escalate/timeout decision
- * instants, and InternalError recovery. The Policy flags select the
- * exact original behavior of each call site.
+ * The state of one admitted compile, and the stages both drivers are
+ * sequences of: the II sweep, the schedule-and-verify step, the exact
+ * ladder, the two rungs of the degradation ladder, and finish. Every
+ * way an II can die updates the running failure classification, so a
+ * final failure reports the last (deepest) cause rather than a
+ * generic "gave up".
  */
-class IiEscalator
+struct Compile
 {
-  public:
-    /** What one II probe decided. */
-    enum class Outcome
+    /**
+     * Opens the compile's trace scope and computes the MII on
+     * miiMachine. ctxGraph is the graph the shared LoopContext binds
+     * to; cacheKey is admit()'s.
+     */
+    Compile(const char *scopeName, const Dfg &graph, const Dfg &ctxGraph,
+            const MachineDesc &machine, const MachineDesc &miiMachine,
+            const CompileOptions &options, CompileResult &result,
+            std::optional<CacheKey> cacheKey)
+        : graph(graph), machine(machine), options(options),
+          result(result), cacheKey(std::move(cacheKey)),
+          scope(options.trace, TraceLevel::Phase, scopeName, "pipeline"),
+          ctx(ctxGraph), model(machine), faults(options.faults.get()),
+          faultBase(faults ? faults->totalTrips() : 0),
+          scheduler(makeScheduler(options.scheduler))
     {
-        Accept, ///< schedule accepted into the result; stop the sweep
-        Retry,  ///< this II failed; escalate to II + 1
-        Stop,   ///< this II failed and larger IIs cannot help
-    };
-
-    /** Per-call-site behavior differences. */
-    struct Policy
-    {
-        /** Bump result.attempts / finalIiTried per probed II. */
-        bool countAttempts = false;
-
-        /** Open a per-II "ii_attempt" trace scope. */
-        bool traceIis = false;
-
-        /** Emit "ii_escalate" decision instants on failed IIs. */
-        bool decisionEscalates = false;
-
-        /** Recover a probe's InternalError as a failed II. */
-        bool catchInvariant = false;
-
-        /** Classify a deadline expiry after the sweep ("after N II
-         *  attempts"), plus the "timeout" instant if traceTimeout. */
-        bool summaryTimeout = false;
-        bool traceTimeout = false;
-
-        /** Non-null: classify the expiry inline instead, as "time
-         *  budget expired in <where> at II <ii>". */
-        const char *timeoutWhere = nullptr;
-    };
-
-    IiEscalator(const Dfg &graph, const CompileOptions &options,
-                CompileResult &result)
-        : options_(options), result_(result), ctx_(graph)
-    {
-    }
-
-    /** The context every probe of this compile shares. */
-    LoopContext &context() { return ctx_; }
-
-    /** Whether any sweep so far died on the deadline. */
-    bool timedOut() const { return timedOut_; }
-
-    /** Folds the owned context's counters into the result. */
-    void foldCounters()
-    {
-        result_.ctxHits += ctx_.hits();
-        result_.ctxMisses += ctx_.misses();
+        scope.arg("machine", machine.name);
+        result.mii = computeMii(graph, miiMachine, ctx.recMii());
+        limit = result.mii.mii * 4 + options.iiSlack;
+        scheduler->setTrace(options.trace);
+        result.failure = FailureKind::IiExhausted;
+        result.failureDetail = detail::concat(
+            "empty II search window [", result.mii.mii, ", ", limit, "]");
     }
 
     /**
-     * Probes II = first..limit until the probe accepts, a deadline
-     * check fails, or a probe reports Stop. The probe is called as
-     * probe(ii, escalate) where escalate(reason) records a failed
-     * II's outcome. @return true when an II was accepted.
+     * The Figure 5 II sweep: probes II = MII..limit until probe(ii)
+     * accepts one, charging each probed II as an attempt under its
+     * own "ii_attempt" scope. probe returns nullptr on acceptance or
+     * the failed II's reason, which an "ii_escalate" instant records;
+     * a probe's InternalError fails just that II. A deadline expiry
+     * ends the sweep as a Timeout.
      */
     template <typename Probe>
-    bool sweep(int first, int limit, const Deadline &deadline,
-               const Policy &policy, Probe &&probe)
+    void sweep(Probe &&probe)
     {
-        bool timed_out = false;
-        for (int ii = first; ii <= limit; ++ii) {
+        for (int ii = result.mii.mii; ii <= limit; ++ii) {
             if (deadline.expired()) {
-                timed_out = true;
-                if (policy.timeoutWhere != nullptr) {
-                    result_.failure = FailureKind::Timeout;
-                    result_.failureDetail = detail::concat(
-                        "time budget expired in ", policy.timeoutWhere,
-                        " at II ", ii);
-                }
-                break;
-            }
-            if (policy.countAttempts) {
-                ++result_.attempts;
-                result_.finalIiTried = ii;
-            }
-            std::optional<TraceScope> ii_scope;
-            if (policy.traceIis) {
-                ii_scope.emplace(options_.trace, TraceLevel::Phase,
-                                 "ii_attempt", "pipeline");
-                ii_scope->arg("ii", std::to_string(ii));
-            }
-            auto escalate = [&](const char *reason) {
-                if (ii_scope)
-                    ii_scope->arg("outcome", reason);
-                if (policy.decisionEscalates) {
-                    traceDecision(options_.trace, "ii_escalate",
-                                  {{"ii", std::to_string(ii)},
-                                   {"reason", reason}});
-                }
-            };
-            Outcome outcome = Outcome::Retry;
-            if (policy.catchInvariant) {
-                try {
-                    outcome = probe(ii, escalate);
-                } catch (const InternalError &err) {
-                    // A cams_check fired outside the assigner's own
-                    // recovery: charge this II and move on.
-                    ++result_.invariantRecoveries;
-                    result_.failure = FailureKind::InternalInvariant;
-                    result_.failureDetail = err.what();
-                    escalate("invariant");
-                }
-            } else {
-                outcome = probe(ii, escalate);
-            }
-            if (outcome == Outcome::Accept) {
-                if (ii_scope)
-                    ii_scope->arg("outcome", "success");
-                return true;
-            }
-            if (outcome == Outcome::Stop)
-                break;
-        }
-        timedOut_ = timedOut_ || timed_out;
-        if (timed_out && policy.summaryTimeout) {
-            result_.failure = FailureKind::Timeout;
-            result_.failureDetail = detail::concat(
-                "time budget of ", options_.timeBudgetMs,
-                " ms expired after ", result_.attempts,
-                " II attempts");
-            if (policy.traceTimeout) {
+                timedOut = true;
+                result.failure = FailureKind::Timeout;
+                result.failureDetail = detail::concat(
+                    "time budget of ", options.timeBudgetMs,
+                    " ms expired after ", result.attempts, " II attempts");
                 traceDecision(
-                    options_.trace, "timeout",
-                    {{"attempts", std::to_string(result_.attempts)},
-                     {"budget_ms",
-                      std::to_string(options_.timeBudgetMs)}});
+                    options.trace, "timeout",
+                    {{"attempts", std::to_string(result.attempts)},
+                     {"budget_ms", std::to_string(options.timeBudgetMs)}});
+                return;
             }
+            ++result.attempts;
+            result.finalIiTried = ii;
+            TraceScope ii_scope(options.trace, TraceLevel::Phase,
+                                "ii_attempt", "pipeline");
+            ii_scope.arg("ii", std::to_string(ii));
+            const char *failed = nullptr;
+            try {
+                failed = probe(ii);
+            } catch (const InternalError &err) {
+                // A cams_check fired outside the assigner's own
+                // recovery: charge this II and move on.
+                ++result.invariantRecoveries;
+                result.failure = FailureKind::InternalInvariant;
+                result.failureDetail = err.what();
+                failed = "invariant";
+            }
+            if (failed == nullptr) {
+                ii_scope.arg("outcome", "success");
+                return;
+            }
+            ii_scope.arg("outcome", failed);
+            traceDecision(options.trace, "ii_escalate",
+                          {{"ii", std::to_string(ii)}, {"reason", failed}});
         }
-        return false;
     }
 
-  private:
-    const CompileOptions &options_;
-    CompileResult &result_;
-    LoopContext ctx_;
-    bool timedOut_ = false;
-};
-
-} // namespace
-
-CompileResult
-compileClustered(const Dfg &graph, const MachineDesc &machine,
-                 const CompileOptions &options)
-{
-    CompileResult result;
-    if (!compilablePrecondition(graph, machine, result))
-        return result;
-
-    const bool cache_on = cacheEligible(options);
-    CacheKey cache_key;
-    if (cache_on) {
-        cache_key =
-            makeCacheKey(graph, machine, options, /*clustered=*/true);
-        if (probeCache(*options.cache, cache_key, graph, machine,
-                       options, result))
-            return result;
+    /**
+     * Schedules an annotated loop at ii and verifies the schedule.
+     * @return nullptr when the schedule stands, else why the II
+     * failed ("sched_fail" or "verifier_reject").
+     */
+    const char *
+    scheduleAndVerify(const AnnotatedLoop &loop, int ii,
+                      LoopContext &loopCtx, Schedule &schedule)
+    {
+        const Stopwatch sched_watch;
+        bool scheduled = false;
+        {
+            TraceScope phase(options.trace, TraceLevel::Phase, "schedule",
+                             "phase");
+            scheduled =
+                scheduler->schedule(loop, model, ii, schedule, &loopCtx);
+        }
+        result.phaseMs.scheduleMs += sched_watch.elapsedMs();
+        if (scheduled && faults &&
+            faults->trip(FaultSite::SchedulerSlotDeny)) {
+            // Injected: pretend the scheduler found no slot.
+            scheduled = false;
+        }
+        if (!scheduled) {
+            result.failure = FailureKind::IiExhausted;
+            result.failureDetail =
+                detail::concat("no schedule found at II ", ii);
+            return "sched_fail";
+        }
+        if (!options.verify)
+            return nullptr;
+        const Stopwatch verify_watch;
+        std::string why;
+        bool verified = false;
+        {
+            TraceScope phase(options.trace, TraceLevel::Phase, "verify",
+                             "phase");
+            verified = verifySchedule(loop, model, schedule, &why);
+        }
+        result.phaseMs.verifyMs += verify_watch.elapsedMs();
+        if (verified)
+            return nullptr;
+        ++result.verifierRejects;
+        result.failure = FailureKind::VerifierReject;
+        result.failureDetail =
+            detail::concat("verifier rejected II ", ii, ": ", why);
+        return "verifier_reject";
     }
 
-    const Stopwatch total_watch;
-    TraceScope compile_scope(options.trace, TraceLevel::Phase,
-                             "compile_clustered", "pipeline");
-    compile_scope.arg("machine", machine.name);
-
-    IiEscalator escalator(graph, options, result);
-    LoopContext &ctx = escalator.context();
-
-    const MachineDesc unified = machine.unifiedEquivalent();
-    result.mii = computeMii(graph, unified, ctx.recMii());
-
-    const ResourceModel model(machine);
-    FaultInjector *faults = options.faults.get();
-    const long fault_base = faults ? faults->totalTrips() : 0;
-    const Deadline deadline(options.timeBudgetMs);
-
-    AssignOptions assign_options = options.assign;
-    assign_options.faults = faults;
-    assign_options.trace = options.trace;
-    const ClusterAssigner assigner(model, assign_options);
-    const auto scheduler = makeScheduler(options.scheduler);
-    scheduler->setTrace(options.trace);
-    const int limit = result.mii.mii * 4 + options.iiSlack;
-
-    // Stamps everything that must be correct on every exit path, and
-    // publishes the finished compile into the cache. store() itself
-    // refuses served and timed-out results, so only deterministic
-    // outcomes persist.
-    auto finish = [&]() {
-        escalator.foldCounters();
-        result.mrtWordScans += scheduler->wordScans();
-        if (faults)
-            result.faultTrips = faults->totalTrips() - fault_base;
-        result.phaseMs.totalMs = total_watch.elapsedMs();
-        if (result.faultTrips > 0) {
-            traceDecision(
-                options.trace, "fault_trips",
-                {{"count", std::to_string(result.faultTrips)}});
-        }
-        compile_scope.arg("success",
-                          result.success ? "true" : "false");
-        compile_scope.arg("ii", std::to_string(result.ii));
-        compile_scope.arg("degraded",
-                          degradeLevelName(result.degraded));
-        if (!result.success) {
-            compile_scope.arg("failure",
-                              failureKindName(result.failure));
-        }
-        if (cache_on)
-            options.cache->store(cache_key, graph, machine, result);
-    };
-
-    // One II attempt of the Figure 5 pipeline: assign, schedule,
-    // verify.
-    auto attemptIi = [&](int ii, auto &&escalate) -> IiEscalator::Outcome {
-            const Stopwatch assign_watch;
-            AssignResult assignment;
-            {
-                TraceScope scope(options.trace, TraceLevel::Phase,
-                                 "assign", "phase");
-                assignment = assigner.run(graph, ii, &ctx);
-            }
-            result.phaseMs.assignMs += assign_watch.elapsedMs();
-            result.phaseMs.orderMs += assignment.orderMillis;
-            result.phaseMs.routeMs += assignment.routeMillis;
-            result.evictions += assignment.evictions;
-            result.invariantRecoveries += assignment.invariantFailures;
-            result.mrtWordScans += assignment.wordScans;
-            if (!assignment.success) {
-                ++result.assignRetries;
-                if (assignment.failure != FailureKind::None) {
-                    result.failure = assignment.failure;
-                    result.failureDetail = assignment.detail;
-                } else {
-                    result.failure = FailureKind::IiExhausted;
-                    result.failureDetail = detail::concat(
-                        "assignment infeasible at II ", ii);
-                }
-                escalate("assign_fail");
-                return IiEscalator::Outcome::Retry;
-            }
-            // The scheduler sees the annotated graph (copies and
-            // all), which changes per II, so its context is per
-            // attempt: it still pools the analyses shared by the
-            // feasibility check, timing, order and requests.
-            LoopContext sched_ctx(assignment.loop.graph);
-            Schedule schedule;
-            const Stopwatch sched_watch;
-            bool scheduled;
-            {
-                TraceScope scope(options.trace, TraceLevel::Phase,
-                                 "schedule", "phase");
-                scheduled = scheduler->schedule(assignment.loop, model,
-                                                ii, schedule, &sched_ctx);
-            }
-            result.phaseMs.scheduleMs += sched_watch.elapsedMs();
-            result.ctxHits += sched_ctx.hits();
-            result.ctxMisses += sched_ctx.misses();
-            if (scheduled && faults &&
-                faults->trip(FaultSite::SchedulerSlotDeny)) {
-                // Injected: pretend the scheduler found no slot.
-                scheduled = false;
-            }
-            if (!scheduled) {
-                result.failure = FailureKind::IiExhausted;
-                result.failureDetail =
-                    detail::concat("no schedule found at II ", ii);
-                escalate("sched_fail");
-                return IiEscalator::Outcome::Retry;
-            }
-            if (options.verify) {
-                const Stopwatch verify_watch;
-                std::string why;
-                bool verified;
-                {
-                    TraceScope scope(options.trace, TraceLevel::Phase,
-                                     "verify", "phase");
-                    verified = verifySchedule(assignment.loop, model,
-                                              schedule, &why);
-                }
-                result.phaseMs.verifyMs += verify_watch.elapsedMs();
-                if (!verified) {
-                    ++result.verifierRejects;
-                    result.failure = FailureKind::VerifierReject;
-                    result.failureDetail = detail::concat(
-                        "verifier rejected II ", ii, ": ", why);
-                    escalate("verifier_reject");
-                    return IiEscalator::Outcome::Retry;
-                }
-            }
-            acceptSchedule(result, std::move(assignment.loop),
-                           std::move(schedule), ii,
-                           DegradeLevel::None);
-            return IiEscalator::Outcome::Accept;
-    };
-
-    // ---- The exact arm (backends Exact and Race): per-II SAT
-    // decisions with deterministic conflict budgets (exact/exact.hh).
-    auto exactProbe = [&](int ii) {
-        const Stopwatch probe_watch;
-        ExactDecision decision =
-            exactDecideAtIi(graph, model, ii, options.exact);
-        ++result.exact.probes;
-        result.exact.conflicts += decision.conflicts;
-        result.exact.decisions += decision.decisions;
-        result.exact.propagations += decision.propagations;
-        result.exact.solveMs += probe_watch.elapsedMs();
-        traceDecision(options.trace, "exact_probe",
-                      {{"ii", std::to_string(ii)},
-                       {"verdict",
-                        exactVerdictName(decision.verdict)}});
-        return decision;
-    };
-
-    // Ascending decision ladder over [first, last]: the first SAT
-    // answer is accepted (and is optimal within the range, since
-    // every lower II carries an UNSAT certificate). Returns true on
-    // acceptance; otherwise result.exact.outcome says why -- Unsat
-    // when the whole range is certified infeasible, Timeout/
-    // Unsupported when the ladder died early.
-    auto exactSearch = [&](int first, int last) -> bool {
+    /**
+     * The exact ladder (backends Exact and Race): ascending per-II SAT
+     * decisions over [first, last] with deterministic conflict budgets
+     * (exact/exact.hh). The first SAT answer is accepted, and is
+     * optimal within the range since every lower II carries an UNSAT
+     * certificate. @return true on acceptance; otherwise
+     * result.exact.outcome says why -- Unsat when the whole range is
+     * certified infeasible, Timeout/Unsupported when the ladder died
+     * early.
+     */
+    bool
+    exactLadder(int first, int last)
+    {
         int probes_left = options.exact.maxProbes > 0
                               ? options.exact.maxProbes
                               : std::numeric_limits<int>::max();
@@ -526,7 +332,17 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
                 result.exact.detail = "probe_limit";
                 return false;
             }
-            ExactDecision decision = exactProbe(ii);
+            const Stopwatch probe_watch;
+            ExactDecision decision =
+                exactDecideAtIi(graph, model, ii, options.exact);
+            ++result.exact.probes;
+            result.exact.conflicts += decision.conflicts;
+            result.exact.decisions += decision.decisions;
+            result.exact.propagations += decision.propagations;
+            result.exact.solveMs += probe_watch.elapsedMs();
+            traceDecision(options.trace, "exact_probe",
+                          {{"ii", std::to_string(ii)},
+                           {"verdict", exactVerdictName(decision.verdict)}});
             if (decision.verdict == ExactVerdict::Sat) {
                 result.exact.outcome = ExactOutcome::Sat;
                 result.exact.exactIi = ii;
@@ -537,171 +353,284 @@ compileClustered(const Dfg &graph, const MachineDesc &machine,
             }
             if (decision.verdict == ExactVerdict::Unsat)
                 continue; // certified infeasible; try the next II
-            result.exact.outcome =
-                decision.verdict == ExactVerdict::Budget
-                    ? ExactOutcome::Timeout
-                    : ExactOutcome::Unsupported;
+            result.exact.outcome = decision.verdict == ExactVerdict::Budget
+                                       ? ExactOutcome::Timeout
+                                       : ExactOutcome::Unsupported;
             result.exact.detail = decision.detail;
             return false;
         }
         // Every II in the range carries an UNSAT certificate.
         result.exact.outcome = ExactOutcome::Unsat;
         return false;
-    };
+    }
 
-    // The primary Figure 5 search. Every way an II can die updates
-    // the running classification, so a final failure reports the last
-    // (deepest) cause rather than a generic "gave up".
-    result.failure = FailureKind::IiExhausted;
-    result.failureDetail = detail::concat(
-        "empty II search window [", result.mii.mii, ", ", limit, "]");
-
-    if (options.backend == CompileBackend::Exact) {
-        // Pure exact mode: the SAT ladder *is* the II search.
-        if (exactSearch(result.mii.mii, limit)) {
-            finish();
-            return result;
-        }
+    /** Exact mode: the exact ladder *is* the II search. */
+    void
+    exactSearch()
+    {
+        if (exactLadder(result.mii.mii, limit))
+            return;
         if (result.exact.outcome == ExactOutcome::Timeout) {
             result.failure = FailureKind::Timeout;
             result.failureDetail =
-                "exact backend budget exhausted: " +
-                result.exact.detail;
+                "exact backend budget exhausted: " + result.exact.detail;
         } else if (result.exact.outcome == ExactOutcome::Unsat) {
             result.failure = FailureKind::IiExhausted;
-            result.failureDetail = detail::concat(
-                "exact backend: UNSAT at every II in [",
-                result.mii.mii, ", ", limit, "]");
+            result.failureDetail =
+                detail::concat("exact backend: UNSAT at every II in [",
+                               result.mii.mii, ", ", limit, "]");
         } else {
             result.failure = FailureKind::IiExhausted;
-            result.failureDetail = "exact backend unsupported: " +
-                                   result.exact.detail;
-        }
-        if (!options.fallback) {
-            finish();
-            return result;
-        }
-        // Fall through to the degradation ladder below.
-    }
-
-    if (options.backend != CompileBackend::Exact) {
-        IiEscalator::Policy primary;
-        primary.countAttempts = true;
-        primary.traceIis = true;
-        primary.decisionEscalates = true;
-        primary.catchInvariant = true;
-        primary.summaryTimeout = true;
-        primary.traceTimeout = true;
-
-        escalator.sweep(result.mii.mii, limit, deadline, primary,
-                        attemptIi);
-    }
-
-    if (options.backend == CompileBackend::Race) {
-        if (result.success && result.degraded == DegradeLevel::None) {
-            // The heuristic answered; the exact arm now probes every
-            // lower II. SAT tightens the result (the decoded schedule
-            // replaces the heuristic one); an unbroken run of UNSAT
-            // certificates -- including the empty range when the
-            // heuristic already sits at MII -- certifies it optimal.
-            result.exact.heuristicIi = result.ii;
-            if (exactSearch(result.mii.mii,
-                            result.exact.heuristicIi - 1)) {
-                result.exact.tightened = true;
-                traceDecision(
-                    options.trace, "exact_tightened",
-                    {{"heuristic_ii",
-                      std::to_string(result.exact.heuristicIi)},
-                     {"exact_ii",
-                      std::to_string(result.exact.exactIi)}});
-            } else if (result.exact.outcome == ExactOutcome::Unsat) {
-                result.exact.certified = true;
-                traceDecision(options.trace, "exact_certified",
-                              {{"ii", std::to_string(result.ii)}});
-            }
-        } else if (!result.success) {
-            // Portfolio rescue: the cascade found nothing, so let the
-            // exact arm search the full window before the ladder.
-            exactSearch(result.mii.mii, limit);
+            result.failureDetail =
+                "exact backend unsupported: " + result.exact.detail;
         }
     }
 
-    if (result.success || !options.fallback) {
-        finish();
-        return result;
+    /**
+     * Race mode, after the heuristic sweep. When the heuristic
+     * answered, the exact ladder probes every lower II: SAT tightens
+     * the result (the decoded schedule replaces the heuristic one),
+     * and an unbroken run of UNSAT certificates -- including the
+     * empty range when the heuristic already sits at MII -- certifies
+     * it optimal. When it found nothing, the ladder searches the full
+     * window before the degradation ladder (portfolio rescue).
+     */
+    void
+    raceArm()
+    {
+        if (!result.success) {
+            exactLadder(result.mii.mii, limit);
+            return;
+        }
+        result.exact.heuristicIi = result.ii;
+        if (exactLadder(result.mii.mii, result.exact.heuristicIi - 1)) {
+            result.exact.tightened = true;
+            traceDecision(
+                options.trace, "exact_tightened",
+                {{"heuristic_ii", std::to_string(result.exact.heuristicIi)},
+                 {"exact_ii", std::to_string(result.exact.exactIi)}});
+        } else if (result.exact.outcome == ExactOutcome::Unsat) {
+            result.exact.certified = true;
+            traceDecision(options.trace, "exact_certified",
+                          {{"ii", std::to_string(result.ii)}});
+        }
     }
 
-    // Degradation ladder, rung 1: exhaustive assignment for small
-    // loops. Runs injection-free on purpose -- faults model the
-    // primary path; the ladder is the recovery mechanism under test.
-    if (!escalator.timedOut() && machine.numClusters() > 1 &&
-        graph.numNodes() <= options.exhaustiveFallbackNodes) {
+    /**
+     * Degradation rung 1: exhaustive assignment for small loops. It
+     * runs injection-free on purpose -- faults model the primary
+     * path; the ladder is the recovery mechanism under test -- and
+     * counts no attempts. A partition that is count-feasible but not
+     * schedulable moves on to the next II; a loop too large to
+     * enumerate ends the rung.
+     */
+    void
+    exhaustiveRung()
+    {
         traceDecision(options.trace, "degrade_rung",
                       {{"rung", "exhaustive_assign"}});
-        TraceScope rung_scope(options.trace, TraceLevel::Phase,
-                              "exhaustive_assign", "pipeline");
-        IiEscalator::Policy rung;
-        rung.catchInvariant = true;
-        rung.timeoutWhere = "the exhaustive fallback";
-        escalator.sweep(
-            result.mii.mii, limit, deadline, rung,
-            [&](int ii, auto &&) -> IiEscalator::Outcome {
+        rung.emplace(options.trace, TraceLevel::Phase, "exhaustive_assign",
+                     "pipeline");
+        for (int ii = result.mii.mii; ii <= limit; ++ii) {
+            if (deadline.expired()) {
+                result.failure = FailureKind::Timeout;
+                result.failureDetail = detail::concat(
+                    "time budget expired in the exhaustive fallback at II ",
+                    ii);
+                return;
+            }
+            try {
                 const ExhaustivePartition partition =
                     exhaustiveAssign(graph, model, ii);
                 if (partition.verdict == ExhaustiveVerdict::TooLarge)
-                    return IiEscalator::Outcome::Stop;
+                    return;
                 if (partition.verdict != ExhaustiveVerdict::Feasible)
-                    return IiEscalator::Outcome::Retry;
-                AnnotatedLoop loop = annotatePartition(
-                    graph, partition.clusterOf, machine);
+                    continue;
+                AnnotatedLoop loop =
+                    annotatePartition(graph, partition.clusterOf, machine);
                 Schedule schedule;
-                if (!scheduler->schedule(loop, model, ii, schedule)) {
-                    // count-feasible but not schedulable
-                    return IiEscalator::Outcome::Retry;
+                if (!scheduler->schedule(loop, model, ii, schedule))
+                    continue;
+                std::string why;
+                if (options.verify &&
+                    !verifySchedule(loop, model, schedule, &why)) {
+                    ++result.verifierRejects;
+                    continue;
                 }
-                if (options.verify) {
-                    std::string why;
-                    if (!verifySchedule(loop, model, schedule, &why)) {
-                        ++result.verifierRejects;
-                        return IiEscalator::Outcome::Retry;
-                    }
-                }
-                acceptSchedule(result, std::move(loop),
-                               std::move(schedule), ii,
-                               DegradeLevel::ExhaustiveAssign);
-                return IiEscalator::Outcome::Accept;
-            });
-        if (result.success) {
-            finish();
-            return result;
+                acceptSchedule(result, std::move(loop), std::move(schedule),
+                               ii, DegradeLevel::ExhaustiveAssign);
+                return;
+            } catch (const InternalError &err) {
+                ++result.invariantRecoveries;
+                result.failure = FailureKind::InternalInvariant;
+                result.failureDetail = err.what();
+            }
         }
     }
 
-    // Rung 2: single cluster, fully serialized. Cheap enough to run
-    // even after a timeout -- recovering a classified-failure compile
-    // beats reporting it.
-    traceDecision(options.trace, "degrade_rung",
-                  {{"rung", "single_cluster"}});
-    TraceScope rung_scope(options.trace, TraceLevel::Phase,
-                          "single_cluster", "pipeline");
-    if (auto degraded = degradeToSingleCluster(graph, model)) {
+    /**
+     * Degradation rung 2: everything on cluster 0, fully serialized.
+     * Cheap enough to run even after a timeout -- recovering a
+     * classified-failure compile beats reporting it.
+     */
+    void
+    singleClusterRung()
+    {
+        // A failed exhaustive rung's scope ends before this rung starts.
+        rung.reset();
+        traceDecision(options.trace, "degrade_rung",
+                      {{"rung", "single_cluster"}});
+        rung.emplace(options.trace, TraceLevel::Phase, "single_cluster",
+                     "pipeline");
+        std::optional<DegradedCompile> degraded =
+            degradeToSingleCluster(graph, model);
+        if (!degraded)
+            return;
         std::string why;
-        if (!options.verify ||
-            verifySchedule(degraded->loop, model, degraded->schedule,
-                           &why)) {
-            const int ii = degraded->schedule.ii;
-            acceptSchedule(result, std::move(degraded->loop),
-                           std::move(degraded->schedule), ii,
-                           DegradeLevel::SingleCluster);
-        } else {
+        if (options.verify && !verifySchedule(degraded->loop, model,
+                                              degraded->schedule, &why)) {
             ++result.verifierRejects;
             result.failure = FailureKind::VerifierReject;
             result.failureDetail =
-                "verifier rejected the single-cluster fallback: " +
-                why;
+                "verifier rejected the single-cluster fallback: " + why;
+            return;
         }
+        const int ii = degraded->schedule.ii;
+        acceptSchedule(result, std::move(degraded->loop),
+                       std::move(degraded->schedule), ii,
+                       DegradeLevel::SingleCluster);
     }
-    finish();
+
+    /**
+     * The exit stage: folds the counters, stamps the fault trips, the
+     * total time and the compile scope's args, and stores the finished
+     * compile into the cache. store() itself refuses timed-out
+     * results, so only deterministic outcomes persist.
+     */
+    void
+    finish()
+    {
+        result.ctxHits += ctx.hits();
+        result.ctxMisses += ctx.misses();
+        result.mrtWordScans += scheduler->wordScans();
+        if (faults)
+            result.faultTrips = faults->totalTrips() - faultBase;
+        result.phaseMs.totalMs = totalWatch.elapsedMs();
+        if (result.faultTrips > 0) {
+            traceDecision(options.trace, "fault_trips",
+                          {{"count", std::to_string(result.faultTrips)}});
+        }
+        scope.arg("success", result.success ? "true" : "false");
+        scope.arg("ii", std::to_string(result.ii));
+        scope.arg("degraded", degradeLevelName(result.degraded));
+        if (!result.success)
+            scope.arg("failure", failureKindName(result.failure));
+        if (cacheKey)
+            options.cache->store(*cacheKey, graph, machine, result);
+    }
+
+    const Dfg &graph;
+    const MachineDesc &machine;
+    const CompileOptions &options;
+    CompileResult &result;
+    const std::optional<CacheKey> cacheKey;
+    const Stopwatch totalWatch;
+    TraceScope scope;
+
+    /** The context every II of this compile shares. */
+    LoopContext ctx;
+    const ResourceModel model;
+    FaultInjector *const faults;
+    const long faultBase;
+    const std::unique_ptr<ModuloScheduler> scheduler;
+    const Deadline deadline{options.timeBudgetMs};
+    int limit = 0;
+
+    /** Whether the II sweep died on the deadline. */
+    bool timedOut = false;
+
+    /** The open rung's scope; it spans finish(), like the compile's. */
+    std::optional<TraceScope> rung;
+};
+
+} // namespace
+
+CompileResult
+compileClustered(const Dfg &graph, const MachineDesc &machine,
+                 const CompileOptions &options)
+{
+    CompileResult result;
+    std::optional<CacheKey> key;
+    if (!admit(graph, machine, options, /*clustered=*/true, result, key))
+        return result;
+    Compile c("compile_clustered", graph, graph, machine,
+              machine.unifiedEquivalent(), options, result, std::move(key));
+
+    AssignOptions assign_options = options.assign;
+    assign_options.faults = c.faults;
+    assign_options.trace = options.trace;
+    const ClusterAssigner assigner(c.model, assign_options);
+
+    if (options.backend == CompileBackend::Exact) {
+        c.exactSearch();
+    } else {
+        // One II attempt of the Figure 5 pipeline: assign, then
+        // schedule and verify.
+        c.sweep([&](int ii) -> const char * {
+            const Stopwatch assign_watch;
+            AssignResult assignment;
+            {
+                TraceScope phase(options.trace, TraceLevel::Phase,
+                                 "assign", "phase");
+                assignment = assigner.run(graph, ii, &c.ctx);
+            }
+            result.phaseMs.assignMs += assign_watch.elapsedMs();
+            result.phaseMs.orderMs += assignment.orderMillis;
+            result.phaseMs.routeMs += assignment.routeMillis;
+            result.evictions += assignment.evictions;
+            result.invariantRecoveries += assignment.invariantFailures;
+            result.mrtWordScans += assignment.wordScans;
+            if (!assignment.success) {
+                ++result.assignRetries;
+                if (assignment.failure != FailureKind::None) {
+                    result.failure = assignment.failure;
+                    result.failureDetail = assignment.detail;
+                } else {
+                    result.failure = FailureKind::IiExhausted;
+                    result.failureDetail =
+                        detail::concat("assignment infeasible at II ", ii);
+                }
+                return "assign_fail";
+            }
+            // The scheduler sees the annotated graph (copies and all),
+            // which changes per II, so its context is per attempt: it
+            // still pools the analyses shared by the feasibility
+            // check, timing, order and requests.
+            LoopContext sched_ctx(assignment.loop.graph);
+            Schedule schedule;
+            const char *failed =
+                c.scheduleAndVerify(assignment.loop, ii, sched_ctx, schedule);
+            result.ctxHits += sched_ctx.hits();
+            result.ctxMisses += sched_ctx.misses();
+            if (failed == nullptr) {
+                acceptSchedule(result, std::move(assignment.loop),
+                               std::move(schedule), ii, DegradeLevel::None);
+            }
+            return failed;
+        });
+    }
+    if (options.backend == CompileBackend::Race)
+        c.raceArm();
+    // The degradation ladder. The exhaustive rung never follows a
+    // sweep that ran out of time; the single-cluster rung always may.
+    if (!result.success && options.fallback) {
+        if (!c.timedOut && machine.numClusters() > 1 &&
+            graph.numNodes() <= options.exhaustiveFallbackNodes)
+            c.exhaustiveRung();
+        if (!result.success)
+            c.singleClusterRung();
+    }
+    c.finish();
     return result;
 }
 
@@ -712,135 +641,28 @@ compileUnified(const Dfg &graph, const MachineDesc &machine,
     cams_assert(machine.numClusters() == 1,
                 "compileUnified needs a single-cluster machine");
     CompileResult result;
-    if (!compilablePrecondition(graph, machine, result))
+    std::optional<CacheKey> key;
+    if (!admit(graph, machine, options, /*clustered=*/false, result, key))
         return result;
-
-    const bool cache_on = cacheEligible(options);
-    CacheKey cache_key;
-    if (cache_on) {
-        cache_key = makeCacheKey(graph, machine, options,
-                                 /*clustered=*/false);
-        if (probeCache(*options.cache, cache_key, graph, machine,
-                       options, result))
-            return result;
-    }
-
-    const Stopwatch total_watch;
-    TraceScope compile_scope(options.trace, TraceLevel::Phase,
-                             "compile_unified", "pipeline");
-    compile_scope.arg("machine", machine.name);
-
     // The context lives on the annotated loop's graph (a verbatim
     // clone of the input), so one context serves both the MII and
     // every scheduler call.
     const AnnotatedLoop loop = unifiedLoop(graph);
-    IiEscalator escalator(loop.graph, options, result);
-    LoopContext &ctx = escalator.context();
-    result.mii = computeMii(graph, machine, ctx.recMii());
+    Compile c("compile_unified", graph, loop.graph, machine, machine,
+              options, result, std::move(key));
 
-    const ResourceModel model(machine);
-    FaultInjector *faults = options.faults.get();
-    const long fault_base = faults ? faults->totalTrips() : 0;
-    const Deadline deadline(options.timeBudgetMs);
-    const auto scheduler = makeScheduler(options.scheduler);
-    scheduler->setTrace(options.trace);
-    const int limit = result.mii.mii * 4 + options.iiSlack;
-
-    auto finish = [&]() {
-        escalator.foldCounters();
-        result.mrtWordScans += scheduler->wordScans();
-        if (faults)
-            result.faultTrips = faults->totalTrips() - fault_base;
-        result.phaseMs.totalMs = total_watch.elapsedMs();
-        compile_scope.arg("success",
-                          result.success ? "true" : "false");
-        compile_scope.arg("ii", std::to_string(result.ii));
-        compile_scope.arg("degraded",
-                          degradeLevelName(result.degraded));
-        if (cache_on)
-            options.cache->store(cache_key, graph, machine, result);
-    };
-
-    result.failure = FailureKind::IiExhausted;
-    result.failureDetail = detail::concat(
-        "empty II search window [", result.mii.mii, ", ", limit, "]");
-
-    IiEscalator::Policy policy;
-    policy.countAttempts = true;
-    policy.traceIis = true;
-    policy.summaryTimeout = true;
-
-    escalator.sweep(
-        result.mii.mii, limit, deadline, policy,
-        [&](int ii, auto &&escalate) -> IiEscalator::Outcome {
-            Schedule schedule;
-            const Stopwatch sched_watch;
-            bool scheduled;
-            {
-                TraceScope scope(options.trace, TraceLevel::Phase,
-                                 "schedule", "phase");
-                scheduled =
-                    scheduler->schedule(loop, model, ii, schedule, &ctx);
-            }
-            result.phaseMs.scheduleMs += sched_watch.elapsedMs();
-            if (scheduled && faults &&
-                faults->trip(FaultSite::SchedulerSlotDeny)) {
-                scheduled = false;
-            }
-            if (!scheduled) {
-                result.failure = FailureKind::IiExhausted;
-                result.failureDetail =
-                    detail::concat("no schedule found at II ", ii);
-                escalate("sched_fail");
-                return IiEscalator::Outcome::Retry;
-            }
-            if (options.verify) {
-                const Stopwatch verify_watch;
-                std::string why;
-                bool verified;
-                {
-                    TraceScope scope(options.trace, TraceLevel::Phase,
-                                     "verify", "phase");
-                    verified =
-                        verifySchedule(loop, model, schedule, &why);
-                }
-                result.phaseMs.verifyMs += verify_watch.elapsedMs();
-                if (!verified) {
-                    ++result.verifierRejects;
-                    result.failure = FailureKind::VerifierReject;
-                    result.failureDetail = detail::concat(
-                        "verifier rejected II ", ii, ": ", why);
-                    escalate("verifier_reject");
-                    return IiEscalator::Outcome::Retry;
-                }
-            }
+    c.sweep([&](int ii) -> const char * {
+        Schedule schedule;
+        const char *failed = c.scheduleAndVerify(loop, ii, c.ctx, schedule);
+        if (failed == nullptr) {
             acceptSchedule(result, loop, std::move(schedule), ii,
                            DegradeLevel::None);
-            return IiEscalator::Outcome::Accept;
-        });
-
-    if (!result.success && options.fallback) {
-        traceDecision(options.trace, "degrade_rung",
-                      {{"rung", "single_cluster"}});
-        if (auto degraded = degradeToSingleCluster(graph, model)) {
-            std::string why;
-            if (!options.verify ||
-                verifySchedule(degraded->loop, model,
-                               degraded->schedule, &why)) {
-                const int ii = degraded->schedule.ii;
-                acceptSchedule(result, std::move(degraded->loop),
-                               std::move(degraded->schedule), ii,
-                               DegradeLevel::SingleCluster);
-            } else {
-                ++result.verifierRejects;
-                result.failure = FailureKind::VerifierReject;
-                result.failureDetail =
-                    "verifier rejected the single-cluster fallback: " +
-                    why;
-            }
         }
-    }
-    finish();
+        return failed;
+    });
+    if (!result.success && options.fallback)
+        c.singleClusterRung();
+    c.finish();
     return result;
 }
 

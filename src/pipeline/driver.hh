@@ -6,12 +6,15 @@
  * modulo scheduler, and on any failure restart the whole pipeline --
  * including a fresh assignment -- at II + 1.
  *
- * Hardening: compileClustered never aborts and always returns a
- * classified result. Invariant violations inside the search
- * (InternalError from cams_check) are caught and charged to the
- * current II; verifier rejections retry at II + 1 instead of
- * panicking; an optional wall-clock budget bounds the search. When
- * the primary search runs dry, a degradation ladder takes over:
+ * Hardening: compileClustered, and compileUnified, which runs the
+ * same stages minus assignment, the exact arm and the exhaustive
+ * rung, never abort and always return a classified result (a
+ * multi-cluster machine passed to compileUnified is a caller bug).
+ * Invariant violations inside the search (InternalError from
+ * cams_check) are caught and charged to the current II; verifier
+ * rejections retry at II + 1 instead of panicking; an optional
+ * wall-clock budget bounds the search. When the primary search runs
+ * dry, a degradation ladder takes over:
  *
  *  1. ExhaustiveAssign -- for small loops, enumerate every cluster
  *     partition (assign/exhaustive) and schedule the first feasible

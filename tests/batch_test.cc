@@ -2,16 +2,21 @@
  * @file
  * Tests of the thread pool and the parallel batch-compilation engine:
  * bit-identical results across thread counts, clean error surfacing
- * from throwing jobs, and stats aggregation matching the serial sum.
+ * from throwing jobs, and stats aggregation matching the serial sum
+ * under one name per counter in the stats, their JSON and the metrics
+ * registry.
  */
 
 #include <atomic>
+#include <filesystem>
+#include <memory>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
 
 #include "machine/configs.hh"
 #include "pipeline/batch.hh"
+#include "pipeline/cache/compile_cache.hh"
 #include "support/threadpool.hh"
 #include "workload/suite.hh"
 
@@ -201,6 +206,107 @@ TEST(Batch, StatsRenderAsJson)
     EXPECT_NE(json.find("\"ii_attempts\":7"), std::string::npos);
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json.back(), '}');
+}
+
+// Every CAMS_BATCH_COUNTERS row is one name: the field sums its value
+// over the results, toJson() prints it under the name, and the
+// registry the run publishes into reads it under the same name. The
+// batch makes the cache, fault and exact rows non-zero: cache hits
+// and misses, a fault-injected job, race jobs that tighten, certify
+// and starve, and an exact job on a machine it cannot encode.
+TEST(Batch, EveryCounterHasOneName)
+{
+    const std::string dir = ::testing::TempDir() + "batch_counter_names";
+    std::filesystem::remove_all(dir);
+    CompileCache cache(dir, CacheMode::ReadWrite);
+    const std::vector<Dfg> suite = buildSuite(50);
+    const std::vector<Dfg> warm(suite.begin(), suite.begin() + 25);
+    const MachineDesc machine = busedFsMachine(4, 2, 2);
+    const MachineDesc grid = gridMachine(2);
+
+    CompileOptions cached;
+    cached.cache = &cache;
+    BatchRunner::run(clusteredJobs(warm, machine, cached), 2);
+    // The first 25 loops hit the cache, the other 25 miss it.
+    std::vector<CompileJob> jobs = clusteredJobs(suite, machine, cached);
+
+    CompileOptions faulty;
+    faulty.faults =
+        std::make_shared<FaultInjector>(FaultConfig::uniform(0.05, 11));
+    jobs.push_back({&suite[0], &machine, faulty, true});
+
+    CompileOptions race;
+    race.backend = CompileBackend::Race;
+    CompileOptions starved = race;
+    starved.exact.conflictBudget = 1;
+    for (const Dfg &loop : suite) {
+        jobs.push_back({&loop, &machine, race, true});
+        jobs.push_back({&loop, &machine, starved, true});
+    }
+    CompileOptions exact;
+    exact.backend = CompileBackend::Exact;
+    jobs.push_back({&suite[0], &grid, exact, true});
+
+    MetricsRegistry registry;
+    const BatchOutcome batch = BatchRunner::run(jobs, 4, 0.0, &registry);
+    const BatchStats &stats = batch.stats;
+    // The counters precede failure_kinds; the embedded metrics
+    // snapshot after it repeats their names.
+    const std::string full = stats.toJson();
+    const std::string json = full.substr(0, full.find("\"failure_kinds\""));
+    int rows = 0;
+#define CAMS_CHECK_COUNTER(field, name, value)                             \
+    {                                                                      \
+        long sum = 0;                                                      \
+        for (const CompileResult &r : batch.results)                       \
+            sum += (value);                                                \
+        EXPECT_EQ(stats.field, sum) << name;                               \
+        EXPECT_NE(json.find(std::string("\"") + name +                    \
+                            "\":" + std::to_string(sum) + ","),           \
+                  std::string::npos)                                       \
+            << name;                                                       \
+        EXPECT_EQ(registry.counter(name), sum) << name;                    \
+        ++rows;                                                            \
+    }
+    CAMS_BATCH_COUNTERS(CAMS_CHECK_COUNTER)
+#undef CAMS_CHECK_COUNTER
+    EXPECT_EQ(rows, 19);
+
+    EXPECT_EQ(stats.cacheHits, 25);
+    EXPECT_EQ(stats.cacheMisses, 25);
+    EXPECT_GT(stats.faultTrips, 0);
+    EXPECT_GT(stats.invariantRecoveries, 0);
+    EXPECT_GT(stats.exactSat, 0);
+    EXPECT_GT(stats.exactUnsat, 0);
+    EXPECT_GT(stats.exactTimeout, 0);
+    EXPECT_EQ(stats.exactUnsupported, 1);
+    EXPECT_GT(stats.exactTightened, 0);
+    EXPECT_GT(stats.exactProved, 0);
+    EXPECT_GT(stats.exactVacuous, 0);
+    std::filesystem::remove_all(dir);
+}
+
+// A race certificate is proved when the exact arm ran at least one
+// probe, and vacuous when the heuristic already sat at MII.
+TEST(Batch, RaceCertificatesSplitProvedFromVacuous)
+{
+    const std::vector<Dfg> suite = buildSuite(60);
+    CompileOptions race;
+    race.backend = CompileBackend::Race;
+    const BatchOutcome batch = BatchRunner::run(
+        clusteredJobs(suite, busedFsMachine(4, 2, 2), race), 4);
+    long certified = 0;
+    long probed = 0;
+    for (const CompileResult &result : batch.results) {
+        if (result.exact.certified) {
+            ++certified;
+            probed += result.exact.probes > 0;
+        }
+    }
+    EXPECT_GT(batch.stats.exactProved, 0);
+    EXPECT_GT(batch.stats.exactVacuous, 0);
+    EXPECT_EQ(batch.stats.exactProved + batch.stats.exactVacuous, certified);
+    EXPECT_EQ(batch.stats.exactProved, probed);
 }
 
 } // namespace

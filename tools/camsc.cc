@@ -465,14 +465,10 @@ main(int argc, char **argv)
         registry.record("assign_ms", result.phaseMs.assignMs);
         registry.record("schedule_ms", result.phaseMs.scheduleMs);
         registry.record("verify_ms", result.phaseMs.verifyMs);
-        registry.add("ctx.hits", result.ctxHits);
-        registry.add("ctx.misses", result.ctxMisses);
-        registry.add("mrt.word_scans", result.mrtWordScans);
-        for (const CompileResult *r : {&unified, &result}) {
-            if (r->cacheProbed)
-                registry.add(r->fromCache ? "cache.hits"
-                                          : "cache.misses");
-        }
+        BatchStats counters;
+        counters.add(unified);
+        counters.add(result);
+        counters.publish(registry);
         if (cache)
             cache->publish(registry);
         if (result.success && result.degraded == DegradeLevel::None)

@@ -6,9 +6,11 @@ fails (exit 1) when any of the following hold:
 
   * its suite shape differs from the baseline's: a different loop
     count or machine makes the counters incomparable;
-  * any deterministic work counter (the summed II, II attempts,
-    assignment retries, evictions, copies, LoopContext misses, MRT
-    word scans) exceeds the baseline's.
+  * its "counters" object and the baseline's carry different keys;
+  * any deterministic work counter (the summed II plus every batch
+    counter: II attempts, assignment retries, evictions, copies,
+    LoopContext hits and misses, MRT word scans, ...) exceeds the
+    baseline's.
 
 The counters depend only on the code and the suite, never on the
 machine or its load, so there is no tolerance: one extra eviction is
@@ -27,17 +29,6 @@ Usage:
 import argparse
 import json
 import sys
-
-COUNTERS = (
-    "ii_sum",
-    "ii_attempts",
-    "assign_retries",
-    "evictions",
-    "copies",
-    "ctx_misses",
-    "mrt_word_scans",
-)
-
 
 def load_json(path: str, what: str) -> dict:
     """Loads one input file, translating every failure mode into a
@@ -69,10 +60,15 @@ def require(data: dict, key: str, kinds, path: str, what: str):
 
 def counters(data: dict, path: str, what: str) -> dict:
     table = require(data, "counters", dict, path, what)
-    return {
-        key: require(table, key, int, path, f"{what} counters of")
-        for key in COUNTERS
-    }
+    if not table:
+        sys.exit(f"error: {what} '{path}' has no counters to gate")
+    for key, value in table.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            sys.exit(
+                f"error: {what} '{path}' counter '{key}' must be an "
+                f"integer (found {value!r})"
+            )
+    return table
 
 
 def main() -> int:
@@ -105,8 +101,16 @@ def main() -> int:
                 f"{key} {got!r} differs from the baseline's {want!r}; "
                 "run at the baseline's shape"
             )
+    if not failures and measured.keys() != expected.keys():
+        extra = sorted(measured.keys() - expected.keys())
+        missing = sorted(expected.keys() - measured.keys())
+        failures.append(
+            f"counter keys differ from the baseline's (extra: "
+            f"{', '.join(extra) or 'none'}; missing: "
+            f"{', '.join(missing) or 'none'}); regenerate the baseline"
+        )
     if not failures:
-        for key in COUNTERS:
+        for key in expected:
             got, want = measured[key], expected[key]
             if got > want:
                 failures.append(
@@ -128,7 +132,7 @@ def main() -> int:
     print(
         f"compile perf: {shape['loops'][0]} loops on "
         f"{shape['machine'][0]}{timing}; "
-        + ", ".join(f"{key} {measured[key]}" for key in COUNTERS)
+        + ", ".join(f"{key} {value}" for key, value in measured.items())
     )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
