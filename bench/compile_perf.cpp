@@ -8,9 +8,13 @@
  * counter (CAMS_BATCH_COUNTERS: II attempts, assignment retries,
  * evictions, copies, LoopContext hits and misses, MRT word scans, ...)
  * -- depend only on the code and the suite, never on the machine or
- * its load. CI gates them via tools/check_compile_perf.py against the
- * checked-in bench/baselines/compile_perf_baseline.json: a change that
- * does more work shows up as a larger counter.
+ * its load. They come from the heuristic backend on 2c-gp-2b-1p and,
+ * under a race_ prefix, from one race-backend pass on 4c-fs-2b-2p,
+ * whose exact arm's probes, conflicts and propagations are just as
+ * deterministic under its conflict budgets. CI gates them via
+ * tools/check_compile_perf.py against the checked-in
+ * bench/baselines/compile_perf_baseline.json: a change that does more
+ * work shows up as a larger counter.
  *
  * Wall time -- the mean, p50 and p90 per loop and the per-phase
  * breakdown, fastest of --reps repetitions (default 3) -- is reported
@@ -75,19 +79,30 @@ timeSuite(const std::vector<CompileJob> &jobs, int reps)
     return times;
 }
 
-/** The deterministic work counters the CI gate compares: the summed
- *  II plus every batch counter. */
-std::string
-countersJson(const BatchOutcome &outcome)
+/** One pass's work counters: the summed II plus every batch counter,
+ *  each key prefixed. */
+void
+appendCounters(std::ostringstream &os, const BatchOutcome &outcome,
+               const char *prefix)
 {
     long ii_sum = 0;
     for (const CompileResult &result : outcome.results)
         ii_sum += result.ii;
-    std::ostringstream os;
-    os << "{\"ii_sum\":" << ii_sum;
+    os << "\"" << prefix << "ii_sum\":" << ii_sum;
     outcome.stats.forEachCounter([&](const char *name, long value) {
-        os << ",\"" << name << "\":" << value;
+        os << ",\"" << prefix << name << "\":" << value;
     });
+}
+
+/** The deterministic work counters the CI gate compares. */
+std::string
+countersJson(const BatchOutcome &heuristic, const BatchOutcome &race)
+{
+    std::ostringstream os;
+    os << "{";
+    appendCounters(os, heuristic, "");
+    os << ",";
+    appendCounters(os, race, "race_");
     os << "}";
     return os.str();
 }
@@ -152,12 +167,22 @@ main(int argc, char **argv)
     const SuiteTimes times =
         timeSuite(clusteredJobs(suite, machine, CompileOptions{}), reps);
 
+    const MachineDesc raceMachine = busedFsMachine(4, 2, 2);
+    CompileOptions race;
+    race.backend = CompileBackend::Race;
+    std::cerr << "racing " << suite.size() << " loops on "
+              << raceMachine.name << "..." << std::endl;
+    const BatchOutcome raced =
+        BatchRunner::run(clusteredJobs(suite, raceMachine, race), 1);
+    const std::string counters = countersJson(times.outcome, raced);
+
     std::ofstream json("BENCH_compile_perf.json");
     json << "{\"bench\":\"compile_perf\","
          << "\"loops\":" << suite.size() << ","
          << "\"machine\":\"" << machine.name << "\","
+         << "\"race_machine\":\"" << raceMachine.name << "\","
          << "\"reps\":" << reps << ","
-         << "\"counters\":" << countersJson(times.outcome) << ","
+         << "\"counters\":" << counters << ","
          << timesJson(times, suite.size()) << "}\n";
 
     std::cout << "compile perf over " << suite.size()
@@ -166,7 +191,7 @@ main(int argc, char **argv)
               << " us/loop mean, p50 "
               << formatFixed(times.p50Ns / 1000.0, 1) << " p90 "
               << formatFixed(times.p90Ns / 1000.0, 1) << "\n"
-              << "counters: " << countersJson(times.outcome) << "\n"
+              << "counters: " << counters << "\n"
               << "BENCH_compile_perf.json written\n";
     benchutil::writeObservability();
     return 0;

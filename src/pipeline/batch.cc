@@ -152,13 +152,12 @@ BatchRunner::run(const std::vector<CompileJob> &jobs, int threads,
         stats.cpuMillis += outcome.jobMillis[i];
         stats.add(result);
     }
-    for (MetricsRegistry *registry : {&internal, metrics}) {
-        if (registry == nullptr)
-            continue;
-        registry->add("jobs_succeeded", stats.succeeded);
-        registry->add("jobs_failed", stats.failed);
-        registry->add("jobs_degraded", stats.degraded);
-        stats.publish(*registry);
+    // The counters go to the caller only: BatchStats carries them.
+    if (metrics) {
+        metrics->add("jobs_succeeded", stats.succeeded);
+        metrics->add("jobs_failed", stats.failed);
+        metrics->add("jobs_degraded", stats.degraded);
+        stats.publish(*metrics);
     }
     stats.metricsJson = internal.toJson();
     return outcome;

@@ -80,7 +80,10 @@ struct CompileJob
     X(exactTightened, "exact_tightened", r.exact.tightened)                \
     X(exactProved, "exact_proved", r.exact.certified && r.exact.probes > 0) \
     X(exactVacuous, "exact_vacuous",                                       \
-      r.exact.certified && r.exact.probes == 0)
+      r.exact.certified && r.exact.probes == 0)                            \
+    X(exactProbes, "exact_probes", r.exact.probes)                         \
+    X(exactConflicts, "exact_conflicts", r.exact.conflicts)                \
+    X(exactPropagations, "exact_propagations", r.exact.propagations)
 
 /** Aggregate accounting of one batch run. */
 struct BatchStats
@@ -112,8 +115,9 @@ struct BatchStats
      * failed assignments, evictions, copies, recovered invariants,
      * verifier rejections, fault trips, LoopContext hits and misses,
      * MRT word scans, cache hits and misses (jobs served whole, jobs
-     * that probed and compiled cold), and the exact arm's outcomes
-     * (see exact.hh). A race certificate is proved when the arm ran a
+     * that probed and compiled cold), the exact arm's outcomes (see
+     * exact.hh) and its work (II probes, solver conflicts and
+     * propagations). A race certificate is proved when the arm ran a
      * probe, vacuous when the heuristic already sat at MII.
      */
 #define CAMS_DECLARE_COUNTER(field, name, value) long field = 0;
@@ -122,8 +126,9 @@ struct BatchStats
 
     /**
      * Metrics snapshot of this run (MetricsRegistry::toJson of the
-     * run's internal registry: ii_slack and friends). Embedded in
-     * toJson() under "metrics" when non-empty.
+     * run's internal registry: the ii_slack, final_ii_tried, job_ms
+     * and assign_ms histograms; the counters are toJson()'s own
+     * fields). Embedded in toJson() under "metrics" when non-empty.
      */
     std::string metricsJson;
 
@@ -176,11 +181,12 @@ class BatchRunner
      *        BatchStats snapshot always comes from a fresh internal
      *        registry, so per-run numbers never mix.
      *
-     * Metrics recorded per run: the counters jobs_succeeded/
-     * jobs_failed/jobs_degraded and every CAMS_BATCH_COUNTERS row
-     * under its JSON name; histograms job_ms and assign_ms over all
-     * jobs, ii_slack (achieved II - MII) over non-degraded successes,
-     * and final_ii_tried over failures.
+     * Metrics recorded per run: histograms job_ms and assign_ms over
+     * all jobs, ii_slack (achieved II - MII) over non-degraded
+     * successes, and final_ii_tried over failures. @p metrics also
+     * receives the counters jobs_succeeded/jobs_failed/jobs_degraded
+     * and every CAMS_BATCH_COUNTERS row under its JSON name; the
+     * snapshot leaves them out, since BatchStats carries them.
      *
      * A compile that throws is captured as that job's classified
      * FailureKind::InternalInvariant result; the other jobs are
