@@ -2,8 +2,9 @@
  * @file
  * Optimality-gap audit of the heuristic cascade against the exact
  * SAT backend: races every suite loop on the 2-cluster and 4-cluster
- * reference machines and writes BENCH_exact_gap.json for the CI gate
- * (tools/check_exact_gap.py).
+ * general-purpose reference machines and on 4c-fs-2b-2p, whose tight
+ * buses and memory units hold the suite's hardest proofs, and writes
+ * BENCH_exact_gap.json for the CI gate (tools/check_exact_gap.py).
  *
  * Per machine the race backend produces, for every loop, one of
  *
@@ -238,6 +239,7 @@ main(int argc, char **argv)
     const std::vector<MachineDesc> machines = {
         busedGpMachine(2, 2, 1),
         busedGpMachine(4, 4, 2),
+        busedFsMachine(4, 2, 2),
     };
 
     std::vector<MachineAudit> audits;

@@ -173,7 +173,20 @@ ExactEncoder::soundHorizon(int ii) const
             ++copies;
     }
     const int annotatedNodes = graph_.numNodes() + copies;
-    return totalLat + copies + (annotatedNodes + 3) * ii;
+    const int compressed = totalLat + copies + (annotatedNodes + 3) * ii;
+    // Per node, the same argument caps every start and every copy
+    // start (latestStarts): the window need reach only past the
+    // largest cap.
+    const std::vector<long> hi = latestStarts(graph_, ii);
+    if (hi.empty())
+        return compressed;
+    long capped = 2; // encode() needs two ladder slots
+    for (const DfgNode &node : graph_.nodes()) {
+        capped = std::max(capped, hi[node.id] + 1);
+        if (copyCapable_[node.id])
+            capped = std::max(capped, hi[node.id] + node.latency + ii);
+    }
+    return static_cast<int>(std::min<long>(compressed, capped));
 }
 
 int
@@ -461,10 +474,16 @@ ExactEncoder::encode(int ii, int horizon, SatSolver &solver,
             copyRow[v] = makeRows(copyOrder_[v]);
     }
 
-    // --- Resource usage literals, grouped per (pool, row). ---
+    // --- Resource usage literals, grouped per (pool, row), and per
+    // pool over the whole kernel: every operation uses its pool in
+    // exactly one of the II rows. A read-port use is a conjunction,
+    // kept as a pair until its pool's count needs a literal. ---
     std::vector<std::vector<std::vector<SatLit>>> poolRow(
         model_.numPools(),
         std::vector<std::vector<SatLit>>(ii));
+    std::vector<std::vector<SatLit>> kernel(model_.numPools());
+    std::vector<std::vector<std::pair<SatLit, SatLit>>> reads(
+        model_.numPools());
     auto usage = [&](PoolId pool, int r,
                      const std::vector<SatLit> &conds) {
         const SatVar used = solver.newVar();
@@ -482,6 +501,7 @@ ExactEncoder::encode(int ii, int horizon, SatSolver &solver,
             const PoolId pool = model_.fuPool(c, cls);
             for (int r = 0; r < ii && r < T; ++r)
                 usage(pool, r, {clusterLit(v, c), mkLit(row[v][r])});
+            kernel[pool].push_back(clusterLit(v, c));
         }
         if (!copyCapable_[v])
             continue;
@@ -497,6 +517,7 @@ ExactEncoder::encode(int ii, int horizon, SatSolver &solver,
                 usage(read, r,
                       {active, clusterLit(v, c),
                        mkLit(copyRow[v][r])});
+            reads[read].emplace_back(active, clusterLit(v, c));
         }
         const PoolId bus = model_.busPool();
         if (bus == invalidPool) {
@@ -504,6 +525,7 @@ ExactEncoder::encode(int ii, int horizon, SatSolver &solver,
         } else {
             for (int r = 0; r < ii && r < T; ++r)
                 usage(bus, r, {active, mkLit(copyRow[v][r])});
+            kernel[bus].push_back(active);
         }
         for (ClusterId d = 0; d < C; ++d) {
             if (copyNeed_[v][d] < 0)
@@ -516,11 +538,24 @@ ExactEncoder::encode(int ii, int horizon, SatSolver &solver,
             for (int r = 0; r < ii && r < T; ++r)
                 usage(write, r,
                       {mkLit(copyNeed_[v][d]), mkLit(copyRow[v][r])});
+            kernel[write].push_back(mkLit(copyNeed_[v][d]));
         }
     }
-    for (PoolId pool = 0; pool < model_.numPools(); ++pool)
+    for (PoolId pool = 0; pool < model_.numPools(); ++pool) {
         for (int r = 0; r < ii; ++r)
             atMostK(solver, poolRow[pool][r], model_.capacity(pool));
+        // The row bounds imply the kernel-wide count; stated once, it
+        // spares CDCL rediscovering it on every branch.
+        const int k = model_.capacity(pool) * ii;
+        if (static_cast<int>(reads[pool].size()) > k) {
+            for (const auto &[active, on] : reads[pool]) {
+                const SatVar used = solver.newVar();
+                solver.addClause(~active, ~on, mkLit(used));
+                kernel[pool].push_back(mkLit(used));
+            }
+        }
+        atMostK(solver, kernel[pool], k);
+    }
 
     // --- Anchor: some node starts at cycle 0. Any schedule shifts
     // uniformly (rows permute, dependences keep their slack) to meet

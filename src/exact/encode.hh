@@ -18,7 +18,13 @@
  *    (Sinz) at-most-K per resource pool and MRT row: function units
  *    for the node's FuClass, and for inter-cluster transfers the
  *    source read port, the shared bus, and each destination's write
- *    port.
+ *    port;
+ *  - per pool, one kernel-wide at-most-(K * II) over the literals
+ *    that say an operation uses the pool at all: c(v,k) for a
+ *    function-unit pool, the copy-active literal for the bus, the
+ *    copy-need literal of destination d for d's write port, and for
+ *    source k's read port a literal implied by copy-active and c(v,k)
+ *    (made only when that count can bind).
  *
  * Copies mirror assign/exhaustive.cc annotatePartition exactly (one
  * broadcast copy per producer with cross-cluster consumers; edge
@@ -54,6 +60,21 @@
  * same holds. The caps cut no schedule: the certificate keeps its
  * meaning, and root propagation drops every ladder slot above a cap
  * before the search.
+ *
+ * The caps also bound the window: soundHorizon(ii) is the smaller of
+ * the stage-compression bound and one past the largest cap, a node's
+ * hi(v) or its copy's hi(v) + lat + II - 1. Every normalised start
+ * and copy start lies below it, so the window stays complete; when
+ * it fits inside the fast window the two coincide and a certificate
+ * takes a single solve.
+ *
+ * The kernel-wide counts cut no schedule either. Set every literal
+ * from a schedule -- its clusters, its copies and the destinations
+ * each copy serves -- and each literal a count sees marks one
+ * operation that occupies the pool in exactly one row (its start mod
+ * II). Each row holds at most K of them, so the II rows hold at most
+ * K * II. The row counters imply the counts; stated once, CDCL need
+ * not rediscover them on every branch.
  */
 
 #ifndef CAMS_EXACT_ENCODE_HH
