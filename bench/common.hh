@@ -157,11 +157,12 @@ compileCache()
 /**
  * Parses the common experiment flags (--jobs N, --seed S, --trace
  * FILE, --trace-level L, --metrics FILE). Exits with a usage message
- * on anything unrecognized, so every driver shares one flag surface.
- * Call before the first sharedSuite() use.
+ * on anything unrecognized, so every driver shares one flag surface;
+ * @p ownUsage names the flags a driver parsed itself. Call before the
+ * first sharedSuite() use.
  */
 inline void
-parseBatchArgs(int argc, char **argv)
+parseBatchArgs(int argc, char **argv, const char *ownUsage = "")
 {
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -202,7 +203,7 @@ parseBatchArgs(int argc, char **argv)
             }
             ++i;
         } else {
-            std::cerr << "usage: " << argv[0]
+            std::cerr << "usage: " << argv[0] << ownUsage
                       << " [--jobs N] [--seed S] [--trace FILE]"
                          " [--trace-level L] [--metrics FILE]"
                          " [--backend heuristic|exact|race]"
@@ -295,10 +296,6 @@ printFigure(const std::string &title,
             const std::vector<DeviationSeries> &series)
 {
     std::cout << renderDeviationFigure(title, series) << std::endl;
-    // Set CAMS_CSV=1 to additionally dump machine-readable data for
-    // external plotting.
-    if (std::getenv("CAMS_CSV"))
-        std::cout << renderDeviationCsv(series) << std::endl;
     writeObservability();
 }
 

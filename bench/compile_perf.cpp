@@ -8,10 +8,13 @@
  * counter (CAMS_BATCH_COUNTERS: II attempts, assignment retries,
  * evictions, copies, LoopContext hits and misses, MRT word scans, ...)
  * -- depend only on the code and the suite, never on the machine or
- * its load. They come from the heuristic backend on 2c-gp-2b-1p and,
- * under a race_ prefix, from one race-backend pass on 4c-fs-2b-2p,
- * whose exact arm's probes, conflicts and propagations are just as
- * deterministic under its conflict budgets. CI gates them via
+ * its load. They come from the heuristic backend on 2c-gp-2b-1p with
+ * SMS; under a race_ prefix, from one race-backend pass on
+ * 4c-fs-2b-2p, whose exact arm's probes, conflicts and propagations
+ * are just as deterministic under its conflict budgets; and, under a
+ * "<machine>_<sms|ims>_" prefix, from one untimed heuristic pass for
+ * each other config of the six benchmark machines x SMS/IMS (the
+ * schedule digest's twelve). CI gates them via
  * tools/check_compile_perf.py against the checked-in
  * bench/baselines/compile_perf_baseline.json: a change that does more
  * work shows up as a larger counter.
@@ -94,15 +97,27 @@ appendCounters(std::ostringstream &os, const BatchOutcome &outcome,
     });
 }
 
+/** A counters-only pass and the prefix of its keys. */
+struct CounterPass
+{
+    std::string prefix;
+    BatchOutcome outcome;
+};
+
 /** The deterministic work counters the CI gate compares. */
 std::string
-countersJson(const BatchOutcome &heuristic, const BatchOutcome &race)
+countersJson(const BatchOutcome &heuristic, const BatchOutcome &race,
+             const std::vector<CounterPass> &passes)
 {
     std::ostringstream os;
     os << "{";
     appendCounters(os, heuristic, "");
     os << ",";
     appendCounters(os, race, "race_");
+    for (const CounterPass &pass : passes) {
+        os << ",";
+        appendCounters(os, pass.outcome, pass.prefix.c_str());
+    }
     os << "}";
     return os.str();
 }
@@ -174,7 +189,28 @@ main(int argc, char **argv)
               << raceMachine.name << "..." << std::endl;
     const BatchOutcome raced =
         BatchRunner::run(clusteredJobs(suite, raceMachine, race), 1);
-    const std::string counters = countersJson(times.outcome, raced);
+
+    std::vector<CounterPass> passes;
+    for (const MachineDesc &config :
+         {busedGpMachine(2, 2, 1), busedGpMachine(4, 4, 2),
+          busedFsMachine(2, 2, 1), busedFsMachine(4, 2, 2),
+          gridMachine(2), busedGpMachine(8, 7, 3)}) {
+        for (const SchedulerKind kind :
+             {SchedulerKind::Swing, SchedulerKind::Iterative}) {
+            if (config.name == machine.name && kind == SchedulerKind::Swing)
+                continue; // the timed pass above
+            CompileOptions options;
+            options.scheduler = kind;
+            const std::string prefix =
+                config.name +
+                (kind == SchedulerKind::Swing ? "_sms_" : "_ims_");
+            std::cerr << "counting " << prefix << "..." << std::endl;
+            passes.push_back(
+                {prefix,
+                 BatchRunner::run(clusteredJobs(suite, config, options), 1)});
+        }
+    }
+    const std::string counters = countersJson(times.outcome, raced, passes);
 
     std::ofstream json("BENCH_compile_perf.json");
     json << "{\"bench\":\"compile_perf\","

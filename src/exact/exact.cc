@@ -1,6 +1,7 @@
 #include "exact/exact.hh"
 
 #include "exact/encode.hh"
+#include "sched/mii.hh"
 #include "sched/verifier.hh"
 
 namespace cams
@@ -95,6 +96,14 @@ exactDecideAtIi(const Dfg &graph, const ResourceModel &model, int ii,
     if (!encoder.supported(&why)) {
         out.verdict = ExactVerdict::Unsupported;
         out.detail = why;
+        return out;
+    }
+    // Below the resource MII the units cannot issue the loop's
+    // operations in ii cycles (copies use no unit): UNSAT by counting.
+    // Taken on the unified equivalent, as the driver's MII is: resMii
+    // refuses machines that mix GP and FS clusters.
+    if (ii < resMii(graph, model.machine().unifiedEquivalent())) {
+        out.verdict = ExactVerdict::Unsat;
         return out;
     }
 

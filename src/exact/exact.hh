@@ -24,7 +24,9 @@
  * Certification honesty: a SAT answer is decoded and re-checked by
  * the independent verifier before anyone sees it, and an UNSAT
  * answer counts only when the encoder ran at its completeness-
- * preserving horizon (encode.hh); anything else degrades to Budget.
+ * preserving horizon (encode.hh) or the II lies below the resource
+ * MII, where the units cannot issue the loop's operations at all (a
+ * counting verdict, no search); anything else degrades to Budget.
  */
 
 #ifndef CAMS_EXACT_EXACT_HH

@@ -71,6 +71,8 @@ runClusteredSeries(const std::vector<Dfg> &suite,
             continue;
         }
         series.totalCopies += result.copies;
+        series.iiSum += result.ii;
+        series.unifiedIiSum += baseline[i];
         series.deviations.add(result.ii - baseline[i]);
     }
     return series;

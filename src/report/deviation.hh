@@ -37,6 +37,10 @@ struct DeviationSeries
     /** Total copy operations inserted across the suite. */
     long totalCopies = 0;
 
+    /** Clustered and unified II summed over the non-failed loops. */
+    long iiSum = 0;
+    long unifiedIiSum = 0;
+
     /** Loops measured (including failures). */
     int loops() const
     {

@@ -56,29 +56,6 @@ TextTable::render() const
 }
 
 std::string
-renderDeviationCsv(const std::vector<DeviationSeries> &series)
-{
-    std::ostringstream os;
-    os << "series,deviation,count,percent\n";
-    for (const DeviationSeries &entry : series) {
-        for (const auto &[value, count] : entry.deviations.bins()) {
-            os << entry.label << "," << value << "," << count << ","
-               << formatFixed(entry.percentAt(static_cast<int>(value)),
-                              3)
-               << "\n";
-        }
-        if (entry.failures > 0) {
-            os << entry.label << ",failed," << entry.failures << ","
-               << formatFixed(100.0 * entry.failures /
-                                  std::max(1, entry.loops()),
-                              3)
-               << "\n";
-        }
-    }
-    return os.str();
-}
-
-std::string
 renderDeviationFigure(const std::string &title,
                       const std::vector<DeviationSeries> &series)
 {

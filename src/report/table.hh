@@ -42,13 +42,6 @@ std::string renderDeviationFigure(
     const std::string &title,
     const std::vector<DeviationSeries> &series);
 
-/**
- * CSV form of a figure (one row per series and deviation value, with
- * count and percentage columns), for external plotting.
- */
-std::string renderDeviationCsv(
-    const std::vector<DeviationSeries> &series);
-
 } // namespace cams
 
 #endif // CAMS_REPORT_TABLE_HH

@@ -1,6 +1,6 @@
 /**
  * @file
- * Allocation ceiling of cluster assignment.
+ * Allocation ceilings of cluster assignment and modulo scheduling.
  *
  * The Figure 10 step places every node tentatively on every cluster
  * and rolls each placement back; together with the Figure 11 repair
@@ -11,6 +11,15 @@
  * operator new with a counting one and holds that property: rerunning
  * ClusterAssigner::run at the compiled II with the same warmed
  * LoopContext must average at most 20 allocations per graph node.
+ *
+ * The scheduler gets two ceilings at the compiled II, for SMS and
+ * IMS, per node of the annotated graph it schedules (copies
+ * included): a warm rerun of ModuloScheduler::schedule on the same
+ * LoopContext at most 2 allocations, and a first call on a fresh
+ * context -- what the driver makes on every II attempt, since the
+ * annotated graph changes per II -- at most 8. Most of the fresh
+ * call's allocations fill that per-attempt LoopContext's analyses, so
+ * it is the next target.
  */
 
 #include <gtest/gtest.h>
@@ -18,12 +27,14 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "assign/assigner.hh"
 #include "machine/configs.hh"
 #include "pipeline/context.hh"
 #include "pipeline/driver.hh"
+#include "sched/schedule.hh"
 #include "workload/suite.hh"
 
 namespace
@@ -171,6 +182,8 @@ namespace
 
 constexpr int ceilingLoops = 200;
 constexpr double maxAllocsPerNode = 20.0;
+constexpr double maxWarmSchedAllocsPerNode = 2.0;
+constexpr double maxFreshSchedAllocsPerNode = 8.0;
 
 /** Allocations per node of a warm assigner rerun over the suite. */
 double
@@ -203,6 +216,67 @@ warmAllocsPerNode(const MachineDesc &machine)
     return perNode;
 }
 
+/** Allocations per node of ModuloScheduler::schedule at the compiled
+ *  II: the first call on a fresh LoopContext, then a warm rerun. */
+struct SchedAllocs
+{
+    double fresh = 0.0;
+    double warm = 0.0;
+};
+
+SchedAllocs
+schedAllocsPerNode(const MachineDesc &machine, SchedulerKind kind)
+{
+    const std::vector<Dfg> suite = buildSuite(ceilingLoops);
+    const ResourceModel model(machine);
+    CompileOptions options;
+    options.scheduler = kind;
+    long fresh = 0;
+    long warm = 0;
+    long nodes = 0;
+    for (const Dfg &loop : suite) {
+        const CompileResult compiled =
+            compileClustered(loop, machine, options);
+        if (!compiled.success || compiled.degraded != DegradeLevel::None)
+            continue;
+        // One scheduler per loop and a fresh Schedule per call, as in
+        // the driver's attempts.
+        const std::unique_ptr<ModuloScheduler> scheduler =
+            makeScheduler(kind);
+        LoopContext ctx(compiled.loop.graph);
+        Schedule first;
+        long before = allocations;
+        EXPECT_TRUE(scheduler->schedule(compiled.loop, model, compiled.ii,
+                                        first, &ctx))
+            << loop.name();
+        fresh += allocations - before;
+        Schedule again;
+        before = allocations;
+        EXPECT_TRUE(scheduler->schedule(compiled.loop, model, compiled.ii,
+                                        again, &ctx))
+            << loop.name();
+        warm += allocations - before;
+        nodes += compiled.loop.graph.numNodes();
+    }
+    EXPECT_GT(nodes, 0);
+    const SchedAllocs perNode = {
+        static_cast<double>(fresh) / static_cast<double>(nodes),
+        static_cast<double>(warm) / static_cast<double>(nodes)};
+    std::printf("%s %s: %.2f allocations per node fresh, %.2f warm\n",
+                machine.name.c_str(),
+                kind == SchedulerKind::Swing ? "sms" : "ims",
+                perNode.fresh, perNode.warm);
+    return perNode;
+}
+
+void
+expectSchedUnderCeilings(const MachineDesc &machine, SchedulerKind kind)
+{
+    const SchedAllocs perNode = schedAllocsPerNode(machine, kind);
+    EXPECT_LE(perNode.fresh, maxFreshSchedAllocsPerNode);
+    EXPECT_LE(perNode.warm, maxWarmSchedAllocsPerNode);
+}
+
 TEST(AllocCeiling, GridRerunStaysUnderCeiling)
 {
     EXPECT_LE(warmAllocsPerNode(gridMachine(2)), maxAllocsPerNode);
@@ -211,6 +285,19 @@ TEST(AllocCeiling, GridRerunStaysUnderCeiling)
 TEST(AllocCeiling, EightClusterRerunStaysUnderCeiling)
 {
     EXPECT_LE(warmAllocsPerNode(busedGpMachine(8, 7, 3)), maxAllocsPerNode);
+}
+
+TEST(AllocCeiling, GridSchedulerStaysUnderCeilings)
+{
+    expectSchedUnderCeilings(gridMachine(2), SchedulerKind::Swing);
+    expectSchedUnderCeilings(gridMachine(2), SchedulerKind::Iterative);
+}
+
+TEST(AllocCeiling, EightClusterSchedulerStaysUnderCeilings)
+{
+    expectSchedUnderCeilings(busedGpMachine(8, 7, 3), SchedulerKind::Swing);
+    expectSchedUnderCeilings(busedGpMachine(8, 7, 3),
+                             SchedulerKind::Iterative);
 }
 
 } // namespace

@@ -315,9 +315,25 @@ TEST(ExactEncoder, MatchesUnifiedMiiOnSuitePrefix)
             continue; // no II below MII to probe
         const ExactDecision below = exactDecideAtIi(
             graph, model, mii.mii - 1, ExactOptions{});
-        EXPECT_NE(below.verdict, ExactVerdict::Sat)
-            << graph.name() << " scheduled below the MII";
+        EXPECT_EQ(below.verdict, ExactVerdict::Unsat)
+            << graph.name() << " not refuted below the MII";
     }
+}
+
+TEST(ExactEncoder, BelowResMiiIsUnsatWithoutSearch)
+{
+    // synth7 (59 nodes) has ResMII 8 on 2c-gp-2b-1p: eight units
+    // cannot issue its operations in 7 cycles. Proving that by CDCL
+    // is a pigeonhole search of tens of thousands of conflicts; the
+    // counting verdict needs none.
+    const Dfg graph = buildSuite(8, defaultSuiteSeed)[7];
+    const MachineDesc machine = busedGpMachine(2, 2, 1);
+    ASSERT_EQ(graph.name(), "synth7");
+    ASSERT_EQ(resMii(graph, machine), 8);
+    const ExactDecision decision = exactDecideAtIi(
+        graph, ResourceModel(machine), 7, ExactOptions{});
+    EXPECT_EQ(decision.verdict, ExactVerdict::Unsat);
+    EXPECT_EQ(decision.conflicts, 0);
 }
 
 TEST(ExactEncoder, BudgetCancellationReportsBudget)

@@ -43,8 +43,14 @@ TEST(Runner, KernelsOnTwoClusters)
         suite, machine, baseline, CompileOptions{}, "kernels");
     EXPECT_EQ(series.loops(), static_cast<int>(suite.size()));
     EXPECT_EQ(series.failures, 0);
-    // All kernels match the unified II on this machine.
+    // All kernels match the unified II on this machine, so both II
+    // sums equal the baseline's.
     EXPECT_DOUBLE_EQ(series.percentAt(0), 100.0);
+    long baselineSum = 0;
+    for (int ii : baseline)
+        baselineSum += ii;
+    EXPECT_EQ(series.unifiedIiSum, baselineSum);
+    EXPECT_EQ(series.iiSum, baselineSum);
 }
 
 TEST(TextTable, AlignedRendering)
@@ -62,21 +68,6 @@ TEST(TextTable, RejectsWrongWidth)
 {
     TextTable table({"a", "b"});
     EXPECT_DEATH({ table.addRow({"only-one"}); }, "row width");
-}
-
-TEST(Figure, CsvRowsPerDeviationValue)
-{
-    DeviationSeries series;
-    series.label = "s";
-    series.deviations.add(0, 5);
-    series.deviations.add(2, 1);
-    series.failures = 2;
-    const std::string csv = renderDeviationCsv({series});
-    EXPECT_NE(csv.find("series,deviation,count,percent"),
-              std::string::npos);
-    EXPECT_NE(csv.find("s,0,5,62.500"), std::string::npos);
-    EXPECT_NE(csv.find("s,2,1,"), std::string::npos);
-    EXPECT_NE(csv.find("s,failed,2,25.000"), std::string::npos);
 }
 
 TEST(Interconnect, UnifiedMachineHasNoTraffic)

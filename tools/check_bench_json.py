@@ -95,6 +95,7 @@ REQUIRED = {
     "exact_gap": (
         "loops", "violations", "timeout_fraction", "machines",
     ),
+    "figures": ("loops", "suite_seed", "series"),
 }
 
 # Required keys of a BatchStats object and of a cams_load phase.
@@ -118,6 +119,12 @@ EXACT_GAP_MACHINE_KEYS = (
     "violation_details",
 )
 
+# Required keys of one series in a figures file, and its counts.
+FIGURE_COUNT_KEYS = (
+    "loops", "failures", "copies", "ii_sum", "unified_ii_sum",
+)
+FIGURE_SERIES_KEYS = ("figure", "label", "machine", "x") + FIGURE_COUNT_KEYS
+
 # Required keys of the live-telemetry snapshot cams_load polls from
 # the daemon after a run (the renderStatsJson shape).
 SERVER_STATS_KEYS = (
@@ -129,6 +136,11 @@ SERVER_STATS_KEYS = (
 
 def is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_tally(value):
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
 
 
 def check_histogram(where, hist, problems):
@@ -197,6 +209,57 @@ def check_server_stats(where, stats, problems):
                 f"{child}: windows not nested: last1m="
                 f"{values['last1m']} last5m={values['last5m']} "
                 f"total={values['total']}"
+            )
+
+
+def check_figures(data, problems):
+    """Each series carries its keys, every count is a tally, x maps
+    integer deviations to tallies, and x plus failures covers every
+    loop of the series."""
+    if "suite_seed" in data and not is_tally(data["suite_seed"]):
+        problems.append(
+            f"suite_seed: must be a non-negative integer, got "
+            f"{data['suite_seed']!r}"
+        )
+    series = data.get("series")
+    if not isinstance(series, list) or not series:
+        problems.append("series: expected a non-empty list")
+        return
+    for i, entry in enumerate(series):
+        where = f"series[{i}]"
+        if not require_keys(where, entry, FIGURE_SERIES_KEYS, problems):
+            continue
+        for key in FIGURE_COUNT_KEYS:
+            # walk() reports the keys COUNTER_KEYS already names.
+            if key not in COUNTER_KEYS and not is_tally(entry[key]):
+                problems.append(
+                    f"{where}.{key}: count must be a non-negative "
+                    f"integer, got {entry[key]!r}"
+                )
+        valid = is_tally(entry["loops"]) and is_tally(entry["failures"])
+        histogram = entry["x"]
+        if not isinstance(histogram, dict):
+            problems.append(f"{where}.x: expected an object")
+            continue
+        for deviation, count in histogram.items():
+            if not re.fullmatch(r"-?[0-9]+", deviation):
+                valid = False
+                problems.append(
+                    f"{where}.x: deviation {deviation!r} is not an "
+                    f"integer"
+                )
+            if not is_tally(count):
+                valid = False
+                problems.append(
+                    f"{where}.x.{deviation}: count must be a "
+                    f"non-negative integer, got {count!r}"
+                )
+        if valid and sum(histogram.values()) + entry["failures"] \
+                != entry["loops"]:
+            problems.append(
+                f"{where}: x counts plus failures "
+                f"({sum(histogram.values())} + {entry['failures']}) "
+                f"differ from loops ({entry['loops']})"
             )
 
 
@@ -303,6 +366,8 @@ def check_file(path):
             for i, machine in enumerate(machines):
                 require_keys(f"machines[{i}]", machine,
                              EXACT_GAP_MACHINE_KEYS, problems)
+    elif kind == "figures":
+        check_figures(data, problems)
     elif kind == "cams_chaos":
         if "scrub" in data:
             require_keys("scrub", data["scrub"], SCRUB_KEYS, problems)
