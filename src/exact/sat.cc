@@ -40,7 +40,7 @@ SatSolver::newVar()
 }
 
 SatSolver::ClauseRef
-SatSolver::pushClause(const std::vector<SatLit> &lits)
+SatSolver::pushClause(std::span<const SatLit> lits)
 {
     const ClauseRef ref = static_cast<ClauseRef>(arena_.size());
     arena_.push_back(static_cast<int32_t>(lits.size()));
@@ -53,12 +53,23 @@ SatSolver::pushClause(const std::vector<SatLit> &lits)
 void
 SatSolver::watchClause(ClauseRef c)
 {
-    watches_[clauseLit(c, 0).code].push_back(c);
-    watches_[clauseLit(c, 1).code].push_back(c);
+    watch(clauseLit(c, 0), c);
+    watch(clauseLit(c, 1), c);
+}
+
+void
+SatSolver::watch(SatLit l, ClauseRef c)
+{
+    // Most lists stay short; starting them at a few entries spares
+    // the 1 -> 2 -> 4 growth on every watched literal.
+    std::vector<ClauseRef> &ws = watches_[l.code];
+    if (ws.capacity() == 0)
+        ws.reserve(4);
+    ws.push_back(c);
 }
 
 bool
-SatSolver::addClause(const std::vector<SatLit> &lits)
+SatSolver::addClause(std::span<const SatLit> lits)
 {
     if (!ok_)
         return false;
@@ -66,8 +77,8 @@ SatSolver::addClause(const std::vector<SatLit> &lits)
 
     // Root-level simplification: drop false literals, detect
     // satisfied/tautological clauses, dedupe.
-    std::vector<SatLit> out;
-    out.reserve(lits.size());
+    std::vector<SatLit> &out = simplified_;
+    out.clear();
     for (const SatLit l : lits) {
         assert(l.valid() && l.var() < numVars());
         const int v = litValue(l);
@@ -103,19 +114,21 @@ SatSolver::addClause(const std::vector<SatLit> &lits)
 bool
 SatSolver::addClause(SatLit a)
 {
-    return addClause(std::vector<SatLit>{a});
+    return addClause(std::span<const SatLit>(&a, 1));
 }
 
 bool
 SatSolver::addClause(SatLit a, SatLit b)
 {
-    return addClause(std::vector<SatLit>{a, b});
+    const SatLit lits[] = {a, b};
+    return addClause(lits);
 }
 
 bool
 SatSolver::addClause(SatLit a, SatLit b, SatLit c)
 {
-    return addClause(std::vector<SatLit>{a, b, c});
+    const SatLit lits[] = {a, b, c};
+    return addClause(lits);
 }
 
 void
@@ -154,7 +167,7 @@ SatSolver::propagate()
             for (int j = 2; j < size; ++j) {
                 if (litValue(clauseLit(c, j)) != 0) {
                     std::swap(arena_[c + 2], arena_[c + 2 + j - 1]);
-                    watches_[clauseLit(c, 1).code].push_back(c);
+                    watch(clauseLit(c, 1), c);
                     moved = true;
                     break;
                 }
