@@ -366,7 +366,7 @@ TEST(ScheduleDigest, RaceArm)
     const std::vector<Row> rows = {
         {"4c-fs-2b-2p/race", busedFsMachine(4, 2, 2),
          {0x95e298d6a1280454ULL, 0x6d8ba5ab6cd54879ULL,
-          0x182800fa7d56672aULL}},
+          0xa8736daef212bc75ULL}},
         {"4c-gp-4b-2p/race", busedGpMachine(4, 4, 2),
          {0x7414370c80559c9dULL, 0x8d52bee38ee4739aULL,
           0x8b77d8dd7fd69f8bULL}},
@@ -397,7 +397,7 @@ TEST(ScheduleDigest, ExactBackend)
     std::string report;
     EXPECT_TRUE(checkDigests(report, "2c-gp-2b-1p/exact", d,
                              {0x079bd20330c34132ULL, 0x32d17e33b38f1aadULL,
-                              0x10ca2ca50316ba9bULL}))
+                              0xb7924c67080bffbdULL}))
         << "computed digests:\n" << report;
 }
 
@@ -460,15 +460,15 @@ TEST(ScheduleDigest, LadderAndBudgets)
          {0x44166696f7939d25ULL, noModel, 0xb54ec33c111e8b25ULL}},
         {"exact backend",
          [](CompileOptions &o) { o.backend = CompileBackend::Exact; },
-         {0x1358d8405003d768ULL, 0x3ddb5af39fabe536ULL,
-          0x1fcdb598e435e36bULL}},
+         {0x1358d8405003d768ULL, 0x5fb792080da5c1e0ULL,
+          0x0704a65e0a129695ULL}},
         {"exact probe limit",
          [](CompileOptions &o) {
              o.backend = CompileBackend::Exact;
              o.exact.maxProbes = 1;
          },
-         {0x750cdbb906f090acULL, 0x8fbdc85299e838b8ULL,
-          0x49fd27c89e75e62dULL}},
+         {0x750cdbb906f090acULL, 0x481f127e00f6af4eULL,
+          0x588bfd749a80e81bULL}},
         {"exact expired budget",
          [](CompileOptions &o) {
              o.backend = CompileBackend::Exact;
@@ -480,8 +480,8 @@ TEST(ScheduleDigest, LadderAndBudgets)
              denySlots(o);
              o.backend = CompileBackend::Race;
          },
-         {0xbb35a5bbcc65840fULL, 0x3ddb5af39fabe536ULL,
-          0x1fcdb598e435e36bULL}},
+         {0xbb35a5bbcc65840fULL, 0x5fb792080da5c1e0ULL,
+          0x0704a65e0a129695ULL}},
     };
     const std::vector<MachineDesc> machines = {busedGpMachine(2, 2, 1),
                                                gridMachine(2)};
