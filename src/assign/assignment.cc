@@ -10,11 +10,21 @@ namespace cams
 std::vector<PoolId>
 AnnotatedLoop::request(const ResourceModel &model, NodeId node) const
 {
+    std::vector<PoolId> pools;
+    requestInto(model, node, pools);
+    return pools;
+}
+
+void
+AnnotatedLoop::requestInto(const ResourceModel &model, NodeId node,
+                           std::vector<PoolId> &out) const
+{
     cams_assert(node >= 0 && node < graph.numNodes(), "bad node ", node);
     const OpPlacement &place = placement[node];
     if (graph.node(node).op == Opcode::Copy)
-        return model.copyRequest(place.cluster, place.copyDsts);
-    return model.opRequest(place.cluster, graph.node(node).op);
+        model.copyRequestInto(place.cluster, place.copyDsts, out);
+    else
+        model.opRequestInto(place.cluster, graph.node(node).op, out);
 }
 
 bool

@@ -64,6 +64,10 @@ struct AnnotatedLoop
     std::vector<PoolId> request(const ResourceModel &model,
                                 NodeId node) const;
 
+    /** request() written into a caller buffer. */
+    void requestInto(const ResourceModel &model, NodeId node,
+                     std::vector<PoolId> &out) const;
+
     /**
      * Checks structural sanity: every edge either stays inside one
      * cluster or runs through copies hop by hop, copies have exactly

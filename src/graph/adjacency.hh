@@ -46,15 +46,13 @@ class Adjacency
     /** Distinct sources of in-edges, ascending (= predecessors()). */
     std::span<const NodeId> preds(NodeId node) const
     {
-        return {predIds_.data() + predOff_[node],
-                predIds_.data() + predOff_[node + 1]};
+        return row(ids_, Pred, node);
     }
 
     /** Distinct targets of out-edges, ascending (= successors()). */
     std::span<const NodeId> succs(NodeId node) const
     {
-        return {succIds_.data() + succOff_[node],
-                succIds_.data() + succOff_[node + 1]};
+        return row(ids_, Succ, node);
     }
 
     /** In-edges of node (edge.node = source), in Dfg::inEdges order.
@@ -62,31 +60,45 @@ class Adjacency
      *  single contiguous array instead of chasing edge ids. */
     std::span<const AdjEdge> inEdges(NodeId node) const
     {
-        return {in_.data() + inOff_[node],
-                in_.data() + inOff_[node + 1]};
+        return row(edges_, In, node);
     }
 
     /** Out-edges of node (edge.node = target), Dfg::outEdges order. */
     std::span<const AdjEdge> outEdges(NodeId node) const
     {
-        return {out_.data() + outOff_[node],
-                out_.data() + outOff_[node + 1]};
+        return row(edges_, Out, node);
     }
 
-    int numNodes() const
-    {
-        return static_cast<int>(predOff_.size()) - 1;
-    }
+    int numNodes() const { return stride_ - 1; }
 
   private:
-    std::vector<int> predOff_;
-    std::vector<NodeId> predIds_;
-    std::vector<int> succOff_;
-    std::vector<NodeId> succIds_;
-    std::vector<int> inOff_;
-    std::vector<AdjEdge> in_;
-    std::vector<int> outOff_;
-    std::vector<AdjEdge> out_;
+    /** The four relations; each owns numNodes() + 1 offsets. */
+    enum Relation
+    {
+        Pred,
+        Succ,
+        In,
+        Out,
+        numRelations
+    };
+
+    template <typename T>
+    std::span<const T> row(const std::vector<T> &flat, Relation relation,
+                           NodeId node) const
+    {
+        const int *off =
+            off_.data() + static_cast<size_t>(relation) * stride_;
+        return {flat.data() + off[node], flat.data() + off[node + 1]};
+    }
+
+    /** Offsets per relation: numNodes() + 1. */
+    int stride_ = 0;
+    /** Offsets of all four relations, relation after relation. */
+    std::vector<int> off_;
+    /** Neighbor ids: every node's predecessors, then its successors. */
+    std::vector<NodeId> ids_;
+    /** Edge records: every node's in-edges, then its out-edges. */
+    std::vector<AdjEdge> edges_;
 };
 
 } // namespace cams

@@ -108,71 +108,73 @@ TimingSolver::TimingSolver(const Dfg &graph)
     // zero-distance cycle leaves nodes unplaced; they get trailing
     // positions -- the order only steers convergence speed, and
     // solve() still panics on such graphs exactly like analyzeTiming.
-    std::vector<int> indegree(n, 0);
+    std::vector<int> pos(n, 0); // in-degrees first, then positions
     for (const DfgEdge &edge : graph.edges()) {
         if (edge.distance == 0 && edge.src != edge.dst)
-            ++indegree[edge.dst];
+            ++pos[edge.dst];
     }
-    std::vector<NodeId> queue;
-    queue.reserve(n);
+    std::vector<int> work; // the queue, then the sort's buckets
+    work.reserve(n + 1);
     for (NodeId v = 0; v < n; ++v) {
-        if (indegree[v] == 0)
-            queue.push_back(v);
+        if (pos[v] == 0)
+            work.push_back(v);
     }
-    std::vector<int> pos(n, -1);
-    int next = 0;
-    for (size_t head = 0; head < queue.size(); ++head) {
-        const NodeId v = queue[head];
-        pos[v] = next++;
+    for (size_t head = 0; head < work.size(); ++head) {
+        const NodeId v = work[head];
         for (EdgeId e : graph.outEdges(v)) {
             const DfgEdge &edge = graph.edge(e);
             if (edge.distance != 0 || edge.dst == v)
                 continue;
-            if (--indegree[edge.dst] == 0)
-                queue.push_back(edge.dst);
+            if (--pos[edge.dst] == 0)
+                work.push_back(edge.dst);
         }
     }
+    std::fill(pos.begin(), pos.end(), -1);
+    int next = 0;
+    for (const NodeId v : work)
+        pos[v] = next++;
     for (NodeId v = 0; v < n; ++v) {
         if (pos[v] < 0)
             pos[v] = next++;
     }
 
-    forward_.resize(m);
-    backward_.resize(m);
-    for (EdgeId e = 0; e < m; ++e)
-        forward_[e] = backward_[e] = e;
-    std::stable_sort(forward_.begin(), forward_.end(),
-                     [&](EdgeId a, EdgeId b) {
-                         return pos[graph.edge(a).src] <
-                                pos[graph.edge(b).src];
-                     });
-    std::stable_sort(backward_.begin(), backward_.end(),
-                     [&](EdgeId a, EdgeId b) {
-                         return pos[graph.edge(a).dst] >
-                                pos[graph.edge(b).dst];
-                     });
+    // Stable counting sorts of the edges: ascending position of src,
+    // descending position of dst.
+    edgeOrder_.resize(2 * static_cast<size_t>(m));
+    auto sortEdges = [&](EdgeId *out, auto key) {
+        work.assign(n + 1, 0);
+        for (const DfgEdge &edge : graph.edges())
+            ++work[key(edge) + 1];
+        for (int k = 0; k < n; ++k)
+            work[k + 1] += work[k];
+        for (const DfgEdge &edge : graph.edges())
+            out[work[key(edge)]++] = edge.id;
+    };
+    sortEdges(edgeOrder_.data(),
+              [&](const DfgEdge &edge) { return pos[edge.src]; });
+    sortEdges(edgeOrder_.data() + m,
+              [&](const DfgEdge &edge) { return n - 1 - pos[edge.dst]; });
 
     // Distance-0 fixpoints: with edges in topological order one pass
     // settles them, and they lower-bound the per-II fixpoints.
-    asapSeed_.assign(n, 0);
-    for (EdgeId e : forward_) {
+    seeds_.assign(2 * static_cast<size_t>(n), 0);
+    int *asapSeed = seeds_.data();
+    int *heightSeed = asapSeed + n;
+    for (EdgeId e : forward()) {
         const DfgEdge &edge = graph.edge(e);
         if (edge.distance != 0)
             continue;
-        asapSeed_[edge.dst] =
-            std::max(asapSeed_[edge.dst],
-                     asapSeed_[edge.src] + edge.latency);
+        asapSeed[edge.dst] =
+            std::max(asapSeed[edge.dst], asapSeed[edge.src] + edge.latency);
     }
-    heightSeed_.assign(n, 0);
     for (NodeId v = 0; v < n; ++v)
-        heightSeed_[v] = graph.node(v).latency;
-    for (EdgeId e : backward_) {
+        heightSeed[v] = graph.node(v).latency;
+    for (EdgeId e : backward()) {
         const DfgEdge &edge = graph.edge(e);
         if (edge.distance != 0)
             continue;
-        heightSeed_[edge.src] =
-            std::max(heightSeed_[edge.src],
-                     heightSeed_[edge.dst] + edge.latency);
+        heightSeed[edge.src] = std::max(heightSeed[edge.src],
+                                        heightSeed[edge.dst] + edge.latency);
     }
 }
 
@@ -190,11 +192,11 @@ TimingSolver::solve(int ii)
     const int n = graph.numNodes();
     result_.ii = ii;
 
-    result_.asap = asapSeed_;
+    result_.asap.assign(seeds_.begin(), seeds_.begin() + n);
     bool changed = true;
     for (int round = 0; round <= n && changed; ++round) {
         changed = false;
-        for (EdgeId e : forward_) {
+        for (EdgeId e : forward()) {
             const DfgEdge &edge = graph.edge(e);
             const long cand =
                 result_.asap[edge.src] + edgeWeight(edge, ii);
@@ -214,11 +216,11 @@ TimingSolver::solve(int ii)
                      result_.asap[v] + graph.node(v).latency);
     }
 
-    result_.height = heightSeed_;
+    result_.height.assign(seeds_.begin() + n, seeds_.end());
     changed = true;
     for (int round = 0; round <= n && changed; ++round) {
         changed = false;
-        for (EdgeId e : backward_) {
+        for (EdgeId e : backward()) {
             const DfgEdge &edge = graph.edge(e);
             const long cand =
                 result_.height[edge.dst] + edgeWeight(edge, ii);
@@ -237,7 +239,7 @@ TimingSolver::solve(int ii)
     changed = true;
     for (int round = 0; round <= n && changed; ++round) {
         changed = false;
-        for (EdgeId e : backward_) {
+        for (EdgeId e : backward()) {
             const DfgEdge &edge = graph.edge(e);
             const long cand =
                 result_.alap[edge.dst] - edgeWeight(edge, ii);

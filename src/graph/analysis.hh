@@ -14,6 +14,7 @@
 #ifndef CAMS_GRAPH_ANALYSIS_HH
 #define CAMS_GRAPH_ANALYSIS_HH
 
+#include <span>
 #include <vector>
 
 #include "graph/dfg.hh"
@@ -83,14 +84,24 @@ class TimingSolver
     bool lastWasHit() const { return lastWasHit_; }
 
   private:
-    const Dfg *graph_;
     /** Edges by topological position of src (ASAP direction). */
-    std::vector<EdgeId> forward_;
+    std::span<const EdgeId> forward() const
+    {
+        return {edgeOrder_.data(), edgeOrder_.size() / 2};
+    }
     /** Edges by reverse topological position of dst (height/ALAP). */
-    std::vector<EdgeId> backward_;
-    /** Distance-0 longest-path fixpoints: II-invariant seeds. */
-    std::vector<int> asapSeed_;
-    std::vector<int> heightSeed_;
+    std::span<const EdgeId> backward() const
+    {
+        return {edgeOrder_.data() + edgeOrder_.size() / 2,
+                edgeOrder_.size() / 2};
+    }
+
+    const Dfg *graph_;
+    /** forward() then backward(). */
+    std::vector<EdgeId> edgeOrder_;
+    /** Distance-0 longest-path fixpoints, II-invariant seeds: every
+     *  node's ASAP seed, then every node's height seed. */
+    std::vector<int> seeds_;
     TimeAnalysis result_;
     bool hasResult_ = false;
     bool lastWasHit_ = false;

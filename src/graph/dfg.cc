@@ -41,6 +41,23 @@ Dfg::addEdge(NodeId src, NodeId dst, int latency, int distance)
     return edge.id;
 }
 
+void
+Dfg::reserve(int nodes, int edges)
+{
+    nodes_.reserve(nodes);
+    out_.reserve(nodes);
+    in_.reserve(nodes);
+    edges_.reserve(edges);
+}
+
+void
+Dfg::reserveEdges(NodeId id, int in, int out)
+{
+    cams_assert(id >= 0 && id < numNodes(), "bad node id ", id);
+    in_[id].reserve(in);
+    out_[id].reserve(out);
+}
+
 const DfgNode &
 Dfg::node(NodeId id) const
 {

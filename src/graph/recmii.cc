@@ -8,65 +8,103 @@
 namespace cams
 {
 
-bool
-hasPositiveCycle(const Dfg &graph, const std::vector<NodeId> &members,
-                 int ii)
+namespace
 {
-    const int n = static_cast<int>(members.size());
-    if (n == 0)
-        return false;
 
-    // Map global node ids to local indices.
-    std::vector<int> local(graph.numNodes(), -1);
-    for (int i = 0; i < n; ++i)
-        local[members[i]] = i;
-
-    struct LocalEdge
+/**
+ * The subgraph induced by a node set, its edges weighing
+ * lat(e) - ii * dist(e), built once and tested at any number of IIs.
+ * Distances are indexed by node id; a node outside the set keeps the
+ * `outside` mark, which is how the edges into it are skipped.
+ */
+class InducedCycles
+{
+  public:
+    InducedCycles(const Dfg &graph, std::span<const NodeId> members)
+        : members_(members), dist_(graph.numNodes(), outside)
     {
-        int src;
-        int dst;
-        long weight;
-    };
-    std::vector<LocalEdge> edges;
-    size_t out_degree = 0;
-    for (NodeId node : members)
-        out_degree += graph.outEdges(node).size();
-    edges.reserve(out_degree);
-    for (NodeId node : members) {
-        for (EdgeId e : graph.outEdges(node)) {
-            const DfgEdge &edge = graph.edge(e);
-            if (local[edge.dst] == -1)
-                continue;
-            edges.push_back({local[edge.src], local[edge.dst],
-                             static_cast<long>(edge.latency) -
-                                 static_cast<long>(ii) * edge.distance});
+        size_t out_degree = 0;
+        for (NodeId node : members) {
+            dist_[node] = 0;
+            out_degree += graph.outEdges(node).size();
         }
-    }
-
-    // Longest-path Bellman-Ford from a virtual source at distance 0 to
-    // every node; if an edge can still relax after n rounds, a positive
-    // cycle exists.
-    std::vector<long> dist(n, 0);
-    for (int round = 0; round < n; ++round) {
-        bool changed = false;
-        for (const auto &edge : edges) {
-            if (dist[edge.src] + edge.weight > dist[edge.dst]) {
-                dist[edge.dst] = dist[edge.src] + edge.weight;
-                changed = true;
+        edges_.reserve(out_degree);
+        for (NodeId node : members) {
+            for (EdgeId e : graph.outEdges(node)) {
+                const DfgEdge &edge = graph.edge(e);
+                if (dist_[edge.dst] != outside)
+                    edges_.push_back(edge);
             }
         }
-        if (!changed)
+    }
+
+    /** Sum of the induced edges' latencies. */
+    int
+    latencySum() const
+    {
+        int sum = 0;
+        for (const DfgEdge &edge : edges_)
+            sum += edge.latency;
+        return sum;
+    }
+
+    /**
+     * Longest-path Bellman-Ford from a virtual source at distance 0
+     * to every member; if an edge can still relax after n rounds, a
+     * positive cycle exists.
+     */
+    bool
+    positiveAt(int ii)
+    {
+        const int n = static_cast<int>(members_.size());
+        if (n == 0)
             return false;
+        for (NodeId node : members_)
+            dist_[node] = 0;
+        for (int round = 0; round < n; ++round) {
+            bool changed = false;
+            for (const DfgEdge &edge : edges_) {
+                const long cand = dist_[edge.src] + weight(edge, ii);
+                if (cand > dist_[edge.dst]) {
+                    dist_[edge.dst] = cand;
+                    changed = true;
+                }
+            }
+            if (!changed)
+                return false;
+        }
+        for (const DfgEdge &edge : edges_) {
+            if (dist_[edge.src] + weight(edge, ii) > dist_[edge.dst])
+                return true;
+        }
+        return false;
     }
-    for (const auto &edge : edges) {
-        if (dist[edge.src] + edge.weight > dist[edge.dst])
-            return true;
+
+  private:
+    static constexpr long outside = std::numeric_limits<long>::min();
+
+    static long
+    weight(const DfgEdge &edge, int ii)
+    {
+        return static_cast<long>(edge.latency) -
+               static_cast<long>(ii) * edge.distance;
     }
-    return false;
+
+    std::span<const NodeId> members_;
+    std::vector<long> dist_;
+    std::vector<DfgEdge> edges_;
+};
+
+} // namespace
+
+bool
+hasPositiveCycle(const Dfg &graph, std::span<const NodeId> members, int ii)
+{
+    return InducedCycles(graph, members).positiveAt(ii);
 }
 
 int
-sccRecMii(const Dfg &graph, const std::vector<NodeId> &members)
+sccRecMii(const Dfg &graph, std::span<const NodeId> members)
 {
     if (members.size() == 1) {
         // Trivial unless it has self-edges.
@@ -91,18 +129,10 @@ sccRecMii(const Dfg &graph, const std::vector<NodeId> &members)
 
     // Any cycle has total distance >= 1, so its latency/distance ratio
     // is bounded by the sum of all edge latencies inside the SCC.
-    std::vector<int> local(graph.numNodes(), -1);
-    for (NodeId node : members)
-        local[node] = 1;
-    int hi = 1;
-    for (NodeId node : members) {
-        for (EdgeId e : graph.outEdges(node)) {
-            if (local[graph.edge(e).dst] != -1)
-                hi += graph.edge(e).latency;
-        }
-    }
+    InducedCycles cycles(graph, members);
+    int hi = 1 + cycles.latencySum();
 
-    if (hasPositiveCycle(graph, members, hi)) {
+    if (cycles.positiveAt(hi)) {
         cams_fatal("dependence cycle with zero total distance through "
                    "node ", members[0], "; no II can schedule this loop");
     }
@@ -110,7 +140,7 @@ sccRecMii(const Dfg &graph, const std::vector<NodeId> &members)
     int lo = 1;
     while (lo < hi) {
         const int mid = lo + (hi - lo) / 2;
-        if (hasPositiveCycle(graph, members, mid))
+        if (cycles.positiveAt(mid))
             lo = mid + 1;
         else
             hi = mid;
@@ -154,7 +184,7 @@ recMii(const Dfg &graph, const SccInfo &sccs)
     for (int c = 0; c < sccs.numComponents(); ++c) {
         if (!sccs.nonTrivial[c])
             continue;
-        best = std::max(best, sccRecMii(graph, sccs.components[c]));
+        best = std::max(best, sccRecMii(graph, sccs.component(c)));
     }
     return best;
 }

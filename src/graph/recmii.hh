@@ -17,6 +17,7 @@
 #ifndef CAMS_GRAPH_RECMII_HH
 #define CAMS_GRAPH_RECMII_HH
 
+#include <span>
 #include <vector>
 
 #include "graph/dfg.hh"
@@ -36,7 +37,7 @@ namespace cams
  * A dependence cycle with zero total distance (impossible to schedule
  * at any II) triggers fatal(): the input graph is malformed.
  */
-int sccRecMii(const Dfg &graph, const std::vector<NodeId> &members);
+int sccRecMii(const Dfg &graph, std::span<const NodeId> members);
 
 /** RecMII over the whole graph: max of sccRecMii over all SCCs. */
 int recMii(const Dfg &graph);
@@ -56,7 +57,7 @@ bool hasZeroDistanceCycle(const Dfg &graph);
  * Tests whether the subgraph induced by the given nodes contains a
  * cycle of positive weight when edges weigh lat(e) - ii*dist(e).
  */
-bool hasPositiveCycle(const Dfg &graph, const std::vector<NodeId> &members,
+bool hasPositiveCycle(const Dfg &graph, std::span<const NodeId> members,
                       int ii);
 
 } // namespace cams

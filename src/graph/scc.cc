@@ -20,11 +20,21 @@ findSccs(const Dfg &graph)
     const int n = graph.numNodes();
     SccInfo info;
     info.componentOf.assign(n, -1);
+    info.members.reserve(n);
+    info.offsets.reserve(n + 1);
+    info.offsets.push_back(0);
 
-    std::vector<int> index(n, -1);
-    std::vector<int> lowlink(n, 0);
-    std::vector<bool> onStack(n, false);
+    // Discovery index and lowlink per node. A visited node sits on
+    // Tarjan's stack exactly until its component is emitted, so
+    // "visited and not yet in a component" is the on-stack test.
+    struct Link
+    {
+        int index = -1;
+        int lowlink = 0;
+    };
+    std::vector<Link> link(n);
     std::vector<NodeId> stack;
+    stack.reserve(n);
     int nextIndex = 0;
 
     // Explicit DFS frame: node plus position within its out-edge list.
@@ -34,14 +44,14 @@ findSccs(const Dfg &graph)
         size_t edgePos;
     };
     std::vector<Frame> dfs;
+    dfs.reserve(n);
 
     for (NodeId root = 0; root < n; ++root) {
-        if (index[root] != -1)
+        if (link[root].index != -1)
             continue;
         dfs.push_back({root, 0});
-        index[root] = lowlink[root] = nextIndex++;
+        link[root].index = link[root].lowlink = nextIndex++;
         stack.push_back(root);
-        onStack[root] = true;
 
         while (!dfs.empty()) {
             Frame &frame = dfs.back();
@@ -49,36 +59,36 @@ findSccs(const Dfg &graph)
             if (frame.edgePos < out.size()) {
                 NodeId next = graph.edge(out[frame.edgePos]).dst;
                 ++frame.edgePos;
-                if (index[next] == -1) {
-                    index[next] = lowlink[next] = nextIndex++;
+                if (link[next].index == -1) {
+                    link[next].index = link[next].lowlink = nextIndex++;
                     stack.push_back(next);
-                    onStack[next] = true;
                     dfs.push_back({next, 0});
-                } else if (onStack[next]) {
-                    lowlink[frame.node] =
-                        std::min(lowlink[frame.node], index[next]);
+                } else if (info.componentOf[next] == -1) {
+                    link[frame.node].lowlink = std::min(
+                        link[frame.node].lowlink, link[next].index);
                 }
             } else {
                 NodeId done = frame.node;
                 dfs.pop_back();
                 if (!dfs.empty()) {
                     NodeId parent = dfs.back().node;
-                    lowlink[parent] = std::min(lowlink[parent],
-                                               lowlink[done]);
+                    link[parent].lowlink = std::min(link[parent].lowlink,
+                                                    link[done].lowlink);
                 }
-                if (lowlink[done] == index[done]) {
-                    std::vector<NodeId> component;
-                    NodeId member;
+                if (link[done].lowlink == link[done].index) {
+                    // The component is the stack above (and including)
+                    // done, already in discovery order.
+                    const int component = info.numComponents();
+                    auto first = stack.end();
                     do {
-                        member = stack.back();
-                        stack.pop_back();
-                        onStack[member] = false;
-                        info.componentOf[member] =
-                            static_cast<int>(info.components.size());
-                        component.push_back(member);
-                    } while (member != done);
-                    std::reverse(component.begin(), component.end());
-                    info.components.push_back(std::move(component));
+                        --first;
+                        info.componentOf[*first] = component;
+                    } while (*first != done);
+                    info.members.insert(info.members.end(), first,
+                                        stack.end());
+                    stack.erase(first, stack.end());
+                    info.offsets.push_back(
+                        static_cast<int>(info.members.size()));
                 }
             }
         }
@@ -86,12 +96,13 @@ findSccs(const Dfg &graph)
 
     // A component is a recurrence when it has more than one node or a
     // self-edge.
-    info.nonTrivial.assign(info.components.size(), false);
-    for (size_t c = 0; c < info.components.size(); ++c) {
-        if (info.components[c].size() > 1) {
+    info.nonTrivial.assign(info.numComponents(), false);
+    for (int c = 0; c < info.numComponents(); ++c) {
+        const std::span<const NodeId> members = info.component(c);
+        if (members.size() > 1) {
             info.nonTrivial[c] = true;
         } else {
-            NodeId only = info.components[c][0];
+            NodeId only = members[0];
             for (EdgeId e : graph.outEdges(only)) {
                 if (graph.edge(e).dst == only) {
                     info.nonTrivial[c] = true;

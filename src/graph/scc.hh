@@ -11,6 +11,7 @@
 #ifndef CAMS_GRAPH_SCC_HH
 #define CAMS_GRAPH_SCC_HH
 
+#include <span>
 #include <vector>
 
 #include "graph/dfg.hh"
@@ -18,18 +19,26 @@
 namespace cams
 {
 
-/** Result of SCC decomposition. */
+/**
+ * Result of SCC decomposition, flat: every component's members sit in
+ * one array, component after component, so a decomposition costs a
+ * fixed handful of allocations however many components it finds.
+ */
 struct SccInfo
 {
     /** Component index of each node. */
     std::vector<int> componentOf;
 
     /**
-     * Member nodes of each component, in discovery order.
+     * Member nodes of every component, each in discovery order.
      * Components are emitted in reverse topological order of the
      * component DAG (Tarjan's natural output).
      */
-    std::vector<std::vector<NodeId>> components;
+    std::vector<NodeId> members;
+
+    /** Component c is members[offsets[c], offsets[c + 1]); empty
+     *  before a decomposition fills it. */
+    std::vector<int> offsets;
 
     /** True when the component is a recurrence (size > 1 or self-loop). */
     std::vector<bool> nonTrivial;
@@ -37,7 +46,14 @@ struct SccInfo
     /** Number of components. */
     int numComponents() const
     {
-        return static_cast<int>(components.size());
+        return offsets.empty() ? 0 : static_cast<int>(offsets.size()) - 1;
+    }
+
+    /** Member nodes of one component. */
+    std::span<const NodeId> component(int c) const
+    {
+        return {members.data() + offsets[c],
+                members.data() + offsets[c + 1]};
     }
 
     /** Number of non-trivial (recurrence) components. */

@@ -11,28 +11,33 @@ namespace cams
 NodeSets
 buildPrioritySets(const Dfg &graph, const SccInfo &sccs)
 {
+    const int n = graph.numNodes();
+
     struct Candidate
     {
         int recMii;
         int size;
         NodeId minMember;
-        std::vector<NodeId> members;
+        /** The component's members in `sorted`. */
+        int first;
     };
 
+    // Every component's members, each component sorted ascending.
+    std::vector<NodeId> sorted = sccs.members;
     std::vector<Candidate> recurrences;
-    std::vector<NodeId> rest;
+    recurrences.reserve(sccs.numNonTrivial());
 
     for (int c = 0; c < sccs.numComponents(); ++c) {
         if (sccs.nonTrivial[c]) {
+            const auto first = sorted.begin() + sccs.offsets[c];
+            const auto last = sorted.begin() + sccs.offsets[c + 1];
+            std::sort(first, last);
             Candidate candidate;
-            candidate.members = sccs.components[c];
-            std::sort(candidate.members.begin(), candidate.members.end());
-            candidate.recMii = sccRecMii(graph, candidate.members);
-            candidate.size = static_cast<int>(candidate.members.size());
-            candidate.minMember = candidate.members.front();
-            recurrences.push_back(std::move(candidate));
-        } else {
-            rest.push_back(sccs.components[c][0]);
+            candidate.recMii = sccRecMii(graph, {first, last});
+            candidate.size = static_cast<int>(last - first);
+            candidate.minMember = *first;
+            candidate.first = sccs.offsets[c];
+            recurrences.push_back(candidate);
         }
     }
 
@@ -46,20 +51,37 @@ buildPrioritySets(const Dfg &graph, const SccInfo &sccs)
               });
 
     NodeSets result;
-    result.setOf.assign(graph.numNodes(), -1);
+    result.setOf.assign(n, -1);
+    result.members.reserve(n);
+    result.offsets.reserve(recurrences.size() + 2);
+    result.offsets.push_back(0);
+    result.recMii.reserve(recurrences.size() + 1);
 
     // Following the Swing Modulo Scheduler's set construction, each
     // recurrence set also absorbs the not-yet-chosen nodes lying on
     // paths between previously chosen sets and the new SCC, so the
     // ordering never strands a node between two already-placed
-    // neighborhoods.
-    auto reachableFrom = [&](const std::vector<bool> &from,
-                             bool forward) {
-        std::vector<bool> seen = from;
-        std::vector<NodeId> stack;
-        for (NodeId v = 0; v < graph.numNodes(); ++v) {
-            if (seen[v])
+    // neighborhoods. A node is chosen once it has a set. The four
+    // reachability searches per recurrence share one mark per node,
+    // a bit each; a loop with one recurrence never needs them.
+    enum : char
+    {
+        inScc = 1,
+        downFromChosen = 2,
+        upFromChosen = 4,
+        downFromScc = 8,
+        upFromScc = 16,
+    };
+    std::vector<char> mark;
+    std::vector<NodeId> stack;
+    auto reach = [&](bool fromScc, char bit, bool forward) {
+        for (NodeId v = 0; v < n; ++v) {
+            const bool seeded = fromScc ? (mark[v] & inScc) != 0
+                                        : result.setOf[v] != -1;
+            if (seeded) {
+                mark[v] |= bit;
                 stack.push_back(v);
+            }
         }
         while (!stack.empty()) {
             const NodeId at = stack.back();
@@ -69,56 +91,58 @@ buildPrioritySets(const Dfg &graph, const SccInfo &sccs)
             for (EdgeId e : edges) {
                 const NodeId next = forward ? graph.edge(e).dst
                                             : graph.edge(e).src;
-                if (!seen[next]) {
-                    seen[next] = true;
+                if (!(mark[next] & bit)) {
+                    mark[next] |= bit;
                     stack.push_back(next);
                 }
             }
         }
-        return seen;
     };
 
-    std::vector<bool> chosen(graph.numNodes(), false);
-    for (auto &candidate : recurrences) {
-        std::vector<NodeId> members = candidate.members;
-        if (std::any_of(chosen.begin(), chosen.end(),
-                        [](bool b) { return b; })) {
-            std::vector<bool> scc_mask(graph.numNodes(), false);
-            for (NodeId v : candidate.members)
-                scc_mask[v] = true;
-            const auto down_from_chosen = reachableFrom(chosen, true);
-            const auto up_from_chosen = reachableFrom(chosen, false);
-            const auto down_from_scc = reachableFrom(scc_mask, true);
-            const auto up_from_scc = reachableFrom(scc_mask, false);
-            for (NodeId v = 0; v < graph.numNodes(); ++v) {
-                if (chosen[v] || scc_mask[v] || result.setOf[v] != -1)
+    for (const Candidate &candidate : recurrences) {
+        const size_t first = result.members.size();
+        result.members.insert(result.members.end(),
+                              sorted.begin() + candidate.first,
+                              sorted.begin() + candidate.first +
+                                  candidate.size);
+        if (result.numSets() > 0) {
+            mark.assign(n, 0);
+            stack.reserve(n);
+            for (size_t i = first; i < result.members.size(); ++i)
+                mark[result.members[i]] = inScc;
+            reach(false, downFromChosen, true);
+            reach(false, upFromChosen, false);
+            reach(true, downFromScc, true);
+            reach(true, upFromScc, false);
+            for (NodeId v = 0; v < n; ++v) {
+                if ((mark[v] & inScc) || result.setOf[v] != -1)
                     continue;
                 const bool between =
-                    (down_from_chosen[v] && up_from_scc[v]) ||
-                    (down_from_scc[v] && up_from_chosen[v]);
+                    ((mark[v] & downFromChosen) && (mark[v] & upFromScc)) ||
+                    ((mark[v] & downFromScc) && (mark[v] & upFromChosen));
                 if (between)
-                    members.push_back(v);
+                    result.members.push_back(v);
             }
-            std::sort(members.begin(), members.end());
+            std::sort(result.members.begin() + first,
+                      result.members.end());
         }
-        for (NodeId node : members) {
-            result.setOf[node] = result.numSets();
-            chosen[node] = true;
-        }
-        result.sets.push_back(std::move(members));
+        for (size_t i = first; i < result.members.size(); ++i)
+            result.setOf[result.members[i]] = result.numSets();
+        result.offsets.push_back(static_cast<int>(result.members.size()));
         result.recMii.push_back(candidate.recMii);
     }
 
-    std::vector<NodeId> remaining;
-    for (NodeId node : rest) {
-        if (result.setOf[node] == -1)
-            remaining.push_back(node);
+    // The trailing set: every node outside the recurrences that no set
+    // absorbed, ascending.
+    const size_t first = result.members.size();
+    for (NodeId node = 0; node < n; ++node) {
+        if (!sccs.inRecurrence(node) && result.setOf[node] == -1)
+            result.members.push_back(node);
     }
-    std::sort(remaining.begin(), remaining.end());
-    if (!remaining.empty()) {
-        for (NodeId node : remaining)
-            result.setOf[node] = result.numSets();
-        result.sets.push_back(std::move(remaining));
+    if (result.members.size() > first) {
+        for (size_t i = first; i < result.members.size(); ++i)
+            result.setOf[result.members[i]] = result.numSets();
+        result.offsets.push_back(static_cast<int>(result.members.size()));
         result.recMii.push_back(1);
     }
     return result;

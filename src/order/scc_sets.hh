@@ -11,6 +11,7 @@
 #ifndef CAMS_ORDER_SCC_SETS_HH
 #define CAMS_ORDER_SCC_SETS_HH
 
+#include <span>
 #include <vector>
 
 #include "graph/dfg.hh"
@@ -19,11 +20,19 @@
 namespace cams
 {
 
-/** The priority-ordered node sets of §4.1. */
+/**
+ * The priority-ordered node sets of §4.1, flat: every set's members in
+ * one array, set after set.
+ */
 struct NodeSets
 {
-    /** Sets in decreasing priority; the last set holds non-SCC nodes. */
-    std::vector<std::vector<NodeId>> sets;
+    /** Members of every set, in decreasing set priority; the last set
+     *  holds non-SCC nodes. Each set is ascending. */
+    std::vector<NodeId> members;
+
+    /** Set s is members[offsets[s], offsets[s + 1]); empty before
+     *  buildPrioritySets fills it. */
+    std::vector<int> offsets;
 
     /** RecMII of each set (1 for the trailing non-recurrence set). */
     std::vector<int> recMii;
@@ -31,7 +40,17 @@ struct NodeSets
     /** Set index of every node. */
     std::vector<int> setOf;
 
-    int numSets() const { return static_cast<int>(sets.size()); }
+    int numSets() const
+    {
+        return offsets.empty() ? 0 : static_cast<int>(offsets.size()) - 1;
+    }
+
+    /** Member nodes of one set. */
+    std::span<const NodeId> set(int s) const
+    {
+        return {members.data() + offsets[s],
+                members.data() + offsets[s + 1]};
+    }
 };
 
 /**

@@ -7,13 +7,28 @@
 namespace cams
 {
 
-std::vector<NodeId>
+namespace
+{
+
+/** Per-node state bits of the sweep. */
+enum SwingFlag : int
+{
+    ordered = 1,
+    pending = 2,
+    /** Has an ordered predecessor / successor. */
+    predOrdered = 4,
+    succOrdered = 8,
+};
+
+} // namespace
+
+void
 swingOrder(const Dfg &graph, const NodeSets &sets,
-           const TimeAnalysis &timing, const Adjacency &adjacency)
+           const TimeAnalysis &timing, const Adjacency &adjacency,
+           SwingScratch &scratch, std::vector<NodeId> &result)
 {
     const int n = graph.numNodes();
-    std::vector<bool> ordered(n, false);
-    std::vector<NodeId> result;
+    result.clear();
     result.reserve(n);
 
     // depth = asap (distance from sources); height = distance to sinks.
@@ -28,20 +43,20 @@ swingOrder(const Dfg &graph, const NodeSets &sets,
     // successors. Counters of pending distance-0 neighbors and sticky
     // has-ordered-neighbor flags are updated in O(deg) when a node is
     // ordered, instead of rescanning edges per candidate per round.
-    std::vector<int> pend_pred0(n, 0);
-    std::vector<int> pend_succ0(n, 0);
-    std::vector<char> nbr_pred_ordered(n, 0);
-    std::vector<char> nbr_succ_ordered(n, 0);
-
-    // pending is self-cleaning (every member is picked and cleared
-    // before the set finishes), so one allocation serves all sets.
-    std::vector<bool> pending(n, false);
-    std::vector<NodeId> members;
-    for (const auto &set : sets.sets) {
+    // The pending flag is self-cleaning: every member is picked and
+    // cleared before its set finishes.
+    scratch.state.assign(3 * static_cast<size_t>(n), 0);
+    int *pend_pred0 = scratch.state.data();
+    int *pend_succ0 = pend_pred0 + n;
+    int *flags = pend_succ0 + n;
+    auto is = [&](NodeId v, SwingFlag flag) { return (flags[v] & flag) != 0; };
+    std::vector<NodeId> &members = scratch.members;
+    members.reserve(n);
+    for (int s = 0; s < sets.numSets(); ++s) {
         members.clear();
-        for (NodeId v : set) {
-            if (!ordered[v]) {
-                pending[v] = true;
+        for (NodeId v : sets.set(s)) {
+            if (!is(v, ordered)) {
+                flags[v] |= pending;
                 members.push_back(v);
             }
         }
@@ -50,7 +65,7 @@ swingOrder(const Dfg &graph, const NodeSets &sets,
             int pred0 = 0;
             for (const AdjEdge &edge : adjacency.inEdges(v)) {
                 if (edge.distance == 0 && edge.node != v &&
-                    pending[edge.node]) {
+                    is(edge.node, pending)) {
                     ++pred0;
                 }
             }
@@ -58,27 +73,23 @@ swingOrder(const Dfg &graph, const NodeSets &sets,
             int succ0 = 0;
             for (const AdjEdge &edge : adjacency.outEdges(v)) {
                 if (edge.distance == 0 && edge.node != v &&
-                    pending[edge.node]) {
+                    is(edge.node, pending)) {
                     ++succ0;
                 }
             }
             pend_succ0[v] = succ0;
-            char has_pred = 0;
             for (NodeId other : adjacency.preds(v)) {
-                if (other != v && ordered[other]) {
-                    has_pred = 1;
+                if (other != v && is(other, ordered)) {
+                    flags[v] |= predOrdered;
                     break;
                 }
             }
-            nbr_pred_ordered[v] = has_pred;
-            char has_succ = 0;
             for (NodeId other : adjacency.succs(v)) {
-                if (other != v && ordered[other]) {
-                    has_succ = 1;
+                if (other != v && is(other, ordered)) {
+                    flags[v] |= succOrdered;
                     break;
                 }
             }
-            nbr_succ_ordered[v] = has_succ;
         }
 
         size_t left = members.size();
@@ -110,14 +121,14 @@ swingOrder(const Dfg &graph, const NodeSets &sets,
             };
 
             for (NodeId v : members) {
-                if (!pending[v])
+                if (!is(v, pending))
                     continue;
                 if (pend_pred0[v] == 0) {
                     if (frontier_td == invalidNode ||
                         betterTopDown(v, frontier_td)) {
                         frontier_td = v;
                     }
-                    if (nbr_pred_ordered[v] &&
+                    if (is(v, predOrdered) &&
                         (best_td == invalidNode ||
                          betterTopDown(v, best_td))) {
                         best_td = v;
@@ -128,7 +139,7 @@ swingOrder(const Dfg &graph, const NodeSets &sets,
                         betterBottomUp(v, frontier_bu)) {
                         frontier_bu = v;
                     }
-                    if (nbr_succ_ordered[v] &&
+                    if (is(v, succOrdered) &&
                         (best_bu == invalidNode ||
                          betterBottomUp(v, best_bu))) {
                         best_bu = v;
@@ -157,7 +168,7 @@ swingOrder(const Dfg &graph, const NodeSets &sets,
                 pick = frontier_bu;
             } else {
                 for (NodeId v : members) {
-                    if (pending[v] &&
+                    if (is(v, pending) &&
                         (pick == invalidNode || betterBottomUp(v, pick))) {
                         pick = v;
                     }
@@ -165,8 +176,7 @@ swingOrder(const Dfg &graph, const NodeSets &sets,
             }
 
             cams_assert(pick != invalidNode, "no orderable node");
-            pending[pick] = false;
-            ordered[pick] = true;
+            flags[pick] = (flags[pick] & ~pending) | ordered;
             result.push_back(pick);
             --left;
             // Compact the live list so later rounds skip nothing: each
@@ -180,30 +190,29 @@ swingOrder(const Dfg &graph, const NodeSets &sets,
             // neighbor of everything adjacent to it.
             for (const AdjEdge &edge : adjacency.outEdges(pick)) {
                 if (edge.distance == 0 && edge.node != pick &&
-                    pending[edge.node]) {
+                    is(edge.node, pending)) {
                     --pend_pred0[edge.node];
                 }
             }
             for (const AdjEdge &edge : adjacency.inEdges(pick)) {
                 if (edge.distance == 0 && edge.node != pick &&
-                    pending[edge.node]) {
+                    is(edge.node, pending)) {
                     --pend_succ0[edge.node];
                 }
             }
             for (NodeId succ : adjacency.succs(pick)) {
                 if (succ != pick)
-                    nbr_pred_ordered[succ] = 1;
+                    flags[succ] |= predOrdered;
             }
             for (NodeId pred : adjacency.preds(pick)) {
                 if (pred != pick)
-                    nbr_succ_ordered[pred] = 1;
+                    flags[pred] |= succOrdered;
             }
         }
     }
 
     cams_assert(static_cast<int>(result.size()) == n,
                 "swing order missed nodes");
-    return result;
 }
 
 std::vector<NodeId>
@@ -212,7 +221,10 @@ swingOrder(const Dfg &graph, int ii)
     const SccInfo sccs = findSccs(graph);
     const NodeSets sets = buildPrioritySets(graph, sccs);
     const TimeAnalysis timing = analyzeTiming(graph, ii);
-    return swingOrder(graph, sets, timing, Adjacency(graph));
+    SwingScratch scratch;
+    std::vector<NodeId> order;
+    swingOrder(graph, sets, timing, Adjacency(graph), scratch, order);
+    return order;
 }
 
 } // namespace cams

@@ -24,6 +24,17 @@
 namespace cams
 {
 
+/** Working arrays of swingOrder, reused across calls by a caller
+ *  that orders at more than one II. */
+struct SwingScratch
+{
+    /** Per node, array after array: pending distance-0 predecessors,
+     *  pending distance-0 successors, and the sweep's flag bits. */
+    std::vector<int> state;
+    /** The current set's unordered members. */
+    std::vector<NodeId> members;
+};
+
 /**
  * Orders all nodes of the graph: sets are consumed in priority order
  * and the swing sweep is applied within each set.
@@ -31,11 +42,12 @@ namespace cams
  * @param timing a timing analysis at the candidate II (depth = asap,
  *        height drives criticality tie-breaks).
  * @param adjacency packed neighbor lists of the same graph.
- * @return every node exactly once, highest assignment priority first.
+ * @param out receives every node exactly once, highest assignment
+ *        priority first.
  */
-std::vector<NodeId> swingOrder(const Dfg &graph, const NodeSets &sets,
-                               const TimeAnalysis &timing,
-                               const Adjacency &adjacency);
+void swingOrder(const Dfg &graph, const NodeSets &sets,
+                const TimeAnalysis &timing, const Adjacency &adjacency,
+                SwingScratch &scratch, std::vector<NodeId> &out);
 
 /**
  * Convenience overload: builds SCC sets, timing at the given II and

@@ -91,7 +91,7 @@ LoopContext::schedulableAt(int ii)
     for (int c = 0; c < info.numComponents(); ++c) {
         if (!info.nonTrivial[c])
             continue;
-        if (hasPositiveCycle(*graph_, info.components[c], ii)) {
+        if (hasPositiveCycle(*graph_, info.component(c), ii)) {
             feasible = false;
             break;
         }
@@ -128,13 +128,13 @@ LoopContext::swingOrder(int ii)
         return order_;
     }
     ++misses_;
-    order_ = cams::swingOrder(*graph_, prioritySets(), timing(ii),
-                              adjacency());
+    cams::swingOrder(*graph_, prioritySets(), timing(ii), adjacency(),
+                     swingScratch_, order_);
     orderIi_ = ii;
     return order_;
 }
 
-const std::vector<std::vector<PoolId>> &
+const RequestTable &
 LoopContext::requests(const AnnotatedLoop &loop,
                       const ResourceModel &model)
 {
@@ -146,9 +146,21 @@ LoopContext::requests(const AnnotatedLoop &loop,
     }
     ++misses_;
     const int n = graph_->numNodes();
-    requests_.assign(n, {});
-    for (NodeId v = 0; v < n; ++v)
-        requests_[v] = loop.request(model, v);
+    std::vector<PoolId> &pools = requests_.pools_;
+    std::vector<int> &offsets = requests_.offsets_;
+    pools.clear();
+    offsets.assign(1, 0);
+    offsets.reserve(n + 1);
+    // A request is one unit pool, or a copy's read port, bus or link
+    // and write ports; the copies are few.
+    pools.reserve(2 * static_cast<size_t>(n));
+    std::vector<PoolId> request;
+    request.reserve(2 + model.machine().numClusters());
+    for (NodeId v = 0; v < n; ++v) {
+        loop.requestInto(model, v, request);
+        pools.insert(pools.end(), request.begin(), request.end());
+        offsets.push_back(static_cast<int>(pools.size()));
+    }
     requestsLoop_ = &loop;
     requestsModel_ = &model;
     return requests_;

@@ -32,7 +32,8 @@ IterativeModuloScheduler::run(const AnnotatedLoop &loop,
     // bitmap over priority indices with a moving minimum cursor, so a
     // displacement allocates nothing.
     const Adjacency &adj = ctx.adjacency();
-    std::vector<NodeId> byPrio(n);
+    std::vector<NodeId> &byPrio = byPrio_;
+    byPrio.resize(n);
     for (NodeId v = 0; v < n; ++v)
         byPrio[v] = v;
     std::sort(byPrio.begin(), byPrio.end(), [&](NodeId a, NodeId b) {
@@ -40,10 +41,12 @@ IterativeModuloScheduler::run(const AnnotatedLoop &loop,
             return timing.height[a] > timing.height[b];
         return a < b;
     });
-    std::vector<int> prio(n);
+    std::vector<NodeState> &node = nodes_;
+    node.assign(n, NodeState{0, -1, 0, -1, false});
     for (int i = 0; i < n; ++i)
-        prio[byPrio[i]] = i;
-    std::vector<char> pendingPrio(n, 1);
+        node[byPrio[i]].prio = i;
+    std::vector<char> &pendingPrio = pendingPrio_;
+    pendingPrio.assign(n, 1);
     int minPrio = 0;
     int npending = n;
     auto wlPop = [&]() -> NodeId {
@@ -54,7 +57,7 @@ IterativeModuloScheduler::run(const AnnotatedLoop &loop,
         return byPrio[minPrio];
     };
     auto wlInsert = [&](NodeId v) {
-        const int p = prio[v];
+        const int p = node[v].prio;
         if (!pendingPrio[p]) {
             pendingPrio[p] = 1;
             ++npending;
@@ -62,12 +65,7 @@ IterativeModuloScheduler::run(const AnnotatedLoop &loop,
         minPrio = std::min(minPrio, p);
     };
 
-    std::vector<bool> placed(n, false);
-    std::vector<int> start(n, 0);
-    std::vector<int> lastStart(n, -1);
-    std::vector<Reservation> slots(n);
-    const std::vector<std::vector<PoolId>> &requests =
-        ctx.requests(loop, model);
+    const RequestTable &requests = ctx.requests(loop, model);
 
     Mrt &mrt = scratchMrt(model, ii);
     long budget =
@@ -76,9 +74,9 @@ IterativeModuloScheduler::run(const AnnotatedLoop &loop,
     long ejections = 0;
 
     auto unschedule = [&](NodeId v) {
-        cams_assert(placed[v], "displacing unplaced op ", v);
-        mrt.release(slots[v]);
-        placed[v] = false;
+        cams_assert(node[v].placed, "displacing unplaced op ", v);
+        mrt.free(requests[v], node[v].row);
+        node[v].placed = false;
         wlInsert(v);
         ++ejections;
     };
@@ -96,10 +94,10 @@ IterativeModuloScheduler::run(const AnnotatedLoop &loop,
         // start-cycle math below stays int.
         long estart_wide = 0;
         for (const AdjEdge &edge : adj.inEdges(op)) {
-            if (edge.node == op || !placed[edge.node])
+            if (edge.node == op || !node[edge.node].placed)
                 continue;
             estart_wide = std::max(estart_wide,
-                                   start[edge.node] + edge.latency -
+                                   node[edge.node].start + edge.latency -
                                        static_cast<long>(ii) *
                                            edge.distance);
         }
@@ -121,9 +119,9 @@ IterativeModuloScheduler::run(const AnnotatedLoop &loop,
             // schedule makes progress (Rau's rule).
             forced = true;
             ++slot_conflicts;
-            chosen = lastStart[op] < 0
+            chosen = node[op].lastStart < 0
                          ? estart
-                         : std::max(estart, lastStart[op] + 1);
+                         : std::max(estart, node[op].lastStart + 1);
         }
 
         if (forced) {
@@ -133,15 +131,14 @@ IterativeModuloScheduler::run(const AnnotatedLoop &loop,
             while (!mrt.canReserveAt(requests[op], row) && progress) {
                 progress = false;
                 for (NodeId other = 0; other < n; ++other) {
-                    if (!placed[other] || slots[other].row != row)
+                    if (!node[other].placed || node[other].row != row)
                         continue;
+                    const auto held = requests[other];
                     const bool shares = std::any_of(
                         requests[op].begin(), requests[op].end(),
                         [&](PoolId pool) {
-                            return std::find(slots[other].pools.begin(),
-                                             slots[other].pools.end(),
-                                             pool) !=
-                                   slots[other].pools.end();
+                            return std::find(held.begin(), held.end(),
+                                             pool) != held.end();
                         });
                     if (shares) {
                         unschedule(other);
@@ -157,35 +154,37 @@ IterativeModuloScheduler::run(const AnnotatedLoop &loop,
             }
         }
 
-        mrt.reserveAtInto(requests[op], chosen % ii, slots[op]);
-        slots[op].row = ((chosen % ii) + ii) % ii;
-        start[op] = chosen;
-        lastStart[op] = chosen;
-        placed[op] = true;
+        node[op].row = chosen % ii;
+        mrt.occupy(requests[op], node[op].row);
+        node[op].start = chosen;
+        node[op].lastStart = chosen;
+        node[op].placed = true;
 
         // Displace successors whose dependence the new start violates
         // (and predecessors, which can only happen on forced moves).
         for (const AdjEdge &edge : adj.outEdges(op)) {
-            if (edge.node == op || !placed[edge.node])
+            if (edge.node == op || !node[edge.node].placed)
                 continue;
-            if (start[edge.node] <
-                start[op] + edge.latency -
+            if (node[edge.node].start <
+                chosen + edge.latency -
                     static_cast<long>(ii) * edge.distance) {
                 unschedule(edge.node);
             }
         }
         for (const AdjEdge &edge : adj.inEdges(op)) {
-            if (edge.node == op || !placed[edge.node])
+            if (edge.node == op || !node[edge.node].placed)
                 continue;
-            if (start[op] < start[edge.node] + edge.latency -
-                                static_cast<long>(ii) * edge.distance) {
+            if (chosen < node[edge.node].start + edge.latency -
+                             static_cast<long>(ii) * edge.distance) {
                 unschedule(edge.node);
             }
         }
     }
 
     out.ii = ii;
-    out.startCycle = start;
+    out.startCycle.resize(n);
+    for (NodeId v = 0; v < n; ++v)
+        out.startCycle[v] = node[v].start;
     out.normalize();
     traceAttempt(ii, true, slot_conflicts, ejections);
     return true;

@@ -18,6 +18,8 @@
 #ifndef CAMS_SCHED_IMS_HH
 #define CAMS_SCHED_IMS_HH
 
+#include <vector>
+
 #include "sched/schedule.hh"
 
 namespace cams
@@ -40,7 +42,24 @@ class IterativeModuloScheduler : public ModuloScheduler
              int ii, Schedule &out, LoopContext &ctx) const override;
 
   private:
+    /** Working state of one node during a run. */
+    struct NodeState
+    {
+        int start;
+        int lastStart;
+        /** Position in the height order. */
+        int prio;
+        /** MRT row while placed. */
+        int row;
+        bool placed;
+    };
+
     double budgetRatio_;
+    /** Reused across calls, like the scratch MRT: per node, the
+     *  height order, and the work list's pending flags over it. */
+    mutable std::vector<NodeState> nodes_;
+    mutable std::vector<NodeId> byPrio_;
+    mutable std::vector<char> pendingPrio_;
 };
 
 } // namespace cams

@@ -26,9 +26,11 @@ SwingModuloScheduler::run(const AnnotatedLoop &loop,
 
     const TimeAnalysis &timing = ctx.timing(ii);
     const std::vector<NodeId> &order = ctx.swingOrder(ii);
-    std::vector<int> rank(n, 0);
+    constexpr long kNone = std::numeric_limits<long>::min();
+    std::vector<NodeState> &node = nodes_;
+    node.assign(n, NodeState{0, kNone, 0, -1, false});
     for (size_t i = 0; i < order.size(); ++i)
-        rank[order[i]] = static_cast<int>(i);
+        node[order[i]].rank = static_cast<int>(i);
 
     // Work list in swing-order priority. The iterative variant the
     // paper uses (an "iterative version of the swing modulo
@@ -39,7 +41,8 @@ SwingModuloScheduler::run(const AnnotatedLoop &loop,
     // pops and ejection re-inserts allocate nothing, and the lowest
     // rank (i.e. order[r]) pops first.
     const Adjacency &adj = ctx.adjacency();
-    std::vector<char> pendingRank(n, 1);
+    std::vector<char> &pendingRank = pendingRank_;
+    pendingRank.assign(n, 1);
     int minRank = 0;
     int npending = n;
     auto wlPop = [&]() -> NodeId {
@@ -50,7 +53,7 @@ SwingModuloScheduler::run(const AnnotatedLoop &loop,
         return order[minRank];
     };
     auto wlInsert = [&](NodeId v) {
-        const int r = rank[v];
+        const int r = node[v].rank;
         if (!pendingRank[r]) {
             pendingRank[r] = 1;
             ++npending;
@@ -58,16 +61,10 @@ SwingModuloScheduler::run(const AnnotatedLoop &loop,
         minRank = std::min(minRank, r);
     };
 
-    std::vector<bool> placed(n, false);
-    std::vector<long> start(n, 0);
-    std::vector<long> lastStart(n, std::numeric_limits<long>::min());
-    std::vector<Reservation> slots(n);
-    const std::vector<std::vector<PoolId>> &requests =
-        ctx.requests(loop, model);
+    const RequestTable &requests = ctx.requests(loop, model);
 
     Mrt &mrt = scratchMrt(model, ii);
     long budget = std::max<long>(32, 8L * n);
-    constexpr long kNone = std::numeric_limits<long>::min();
     long slot_conflicts = 0;
     long ejections = 0;
 
@@ -75,8 +72,8 @@ SwingModuloScheduler::run(const AnnotatedLoop &loop,
         return static_cast<int>(((t % ii) + ii) % ii);
     };
     auto unschedule = [&](NodeId v) {
-        mrt.release(slots[v]);
-        placed[v] = false;
+        mrt.free(requests[v], node[v].row);
+        node[v].placed = false;
         wlInsert(v);
         ++ejections;
     };
@@ -92,16 +89,16 @@ SwingModuloScheduler::run(const AnnotatedLoop &loop,
         long early = kNone;
         long late = kNone;
         for (const AdjEdge &edge : adj.inEdges(op)) {
-            if (edge.node == op || !placed[edge.node])
+            if (edge.node == op || !node[edge.node].placed)
                 continue;
-            early = std::max(early, start[edge.node] + edge.latency -
+            early = std::max(early, node[edge.node].start + edge.latency -
                                         static_cast<long>(ii) *
                                             edge.distance);
         }
         for (const AdjEdge &edge : adj.outEdges(op)) {
-            if (edge.node == op || !placed[edge.node])
+            if (edge.node == op || !node[edge.node].placed)
                 continue;
-            const long bound = start[edge.node] - edge.latency +
+            const long bound = node[edge.node].start - edge.latency +
                                static_cast<long>(ii) * edge.distance;
             late = (late == kNone) ? bound : std::min(late, bound);
         }
@@ -143,8 +140,8 @@ SwingModuloScheduler::run(const AnnotatedLoop &loop,
                          : (late != kNone
                                 ? late
                                 : static_cast<long>(timing.asap[op]));
-            if (lastStart[op] != kNone && t <= lastStart[op])
-                t = lastStart[op] + 1;
+            if (node[op].lastStart != kNone && t <= node[op].lastStart)
+                t = node[op].lastStart + 1;
             const int row = rowOf(t);
             bool progress = true;
             while (!mrt.canReserveAt(requests[op], row) && progress) {
@@ -152,18 +149,18 @@ SwingModuloScheduler::run(const AnnotatedLoop &loop,
                 // Eject the lowest-priority blocking op in that row.
                 NodeId victim = invalidNode;
                 for (NodeId other = 0; other < n; ++other) {
-                    if (!placed[other] || slots[other].row != row)
+                    if (!node[other].placed || node[other].row != row)
                         continue;
+                    const auto held = requests[other];
                     const bool shares = std::any_of(
                         requests[op].begin(), requests[op].end(),
                         [&](PoolId pool) {
-                            return std::find(slots[other].pools.begin(),
-                                             slots[other].pools.end(),
-                                             pool) !=
-                                   slots[other].pools.end();
+                            return std::find(held.begin(), held.end(),
+                                             pool) != held.end();
                         });
-                    if (shares && (victim == invalidNode ||
-                                   rank[other] > rank[victim])) {
+                    if (shares &&
+                        (victim == invalidNode ||
+                         node[other].rank > node[victim].rank)) {
                         victim = other;
                     }
                 }
@@ -180,26 +177,27 @@ SwingModuloScheduler::run(const AnnotatedLoop &loop,
             chosen = t;
         }
 
-        mrt.reserveAtInto(requests[op], rowOf(chosen), slots[op]);
-        start[op] = chosen;
-        lastStart[op] = chosen;
-        placed[op] = true;
+        node[op].row = rowOf(chosen);
+        mrt.occupy(requests[op], node[op].row);
+        node[op].start = chosen;
+        node[op].lastStart = chosen;
+        node[op].placed = true;
 
         // Eject neighbors whose dependence the new start violates.
         for (const AdjEdge &edge : adj.outEdges(op)) {
-            if (edge.node == op || !placed[edge.node])
+            if (edge.node == op || !node[edge.node].placed)
                 continue;
-            if (start[edge.node] <
-                start[op] + edge.latency -
+            if (node[edge.node].start <
+                chosen + edge.latency -
                     static_cast<long>(ii) * edge.distance) {
                 unschedule(edge.node);
             }
         }
         for (const AdjEdge &edge : adj.inEdges(op)) {
-            if (edge.node == op || !placed[edge.node])
+            if (edge.node == op || !node[edge.node].placed)
                 continue;
-            if (start[op] < start[edge.node] + edge.latency -
-                                static_cast<long>(ii) * edge.distance) {
+            if (chosen < node[edge.node].start + edge.latency -
+                             static_cast<long>(ii) * edge.distance) {
                 unschedule(edge.node);
             }
         }
@@ -208,7 +206,7 @@ SwingModuloScheduler::run(const AnnotatedLoop &loop,
     out.ii = ii;
     out.startCycle.assign(n, 0);
     for (NodeId v = 0; v < n; ++v)
-        out.startCycle[v] = static_cast<int>(start[v]);
+        out.startCycle[v] = static_cast<int>(node[v].start);
     out.normalize();
     traceAttempt(ii, true, slot_conflicts, ejections);
     return true;

@@ -17,6 +17,8 @@
 #ifndef CAMS_SCHED_SMS_HH
 #define CAMS_SCHED_SMS_HH
 
+#include <vector>
+
 #include "sched/schedule.hh"
 
 namespace cams
@@ -31,6 +33,24 @@ class SwingModuloScheduler : public ModuloScheduler
   protected:
     bool run(const AnnotatedLoop &loop, const ResourceModel &model,
              int ii, Schedule &out, LoopContext &ctx) const override;
+
+  private:
+    /** Working state of one node during a run. */
+    struct NodeState
+    {
+        long start;
+        long lastStart;
+        /** Position in the swing order. */
+        int rank;
+        /** MRT row while placed. */
+        int row;
+        bool placed;
+    };
+
+    /** Reused across calls, like the scratch MRT: per node, and the
+     *  work list's rank-indexed pending flags. */
+    mutable std::vector<NodeState> nodes_;
+    mutable std::vector<char> pendingRank_;
 };
 
 } // namespace cams

@@ -1,5 +1,7 @@
 #include "sched/verifier.hh"
 
+#include <vector>
+
 #include "mrt/mrt.hh"
 #include "support/logging.hh"
 
@@ -38,15 +40,25 @@ verifySchedule(const AnnotatedLoop &loop, const ResourceModel &model,
         }
     }
 
-    Mrt mrt(model, schedule.ii);
+    // Replay every request into per-(pool, row) slot counts: one table
+    // and one request buffer, whatever the loop's size.
+    const int ii = schedule.ii;
+    std::vector<int> used(static_cast<size_t>(model.numPools()) * ii, 0);
+    std::vector<PoolId> request;
+    request.reserve(2 + model.machine().numClusters());
     for (NodeId v = 0; v < loop.graph.numNodes(); ++v) {
-        const auto request = loop.request(model, v);
+        loop.requestInto(model, v, request);
         const int row = schedule.row(v);
-        if (!mrt.canReserveAt(request, row)) {
+        bool fits = true;
+        for (PoolId pool : request) {
+            if (++used[static_cast<size_t>(pool) * ii + row] >
+                model.capacity(pool))
+                fits = false;
+        }
+        if (!fits) {
             return fail("resource overflow at row " + std::to_string(row) +
                         " for " + loop.graph.node(v).name);
         }
-        mrt.reserveAt(request, row);
     }
 
     if (why)

@@ -48,7 +48,7 @@ computeSuiteStats(const std::vector<Dfg> &suite)
             for (int c = 0; c < sccs.numComponents(); ++c) {
                 if (sccs.nonTrivial[c]) {
                     members +=
-                        static_cast<int>(sccs.components[c].size());
+                        static_cast<int>(sccs.component(c).size());
                 }
             }
             stats.sccNodes.add(members);

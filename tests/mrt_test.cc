@@ -13,6 +13,9 @@ namespace cams
 namespace
 {
 
+/** A literal request: the table takes its requests as spans. */
+using Req = std::vector<PoolId>;
+
 TEST(ResourceModel, GpPoolsAlias)
 {
     const ResourceModel model(busedGpMachine(2, 2, 1));
@@ -98,7 +101,7 @@ TEST(Mrt, ReserveAndRelease)
     const PoolId gp = model.fuPool(0, FuClass::Integer);
     EXPECT_EQ(mrt.freeTotal(gp), 8); // 4 units x II 2
 
-    const auto res = mrt.reserve({gp});
+    const auto res = mrt.reserve(Req{gp});
     ASSERT_TRUE(res.has_value());
     EXPECT_EQ(res->row, 0);
     EXPECT_EQ(mrt.freeTotal(gp), 7);
@@ -114,9 +117,9 @@ TEST(Mrt, RowFillsThenOverflows)
     Mrt mrt(model, 1);
     const PoolId gp = model.fuPool(0, FuClass::Integer);
     for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(mrt.reserve({gp}).has_value());
-    EXPECT_FALSE(mrt.reserve({gp}).has_value());
-    EXPECT_EQ(mrt.findRow({gp}), -1);
+        EXPECT_TRUE(mrt.reserve(Req{gp}).has_value());
+    EXPECT_FALSE(mrt.reserve(Req{gp}).has_value());
+    EXPECT_EQ(mrt.findRow(Req{gp}), -1);
 }
 
 TEST(Mrt, FirstFitSkipsFullRows)
@@ -125,9 +128,9 @@ TEST(Mrt, FirstFitSkipsFullRows)
     Mrt mrt(model, 3);
     const PoolId read = model.readPool(0);
     // One read port per row; fill row 0 and 1.
-    mrt.reserveAt({read}, 0);
-    mrt.reserveAt({read}, 1);
-    const auto res = mrt.reserve({read});
+    mrt.reserveAt(Req{read}, 0);
+    mrt.reserveAt(Req{read}, 1);
+    const auto res = mrt.reserve(Req{read});
     ASSERT_TRUE(res.has_value());
     EXPECT_EQ(res->row, 2);
 }
@@ -140,11 +143,11 @@ TEST(Mrt, JointRequestNeedsAllPoolsInOneRow)
     const PoolId bus = model.busPool();
     // Fill the read port in row 0 and the bus in row 1: a joint
     // (read, bus) request no longer fits anywhere.
-    mrt.reserveAt({read}, 0);
-    mrt.reserveAt({bus}, 1);
-    mrt.reserveAt({bus}, 1);
-    EXPECT_TRUE(mrt.canReserveAt({read, bus}, 1) == false);
-    EXPECT_EQ(mrt.findRow({read, bus}), -1);
+    mrt.reserveAt(Req{read}, 0);
+    mrt.reserveAt(Req{bus}, 1);
+    mrt.reserveAt(Req{bus}, 1);
+    EXPECT_TRUE(mrt.canReserveAt(Req{read, bus}, 1) == false);
+    EXPECT_EQ(mrt.findRow(Req{read, bus}), -1);
 }
 
 TEST(Mrt, DuplicatePoolsInOneRequest)
@@ -152,9 +155,9 @@ TEST(Mrt, DuplicatePoolsInOneRequest)
     const ResourceModel model(busedGpMachine(2, 2, 1));
     Mrt mrt(model, 1);
     const PoolId bus = model.busPool(); // capacity 2
-    EXPECT_TRUE(mrt.canReserveAt({bus, bus}, 0));
-    mrt.reserveAt({bus, bus}, 0);
-    EXPECT_FALSE(mrt.canReserveAt({bus}, 0));
+    EXPECT_TRUE(mrt.canReserveAt(Req{bus, bus}, 0));
+    mrt.reserveAt(Req{bus, bus}, 0);
+    EXPECT_FALSE(mrt.canReserveAt(Req{bus}, 0));
 }
 
 TEST(Mrt, ReserveAtWrapsRows)
@@ -162,7 +165,7 @@ TEST(Mrt, ReserveAtWrapsRows)
     const ResourceModel model(busedGpMachine(2, 2, 1));
     Mrt mrt(model, 3);
     const PoolId gp = model.fuPool(0, FuClass::Integer);
-    const auto res = mrt.reserveAt({gp}, 7); // 7 mod 3 = 1
+    const auto res = mrt.reserveAt(Req{gp}, 7); // 7 mod 3 = 1
     EXPECT_EQ(res.row, 1);
     EXPECT_EQ(mrt.freeInRow(gp, 1), 3);
 }
@@ -172,7 +175,7 @@ TEST(Mrt, DoubleReleaseDies)
     const ResourceModel model(busedGpMachine(2, 2, 1));
     Mrt mrt(model, 1);
     const PoolId gp = model.fuPool(0, FuClass::Integer);
-    const auto res = mrt.reserveAt({gp}, 0);
+    const auto res = mrt.reserveAt(Req{gp}, 0);
     mrt.release(res);
     EXPECT_DEATH({ mrt.release(res); }, "double release");
 }

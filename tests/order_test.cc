@@ -16,6 +16,14 @@ namespace cams
 namespace
 {
 
+/** The members of one priority set, as a vector. */
+std::vector<NodeId>
+members(const NodeSets &sets, int s)
+{
+    const auto set = sets.set(s);
+    return {set.begin(), set.end()};
+}
+
 Dfg
 twoRecurrences()
 {
@@ -46,9 +54,9 @@ TEST(SccSets, MostCriticalFirst)
     EXPECT_EQ(sets.recMii[1], 2);
     EXPECT_EQ(sets.recMii[2], 1);
     // First set holds c1 (id 1) and c2 (id 2).
-    EXPECT_EQ(sets.sets[0], (std::vector<NodeId>{1, 2}));
-    EXPECT_EQ(sets.sets[1], (std::vector<NodeId>{3, 4}));
-    EXPECT_EQ(sets.sets[2], (std::vector<NodeId>{0, 5}));
+    EXPECT_EQ(members(sets, 0), (std::vector<NodeId>{1, 2}));
+    EXPECT_EQ(members(sets, 1), (std::vector<NodeId>{3, 4}));
+    EXPECT_EQ(members(sets, 2), (std::vector<NodeId>{0, 5}));
 }
 
 TEST(SccSets, SetOfIsConsistent)
@@ -56,7 +64,7 @@ TEST(SccSets, SetOfIsConsistent)
     Dfg graph = twoRecurrences();
     const NodeSets sets = buildPrioritySets(graph, findSccs(graph));
     for (int s = 0; s < sets.numSets(); ++s) {
-        for (NodeId v : sets.sets[s])
+        for (NodeId v : sets.set(s))
             EXPECT_EQ(sets.setOf[v], s);
     }
 }
@@ -70,7 +78,7 @@ TEST(SccSets, AcyclicGraphOneSet)
                     .build();
     const NodeSets sets = buildPrioritySets(graph, findSccs(graph));
     ASSERT_EQ(sets.numSets(), 1);
-    EXPECT_EQ(sets.sets[0].size(), 2u);
+    EXPECT_EQ(sets.set(0).size(), 2u);
     EXPECT_EQ(sets.recMii[0], 1);
 }
 
@@ -90,8 +98,8 @@ TEST(SccSets, TieBreakBySize)
                     .build();
     const NodeSets sets = buildPrioritySets(graph, findSccs(graph));
     ASSERT_EQ(sets.numSets(), 2);
-    EXPECT_EQ(sets.sets[0].size(), 3u);
-    EXPECT_EQ(sets.sets[1].size(), 2u);
+    EXPECT_EQ(sets.set(0).size(), 3u);
+    EXPECT_EQ(sets.set(1).size(), 2u);
 }
 
 TEST(SwingOrder, EveryNodeExactlyOnce)

@@ -18,7 +18,8 @@ namespace
 std::vector<NodeId>
 sortedComponentOf(const SccInfo &info, NodeId node)
 {
-    auto comp = info.components[info.componentOf[node]];
+    const auto members = info.component(info.componentOf[node]);
+    std::vector<NodeId> comp(members.begin(), members.end());
     std::sort(comp.begin(), comp.end());
     return comp;
 }
@@ -119,7 +120,7 @@ TEST(Scc, LargeCycleSingleComponent)
     Dfg graph = b.build();
     const SccInfo info = findSccs(graph);
     EXPECT_EQ(info.numComponents(), 1);
-    EXPECT_EQ(info.components[0].size(), static_cast<size_t>(n));
+    EXPECT_EQ(info.component(0).size(), static_cast<size_t>(n));
     EXPECT_TRUE(info.nonTrivial[0]);
 }
 
