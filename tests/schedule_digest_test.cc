@@ -366,10 +366,10 @@ TEST(ScheduleDigest, RaceArm)
     const std::vector<Row> rows = {
         {"4c-fs-2b-2p/race", busedFsMachine(4, 2, 2),
          {0x95e298d6a1280454ULL, 0x6d8ba5ab6cd54879ULL,
-          0xa8736daef212bc75ULL}},
+          0x072114ff28853a9eULL}},
         {"4c-gp-4b-2p/race", busedGpMachine(4, 4, 2),
          {0x7414370c80559c9dULL, 0x8d52bee38ee4739aULL,
-          0x8b77d8dd7fd69f8bULL}},
+          0x7a7c51407be7ef32ULL}},
     };
     const std::vector<Dfg> suite = buildSuite(100);
     CompileOptions options;
@@ -397,7 +397,7 @@ TEST(ScheduleDigest, ExactBackend)
     std::string report;
     EXPECT_TRUE(checkDigests(report, "2c-gp-2b-1p/exact", d,
                              {0x079bd20330c34132ULL, 0x32d17e33b38f1aadULL,
-                              0xb7924c67080bffbdULL}))
+                              0x11d0382e825a92b6ULL}))
         << "computed digests:\n" << report;
 }
 
@@ -461,14 +461,14 @@ TEST(ScheduleDigest, LadderAndBudgets)
         {"exact backend",
          [](CompileOptions &o) { o.backend = CompileBackend::Exact; },
          {0x1358d8405003d768ULL, 0x5fb792080da5c1e0ULL,
-          0x0704a65e0a129695ULL}},
+          0x14ea3012ba8ec3d3ULL}},
         {"exact probe limit",
          [](CompileOptions &o) {
              o.backend = CompileBackend::Exact;
              o.exact.maxProbes = 1;
          },
          {0x750cdbb906f090acULL, 0x481f127e00f6af4eULL,
-          0x588bfd749a80e81bULL}},
+          0x2ca825a35b1c3ec7ULL}},
         {"exact expired budget",
          [](CompileOptions &o) {
              o.backend = CompileBackend::Exact;
@@ -481,7 +481,7 @@ TEST(ScheduleDigest, LadderAndBudgets)
              o.backend = CompileBackend::Race;
          },
          {0xbb35a5bbcc65840fULL, 0x5fb792080da5c1e0ULL,
-          0x0704a65e0a129695ULL}},
+          0x14ea3012ba8ec3d3ULL}},
     };
     const std::vector<MachineDesc> machines = {busedGpMachine(2, 2, 1),
                                                gridMachine(2)};
