@@ -19,14 +19,24 @@
  * bench/baselines/compile_perf_baseline.json: a change that does more
  * work shows up as a larger counter.
  *
+ * One more counter, allocs, is the number of heap allocations one
+ * untimed compileClustered pass over the suite on 2c-gp-2b-1p makes,
+ * counted by the global operator new this binary replaces (as
+ * tests/alloc_ceiling_test.cc does). With a fixed toolchain it is as
+ * deterministic as the work counters, so the gate catches a change
+ * that brings allocations back.
+ *
  * Wall time -- the mean, p50 and p90 per loop and the per-phase
  * breakdown, fastest of --reps repetitions (default 3) -- is reported
  * for information and not gated.
  */
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -34,6 +44,107 @@
 #include "bench/common.hh"
 #include "machine/configs.hh"
 #include "support/str.hh"
+
+namespace
+{
+
+/** Heap allocations made so far, by every thread. */
+std::atomic<long> allocations{0};
+
+void *
+countedAlloc(std::size_t size, std::size_t align = 0)
+{
+    allocations.fetch_add(1, std::memory_order_relaxed);
+    if (align <= alignof(std::max_align_t))
+        return std::malloc(size == 0 ? 1 : size);
+    void *p = nullptr;
+    return posix_memalign(&p, align, size == 0 ? 1 : size) == 0 ? p
+                                                                 : nullptr;
+}
+
+void *
+checkedAlloc(std::size_t size, std::size_t align = 0)
+{
+    if (void *p = countedAlloc(size, align))
+        return p;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+// Every replaceable allocation form goes through the counter, so the
+// library's and the runtime's allocations pair up with free().
+void *operator new(std::size_t size) { return checkedAlloc(size); }
+void *operator new[](std::size_t size) { return checkedAlloc(size); }
+
+void *
+operator new(std::size_t size, std::align_val_t align)
+{
+    return checkedAlloc(size, static_cast<std::size_t>(align));
+}
+
+void *
+operator new[](std::size_t size, std::align_val_t align)
+{
+    return checkedAlloc(size, static_cast<std::size_t>(align));
+}
+
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size);
+}
+
+void *
+operator new(std::size_t size, std::align_val_t align,
+             const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size, static_cast<std::size_t>(align));
+}
+
+void *
+operator new[](std::size_t size, std::align_val_t align,
+               const std::nothrow_t &) noexcept
+{
+    return countedAlloc(size, static_cast<std::size_t>(align));
+}
+
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::align_val_t) noexcept { std::free(p); }
+
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
 
 namespace
 {
@@ -104,13 +215,24 @@ struct CounterPass
     BatchOutcome outcome;
 };
 
+/** Heap allocations of one compileClustered pass over the suite. */
+long
+countAllocations(const std::vector<Dfg> &suite, const MachineDesc &machine)
+{
+    const long before = allocations.load();
+    for (const Dfg &loop : suite)
+        compileClustered(loop, machine, CompileOptions{});
+    return allocations.load() - before;
+}
+
 /** The deterministic work counters the CI gate compares. */
 std::string
-countersJson(const BatchOutcome &heuristic, const BatchOutcome &race,
+countersJson(long allocs, const BatchOutcome &heuristic,
+             const BatchOutcome &race,
              const std::vector<CounterPass> &passes)
 {
     std::ostringstream os;
-    os << "{";
+    os << "{\"allocs\":" << allocs << ",";
     appendCounters(os, heuristic, "");
     os << ",";
     appendCounters(os, race, "race_");
@@ -181,6 +303,7 @@ main(int argc, char **argv)
               << std::endl;
     const SuiteTimes times =
         timeSuite(clusteredJobs(suite, machine, CompileOptions{}), reps);
+    const long allocs = countAllocations(suite, machine);
 
     const MachineDesc raceMachine = busedFsMachine(4, 2, 2);
     CompileOptions race;
@@ -210,7 +333,8 @@ main(int argc, char **argv)
                  BatchRunner::run(clusteredJobs(suite, config, options), 1)});
         }
     }
-    const std::string counters = countersJson(times.outcome, raced, passes);
+    const std::string counters =
+        countersJson(allocs, times.outcome, raced, passes);
 
     std::ofstream json("BENCH_compile_perf.json");
     json << "{\"bench\":\"compile_perf\","

@@ -1,25 +1,31 @@
 /**
  * @file
- * Allocation ceilings of cluster assignment and modulo scheduling.
+ * Allocation ceilings of whole compiles, cluster assignment and
+ * modulo scheduling.
+ *
+ * This binary replaces the global operator new with a counting one.
+ * A heuristic compileClustered call, on each of the six benchmark
+ * machines under SMS and IMS, must average at most 12 allocations per
+ * input node: the loop analyses are flat arrays, and the assigner's
+ * and schedulers' working state is reused across restarts and II
+ * probes, so what remains is mostly the annotated result.
  *
  * The Figure 10 step places every node tentatively on every cluster
  * and rolls each placement back; together with the Figure 11 repair
  * it is the compiler's inner loop. Its copy records, undo logs, hop
- * plans and copy requests live in reused buffers, so a warm rerun of
- * the assigner allocates per attempt (tables, the annotated result),
- * not per tentative placement. This binary replaces the global
- * operator new with a counting one and holds that property: rerunning
- * ClusterAssigner::run at the compiled II with the same warmed
- * LoopContext must average at most 20 allocations per graph node.
+ * plans and copy requests live in the LoopContext's reused attempt
+ * state, so a warm rerun of the assigner allocates only its result,
+ * not per tentative placement: rerunning ClusterAssigner::run at the
+ * compiled II with the same warmed LoopContext must average at most
+ * 4 allocations per graph node.
  *
  * The scheduler gets two ceilings at the compiled II, for SMS and
  * IMS, per node of the annotated graph it schedules (copies
  * included): a warm rerun of ModuloScheduler::schedule on the same
- * LoopContext at most 2 allocations, and a first call on a fresh
+ * LoopContext at most 0.25 allocations, and a first call on a fresh
  * context -- what the driver makes on every II attempt, since the
- * annotated graph changes per II -- at most 8. Most of the fresh
- * call's allocations fill that per-attempt LoopContext's analyses, so
- * it is the next target.
+ * annotated graph changes per II -- at most 2, which pays for that
+ * context's flat analyses and the scheduler's first working state.
  *
  * The exact arm's encoder builds every clause in one reused buffer or
  * through the solver's 1-, 2- and 3-literal forms, and the solver
@@ -192,10 +198,37 @@ namespace
 {
 
 constexpr int ceilingLoops = 200;
-constexpr double maxAllocsPerNode = 20.0;
-constexpr double maxWarmSchedAllocsPerNode = 2.0;
-constexpr double maxFreshSchedAllocsPerNode = 8.0;
+constexpr double maxCompileAllocsPerNode = 12.0;
+constexpr double maxAllocsPerNode = 4.0;
+constexpr double maxWarmSchedAllocsPerNode = 0.25;
+constexpr double maxFreshSchedAllocsPerNode = 2.0;
 constexpr double maxEncodeAllocsPerVar = 3.0;
+
+/** Allocations per input node of a heuristic compileClustered. */
+double
+compileAllocsPerNode(const MachineDesc &machine, SchedulerKind kind)
+{
+    const std::vector<Dfg> suite = buildSuite(ceilingLoops);
+    CompileOptions options;
+    options.scheduler = kind;
+    long total = 0;
+    long nodes = 0;
+    for (const Dfg &loop : suite) {
+        const long before = allocations;
+        const CompileResult compiled =
+            compileClustered(loop, machine, options);
+        total += allocations - before;
+        nodes += loop.numNodes();
+        EXPECT_TRUE(compiled.success) << loop.name();
+    }
+    EXPECT_GT(nodes, 0);
+    const double perNode =
+        static_cast<double>(total) / static_cast<double>(nodes);
+    std::printf("%s %s: %.2f compile allocations per node\n",
+                machine.name.c_str(),
+                kind == SchedulerKind::Swing ? "sms" : "ims", perNode);
+    return perNode;
+}
 
 /** Allocations per node of a warm assigner rerun over the suite. */
 double
@@ -316,6 +349,20 @@ encodeAllocsPerVar(const MachineDesc &machine)
     std::printf("%s: %.2f encode allocations per solver variable\n",
                 machine.name.c_str(), perVar);
     return perVar;
+}
+
+TEST(AllocCeiling, CompileStaysUnderCeiling)
+{
+    for (const MachineDesc &machine :
+         {busedGpMachine(2, 2, 1), busedGpMachine(4, 4, 2),
+          busedFsMachine(2, 2, 1), busedFsMachine(4, 2, 2),
+          gridMachine(2), busedGpMachine(8, 7, 3)}) {
+        for (const SchedulerKind kind :
+             {SchedulerKind::Swing, SchedulerKind::Iterative}) {
+            EXPECT_LE(compileAllocsPerNode(machine, kind),
+                      maxCompileAllocsPerNode);
+        }
+    }
 }
 
 TEST(AllocCeiling, GridRerunStaysUnderCeiling)
