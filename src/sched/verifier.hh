@@ -22,8 +22,9 @@ namespace cams
  * Checks:
  *  - every dependence e = (u, v):
  *      start(v) >= start(u) + latency(e) - II * distance(e);
- *  - resources: replaying every operation's resource request into a
- *    fresh MRT at row start mod II never exceeds any pool's capacity;
+ *  - resources: replaying every operation's resource request into
+ *    per-(pool, row) slot counts at row start mod II never exceeds
+ *    any pool's capacity;
  *  - the placement annotations themselves (AnnotatedLoop::validate).
  *
  * @param why filled with the first violation found.
