@@ -1,6 +1,7 @@
 #include "assign/assigner.hh"
 
 #include <algorithm>
+#include <bit>
 #include <optional>
 #include <span>
 
@@ -22,7 +23,8 @@ namespace cams
  * and work lists keep their capacity, and placing and rolling back
  * allocate nothing once they are warm. Per-cluster tallies of the
  * §4.2 predictions follow every placement and copy change, so scoring
- * a candidate cluster costs no scan of the graph.
+ * a candidate cluster costs no scan of the graph; so do the clusters
+ * each value's consumers sit on, which re-planning its copies reads.
  */
 class AssignState
 {
@@ -49,6 +51,10 @@ class AssignState
         /** MRT rows in the slot, one per copy operation (the one
          *  broadcast, or one per hop): the record's copy count. */
         int numRows = 0;
+
+        /** The destinations as a cluster mask, which syncComm
+         *  compares with the consumers' clusters. */
+        uint64_t dstMask = 0;
     };
 
     /**
@@ -554,26 +560,20 @@ class AssignState
         cams_assert(assigned(value), "syncComm on unassigned value");
         const ClusterId src = clusterOf_[value];
 
-        // Sorted, distinct clusters of the value's remote consumers.
-        desired_.clear();
-        for (NodeId succ : adj_->succs(value)) {
-            if (succ != value && assigned(succ) && clusterOf_[succ] != src)
-                desired_.push_back(clusterOf_[succ]);
-        }
-        std::sort(desired_.begin(), desired_.end());
-        desired_.erase(std::unique(desired_.begin(), desired_.end()),
-                       desired_.end());
-
-        if (!hasComm_[value]) {
-            if (desired_.empty())
-                return true;
-        } else if (clusterMask(dstsOf(value)) == clusterMask(desired_)) {
-            // Bused: the same destination set. Point-to-point: the hop
-            // targets, relays included, equal the destinations -- so
-            // a value routed through a relay is re-planned on every
-            // sync.
+        // The clusters of the value's remote consumers, read from the
+        // running mask: the same set a scan of its placed successors
+        // would collect, so an unchanged record costs O(1).
+        const uint64_t desired =
+            nodeTally_[value].consumerClusters & ~(uint64_t{1} << src);
+        // Nothing to do when the record already serves that set, or
+        // when the set is empty and there is no record (a record's
+        // mask is never empty). Bused: the same destination set.
+        // Point-to-point: the hop targets, relays included, equal the
+        // destinations -- so a value routed through a relay is
+        // re-planned on every sync.
+        const uint64_t recorded = hasComm_[value] ? comm_[value].dstMask : 0;
+        if (desired == recorded)
             return true;
-        }
 
         // Log the previous record once per value per transaction:
         // release its slots and copy it into the log entry.
@@ -588,7 +588,7 @@ class AssignState
             }
         }
         dropComm(value); // a record this transaction made earlier
-        if (desired_.empty())
+        if (desired == 0)
             return true;
 
         // Injected bus/link exhaustion: behave exactly as if every
@@ -596,8 +596,11 @@ class AssignState
         if (faults_ && faults_->trip(FaultSite::RouterBusExhaustion))
             return false;
 
+        desired_.clear(); // ascending
+        for (uint64_t rest = desired; rest != 0; rest &= rest - 1)
+            desired_.push_back(std::countr_zero(rest));
         ValueComm &fresh = comm_[value];
-        fresh = {src, 0, 0};
+        fresh = {src, 0, 0, 0};
         ClusterId *fresh_dsts = commSlots_.dstsAt(value);
         int *fresh_rows = commSlots_.rowsAt(value);
         auto reserveCopy = [&](ClusterId from,
@@ -615,6 +618,7 @@ class AssignState
                 return false;
             std::copy(desired_.begin(), desired_.end(), fresh_dsts);
             fresh.numDsts = static_cast<int>(desired_.size());
+            fresh.dstMask = desired;
         } else {
             planHops(model_->hopTree(src), desired_, hops_);
             for (const Hop &hop : hops_) {
@@ -623,22 +627,13 @@ class AssignState
                     return false;
                 }
                 fresh_dsts[fresh.numDsts++] = hop.to;
+                fresh.dstMask |= uint64_t{1} << hop.to;
             }
         }
         hasComm_[value] = 1;
         copyOps_ += fresh.numRows;
         refreshPcr(value);
         return true;
-    }
-
-    /** Set of clusters as a bit mask (at most maxClusters of them). */
-    static uint64_t
-    clusterMask(std::span<const ClusterId> clusters)
-    {
-        uint64_t mask = 0;
-        for (ClusterId c : clusters)
-            mask |= uint64_t{1} << c;
-        return mask;
     }
 
     /** A live record's destinations. */
@@ -723,27 +718,28 @@ class AssignState
      * Sets clusterOf_[node] and keeps the scoring tallies exact: the
      * node's own PCR term joins its cluster, it stops counting as an
      * unplaced producer, and each predecessor loses an unplaced
-     * consumer and gains one on the cluster. O(deg + clusters).
+     * consumer and gains one on the cluster. O(deg).
      */
     void
     place(NodeId node, ClusterId cluster)
     {
         clusterOf_[node] = cluster;
         refreshPcr(node);
-        const int *on = &consumersOn_[static_cast<size_t>(node) * clusters_];
-        for (ClusterId c = 0; c < clusters_; ++c) {
-            if (on[c] > 0)
-                --clusterTally_[c].incoming;
+        for (uint64_t rest = nodeTally_[node].consumerClusters; rest != 0;
+             rest &= rest - 1) {
+            --clusterTally_[std::countr_zero(rest)].incoming;
         }
         for (NodeId pred : adj_->preds(node)) {
             if (pred == node)
                 continue;
-            --nodeTally_[pred].unplacedSuccs;
+            NodeTally &tally = nodeTally_[pred];
+            --tally.unplacedSuccs;
             refreshPcr(pred);
             if (consumersOn_[static_cast<size_t>(pred) * clusters_ +
-                             cluster]++ == 0 &&
-                !assigned(pred)) {
-                ++clusterTally_[cluster].incoming;
+                             cluster]++ == 0) {
+                tally.consumerClusters |= uint64_t{1} << cluster;
+                if (!assigned(pred))
+                    ++clusterTally_[cluster].incoming;
             }
         }
     }
@@ -756,20 +752,21 @@ class AssignState
         clusterTally_[cluster].pcr -= nodeTally_[node].pcrTerm;
         nodeTally_[node].pcrTerm = 0;
         clusterOf_[node] = invalidCluster;
-        const int *on = &consumersOn_[static_cast<size_t>(node) * clusters_];
-        for (ClusterId c = 0; c < clusters_; ++c) {
-            if (on[c] > 0)
-                ++clusterTally_[c].incoming;
+        for (uint64_t rest = nodeTally_[node].consumerClusters; rest != 0;
+             rest &= rest - 1) {
+            ++clusterTally_[std::countr_zero(rest)].incoming;
         }
         for (NodeId pred : adj_->preds(node)) {
             if (pred == node)
                 continue;
-            ++nodeTally_[pred].unplacedSuccs;
+            NodeTally &tally = nodeTally_[pred];
+            ++tally.unplacedSuccs;
             refreshPcr(pred);
             if (--consumersOn_[static_cast<size_t>(pred) * clusters_ +
-                               cluster] == 0 &&
-                !assigned(pred)) {
-                --clusterTally_[cluster].incoming;
+                               cluster] == 0) {
+                tally.consumerClusters &= ~(uint64_t{1} << cluster);
+                if (!assigned(pred))
+                    --clusterTally_[cluster].incoming;
             }
         }
     }
@@ -802,6 +799,8 @@ class AssignState
         int unplacedSuccs = 0;
         /** The node's term in its cluster's PCR (0 while unplaced). */
         int pcrTerm = 0;
+        /** Bit c: some placed consumer sits on c (consumersOn_ > 0). */
+        uint64_t consumerClusters = 0;
     };
 
     struct ClusterTally
@@ -976,7 +975,7 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
         for (const auto &verdict : explain.verdicts) {
             if (!out.empty())
                 out += " ";
-            out += "C" + std::to_string(verdict.cluster) + ":";
+            out += 'C' + std::to_string(verdict.cluster) + ":";
             if (verdict.cluster == explain.winner)
                 out += "win";
             else if (verdict.survived)

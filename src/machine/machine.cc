@@ -204,36 +204,39 @@ MachineDesc::unifiedEquivalent() const
 std::string
 MachineDesc::validationError() const
 {
-    const std::string prefix = "machine '" + name + "'";
+    // Built on failing branches only: a valid machine costs no string.
+    auto fail = [&](const std::string &what) {
+        return "machine '" + name + "'" + what;
+    };
     if (clusters.empty())
-        return prefix + " has no clusters";
+        return fail(" has no clusters");
     if (numClusters() > maxClusters) {
-        return prefix + ": more than " + std::to_string(maxClusters) +
-               " clusters";
+        return fail(": more than " + std::to_string(maxClusters) +
+                    " clusters");
     }
     for (const ClusterDesc &c : clusters) {
         if (c.gpUnits < 0 || c.readPorts < 0 || c.writePorts < 0)
-            return prefix + ": negative resource count";
+            return fail(": negative resource count");
         for (int units : c.fsUnits) {
             if (units < 0)
-                return prefix + ": negative FU count";
+                return fail(": negative FU count");
         }
         if (c.width() == 0)
-            return prefix + ": cluster with no units";
+            return fail(": cluster with no units");
     }
     if (numClusters() == 1)
         return {};
     if (interconnect == InterconnectKind::Bus) {
         if (numBuses <= 0)
-            return prefix + ": multi-cluster bused machine needs buses";
+            return fail(": multi-cluster bused machine needs buses");
         return {};
     }
     if (links.empty())
-        return prefix + ": no links";
+        return fail(": no links");
     for (const LinkDesc &link : links) {
         if (link.a < 0 || link.a >= numClusters() || link.b < 0 ||
             link.b >= numClusters() || link.a == link.b) {
-            return prefix + ": bad link";
+            return fail(": bad link");
         }
     }
     // Links are undirected: every cluster reachable from cluster 0
@@ -241,8 +244,8 @@ MachineDesc::validationError() const
     const HopTree tree = hopTree(0);
     for (ClusterId c = 1; c < numClusters(); ++c) {
         if (tree.depth[c] < 0) {
-            return prefix + ": clusters 0 and " + std::to_string(c) +
-                   " are not connected";
+            return fail(": clusters 0 and " + std::to_string(c) +
+                        " are not connected");
         }
     }
     return {};

@@ -20,7 +20,6 @@ ResourceModel::ResourceModel(const MachineDesc &machine)
         static_cast<size_t>(clusters) * (numFuClasses + 2) + 1 +
         machine_.links.size();
     capacity_.reserve(maxPools);
-    names_.reserve(maxPools);
     fuPools_.reserve(clusters);
     linkPools_.reserve(machine_.links.size());
     readPools_.reserve(clusters);
@@ -28,10 +27,8 @@ ResourceModel::ResourceModel(const MachineDesc &machine)
     localPools_.reserve(static_cast<size_t>(clusters) * (numFuClasses + 2));
     localOff_.reserve(clusters + 1);
 
-    auto addPool = [&](int capacity, const std::string &name) -> PoolId {
-        cams_assert(capacity > 0, "pool '", name, "' with capacity 0");
+    auto addPool = [&](int capacity) -> PoolId {
         capacity_.push_back(capacity);
-        names_.push_back(name);
         return static_cast<PoolId>(capacity_.size() - 1);
     };
 
@@ -40,39 +37,33 @@ ResourceModel::ResourceModel(const MachineDesc &machine)
         std::array<PoolId, numFuClasses> pools;
         pools.fill(invalidPool);
         if (cluster.usesGpPool()) {
-            const PoolId gp =
-                addPool(cluster.gpUnits, "gp@" + std::to_string(c));
-            pools.fill(gp);
+            pools.fill(addPool(cluster.gpUnits));
         } else {
             for (int cls = 0; cls < numFuClasses; ++cls) {
-                if (cluster.fsUnits[cls] > 0) {
-                    pools[cls] = addPool(
-                        cluster.fsUnits[cls],
-                        fuClassName(static_cast<FuClass>(cls)) + "@" +
-                            std::to_string(c));
-                }
+                if (cluster.fsUnits[cls] > 0)
+                    pools[cls] = addPool(cluster.fsUnits[cls]);
             }
         }
         fuPools_.push_back(pools);
 
-        readPools_.push_back(
-            cluster.readPorts > 0
-                ? addPool(cluster.readPorts, "rd@" + std::to_string(c))
-                : invalidPool);
-        writePools_.push_back(
-            cluster.writePorts > 0
-                ? addPool(cluster.writePorts, "wr@" + std::to_string(c))
-                : invalidPool);
+        readPools_.push_back(invalidPool);
+        writePools_.push_back(invalidPool);
+        if (cluster.readPorts > 0)
+            readPools_.back() = addPool(cluster.readPorts);
+        if (cluster.writePorts > 0)
+            writePools_.back() = addPool(cluster.writePorts);
     }
 
     if (machine_.interconnect == InterconnectKind::Bus &&
         machine_.numBuses > 0) {
-        busPool_ = addPool(machine_.numBuses, "bus");
+        busPool_ = addPool(machine_.numBuses);
     }
-    for (size_t i = 0; i < machine_.links.size(); ++i) {
-        linkPools_.push_back(
-            addPool(1, "link" + std::to_string(machine_.links[i].a) + "-" +
-                           std::to_string(machine_.links[i].b)));
+    for (size_t i = 0; i < machine_.links.size(); ++i)
+        linkPools_.push_back(addPool(1));
+    for (PoolId pool = 0; pool < numPools(); ++pool) {
+        const int capacity = capacity_[pool];
+        cams_assert(capacity > 0, "pool '", poolName(pool),
+                    "' with capacity 0");
     }
 
     if (machine_.interconnect == InterconnectKind::PointToPoint) {
@@ -166,7 +157,31 @@ std::string
 ResourceModel::poolName(PoolId pool) const
 {
     cams_assert(pool >= 0 && pool < numPools(), "bad pool ", pool);
-    return names_[pool];
+    // Names serve diagnostics only, so they are derived from the pool
+    // tables on demand rather than stored.
+    for (ClusterId c = 0; c < machine_.numClusters(); ++c) {
+        const std::string at = '@' + std::to_string(c);
+        for (int cls = 0; cls < numFuClasses; ++cls) {
+            if (fuPools_[c][cls] != pool)
+                continue;
+            if (machine_.cluster(c).usesGpPool())
+                return "gp" + at;
+            return fuClassName(static_cast<FuClass>(cls)) + at;
+        }
+        if (pool == readPools_[c])
+            return "rd" + at;
+        if (pool == writePools_[c])
+            return "wr" + at;
+    }
+    if (pool == busPool_)
+        return "bus";
+    for (size_t i = 0; i < linkPools_.size(); ++i) {
+        if (pool == linkPools_[i]) {
+            return "link" + std::to_string(machine_.links[i].a) + "-" +
+                   std::to_string(machine_.links[i].b);
+        }
+    }
+    return {};
 }
 
 std::span<const PoolId>

@@ -129,7 +129,6 @@ class ResourceModel
   private:
     MachineDesc machine_;
     std::vector<int> capacity_;
-    std::vector<std::string> names_;
     // Per cluster: pool per FuClass (GP clusters alias all three).
     std::vector<std::array<PoolId, numFuClasses>> fuPools_;
     std::vector<PoolId> readPools_;

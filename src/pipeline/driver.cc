@@ -202,8 +202,12 @@ struct Compile
         limit = result.mii.mii * 4 + options.iiSlack;
         scheduler->setTrace(options.trace);
         result.failure = FailureKind::IiExhausted;
-        result.failureDetail = detail::concat(
-            "empty II search window [", result.mii.mii, ", ", limit, "]");
+        // Every II a search probes writes its own detail, so only an
+        // empty window keeps this one.
+        if (limit < result.mii.mii) {
+            result.failureDetail = detail::concat(
+                "empty II search window [", result.mii.mii, ", ", limit, "]");
+        }
     }
 
     /**

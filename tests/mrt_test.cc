@@ -57,6 +57,26 @@ TEST(ResourceModel, UnifiedHasNoPorts)
     EXPECT_EQ(model.busPool(), invalidPool);
 }
 
+TEST(ResourceModel, PoolNamesFollowTheLayout)
+{
+    auto names = [](const MachineDesc &machine) {
+        const ResourceModel model(machine);
+        std::string out;
+        for (PoolId pool = 0; pool < model.numPools(); ++pool)
+            out += (pool > 0 ? " " : "") + model.poolName(pool);
+        return out;
+    };
+    EXPECT_EQ(names(busedGpMachine(2, 2, 1)),
+              "gp@0 rd@0 wr@0 gp@1 rd@1 wr@1 bus");
+    EXPECT_EQ(names(busedFsMachine(2, 2, 1)),
+              "mem@0 int@0 fp@0 rd@0 wr@0 mem@1 int@1 fp@1 rd@1 wr@1 bus");
+    EXPECT_EQ(names(gridMachine()),
+              "mem@0 int@0 fp@0 rd@0 wr@0 mem@1 int@1 fp@1 rd@1 wr@1 "
+              "mem@2 int@2 fp@2 rd@2 wr@2 mem@3 int@3 fp@3 rd@3 wr@3 "
+              "link0-1 link2-3 link0-2 link1-3");
+    EXPECT_EQ(names(unifiedGpMachine(8)), "gp@0");
+}
+
 TEST(ResourceModel, OpRequestUsesFuPool)
 {
     const ResourceModel model(busedFsMachine(2, 2, 1));

@@ -11,8 +11,13 @@
  *  P5  recurrences are never split when the clustered II matches the
  *      unified II on a machine whose copies have latency (a split
  *      would have raised RecMII above it);
- *  P6  assignment-phase MRT accounting is consistent: re-running
- *      assignment at the achieved II succeeds.
+ *  P6  the pipelined execution computes exactly the sequential
+ *      loop's values on the VLIW simulator;
+ *  P7  rotating register allocation of the schedule is sound;
+ *  P8  stage scheduling keeps the schedule legal at the same II and
+ *      never lengthens total lifetime;
+ *  P9  each value's copies deliver it exactly to the clusters of its
+ *      consumers, plus the relays on the routes there.
  */
 
 #include <algorithm>
@@ -134,6 +139,45 @@ TEST_P(PipelineSweep, InvariantsHold)
         EXPECT_TRUE(verifySchedule(clustered.loop, model,
                                    staged.schedule, &why))
             << why;
+
+        // P9: the copies fed by each value, directly or hop by hop,
+        // deliver it to the clusters on the routes from its cluster to
+        // each consumer's, and nowhere else. A bused route is just
+        // {src, dst}; on the grid a route adds its relays.
+        const AnnotatedLoop &annotated = clustered.loop;
+        for (NodeId v = 0; v < loop.numNodes(); ++v) {
+            const ClusterId src = annotated.placement[v].cluster;
+            std::vector<ClusterId> expected;
+            for (NodeId succ : loop.successors(v)) {
+                const ClusterId dst = annotated.placement[succ].cluster;
+                if (dst == src)
+                    continue;
+                for (ClusterId c : machine.route(src, dst)) {
+                    if (c != src)
+                        expected.push_back(c);
+                }
+            }
+            std::sort(expected.begin(), expected.end());
+            expected.erase(std::unique(expected.begin(), expected.end()),
+                           expected.end());
+            std::vector<ClusterId> delivered;
+            std::vector<NodeId> frontier{v};
+            while (!frontier.empty()) {
+                const NodeId from = frontier.back();
+                frontier.pop_back();
+                for (NodeId next : annotated.graph.successors(from)) {
+                    if (!annotated.isCopy(next))
+                        continue;
+                    const std::vector<ClusterId> &dsts =
+                        annotated.placement[next].copyDsts;
+                    delivered.insert(delivered.end(), dsts.begin(),
+                                     dsts.end());
+                    frontier.push_back(next);
+                }
+            }
+            std::sort(delivered.begin(), delivered.end());
+            EXPECT_EQ(delivered, expected) << "value " << v;
+        }
     }
 }
 
