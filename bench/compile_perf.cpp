@@ -19,12 +19,17 @@
  * bench/baselines/compile_perf_baseline.json: a change that does more
  * work shows up as a larger counter.
  *
- * One more counter, allocs, is the number of heap allocations one
- * untimed compileClustered pass over the suite on 2c-gp-2b-1p makes,
- * counted by the global operator new this binary replaces (as
- * tests/alloc_ceiling_test.cc does). With a fixed toolchain it is as
- * deterministic as the work counters, so the gate catches a change
- * that brings allocations back.
+ * Two more counters are heap allocations, counted by the global
+ * operator new this binary replaces (as tests/alloc_ceiling_test.cc
+ * does): allocs, those of one untimed compileClustered pass over the
+ * suite on 2c-gp-2b-1p, and cache_hit_allocs, those of the same pass
+ * served through a read-only compile cache that an earlier pass
+ * filled (a temporary directory under the working directory). Most
+ * loops of that pass are cache hits; a loop whose Weisfeiler-Leman
+ * twin came first shares its entry, misses the byte gate and
+ * compiles. With a fixed toolchain both counts are as deterministic
+ * as the work counters, so the gate catches a change that brings
+ * allocations back to a compile or to a cache hit.
  *
  * Wall time -- the mean, p50 and p90 per loop and the per-phase
  * breakdown, fastest of --reps repetitions (default 3) -- is reported
@@ -34,6 +39,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <new>
@@ -225,14 +231,52 @@ countAllocations(const std::vector<Dfg> &suite, const MachineDesc &machine)
     return allocations.load() - before;
 }
 
+/**
+ * Heap allocations of one compileClustered pass over the suite served
+ * through a read-only cache that a first pass filled. The directory
+ * is relative to the working directory, so the path's length, and
+ * with it the allocation count, is the same on every host.
+ */
+long
+countCacheHitAllocations(const std::vector<Dfg> &suite,
+                         const MachineDesc &machine)
+{
+    const std::string dir = "compile_perf_cache.tmp";
+    std::filesystem::remove_all(dir);
+    {
+        CompileCache cache(dir, CacheMode::ReadWrite);
+        CompileOptions options;
+        options.cache = &cache;
+        for (const Dfg &loop : suite)
+            compileClustered(loop, machine, options);
+    }
+    long hits = 0;
+    long allocs = 0;
+    {
+        CompileCache cache(dir, CacheMode::ReadOnly);
+        CompileOptions options;
+        options.cache = &cache;
+        const long before = allocations.load();
+        for (const Dfg &loop : suite)
+            hits += compileClustered(loop, machine, options).fromCache;
+        allocs = allocations.load() - before;
+    }
+    std::filesystem::remove_all(dir);
+    std::cerr << "cache pass: " << hits << " hits, "
+              << static_cast<long>(suite.size()) - hits << " misses"
+              << std::endl;
+    return allocs;
+}
+
 /** The deterministic work counters the CI gate compares. */
 std::string
-countersJson(long allocs, const BatchOutcome &heuristic,
-             const BatchOutcome &race,
+countersJson(long allocs, long cacheHitAllocs,
+             const BatchOutcome &heuristic, const BatchOutcome &race,
              const std::vector<CounterPass> &passes)
 {
     std::ostringstream os;
-    os << "{\"allocs\":" << allocs << ",";
+    os << "{\"allocs\":" << allocs << ",\"cache_hit_allocs\":"
+       << cacheHitAllocs << ",";
     appendCounters(os, heuristic, "");
     os << ",";
     appendCounters(os, race, "race_");
@@ -304,6 +348,7 @@ main(int argc, char **argv)
     const SuiteTimes times =
         timeSuite(clusteredJobs(suite, machine, CompileOptions{}), reps);
     const long allocs = countAllocations(suite, machine);
+    const long cacheHitAllocs = countCacheHitAllocations(suite, machine);
 
     const MachineDesc raceMachine = busedFsMachine(4, 2, 2);
     CompileOptions race;
@@ -334,7 +379,7 @@ main(int argc, char **argv)
         }
     }
     const std::string counters =
-        countersJson(allocs, times.outcome, raced, passes);
+        countersJson(allocs, cacheHitAllocs, times.outcome, raced, passes);
 
     std::ofstream json("BENCH_compile_perf.json");
     json << "{\"bench\":\"compile_perf\","

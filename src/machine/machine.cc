@@ -217,11 +217,15 @@ MachineDesc::validationError() const
     for (const ClusterDesc &c : clusters) {
         if (c.gpUnits < 0 || c.readPorts < 0 || c.writePorts < 0)
             return fail(": negative resource count");
+        // Counts read from outside bytes may be near INT_MAX, so test
+        // for a zero width without summing them the way width() does.
+        bool any_units = c.gpUnits > 0;
         for (int units : c.fsUnits) {
             if (units < 0)
                 return fail(": negative FU count");
+            any_units = any_units || units > 0;
         }
-        if (c.width() == 0)
+        if (!any_units)
             return fail(": cluster with no units");
     }
     if (numClusters() == 1)

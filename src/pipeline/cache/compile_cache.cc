@@ -1,14 +1,19 @@
 #include "pipeline/cache/compile_cache.hh"
 
 #include <bit>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "mrt/mrt.hh"
 #include "pipeline/cache/serialize.hh"
@@ -25,8 +30,9 @@ namespace
 /** "CCE1" read as a little-endian u32. */
 constexpr uint32_t entryMagic = 0x31454343u;
 
-/** Bumped on any change to the entry layout or a nested payload. */
-constexpr uint32_t entryFormatVersion = 1;
+/** Bumped on any change to the entry layout, a nested payload or the
+ *  checksum function. v2: hashBytes reads eight bytes per step. */
+constexpr uint32_t entryFormatVersion = 2;
 
 /** Salts the options hash so schema changes invalidate old keys. */
 constexpr uint64_t optionsSchemaSalt = 0xca5cade100000002ULL;
@@ -50,18 +56,27 @@ parseHex16(const std::string &text, uint64_t &out)
     return end == text.c_str() + 16;
 }
 
+/** Reads a whole regular file with one sized read. */
 bool
 readFileBytes(const std::string &path, std::string &out)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return false;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    if (in.bad())
-        return false;
-    out = buf.str();
-    return true;
+    struct stat info;
+    bool ok = ::fstat(fd, &info) == 0 && S_ISREG(info.st_mode);
+    if (ok)
+        out.resize(static_cast<size_t>(info.st_size));
+    for (size_t done = 0; ok && done < out.size();) {
+        const ssize_t got =
+            ::read(fd, out.data() + done, out.size() - done);
+        if (got > 0)
+            done += static_cast<size_t>(got);
+        else
+            ok = got < 0 && errno == EINTR; // 0: the file shrank
+    }
+    ::close(fd);
+    return ok;
 }
 
 uint64_t
@@ -82,11 +97,11 @@ validCacheEntryBytes(const std::string &bytes, uint64_t expectId)
     uint32_t magic = 0, version = 0;
     uint64_t loop_hash = 0, machine_hash = 0, options_hash = 0;
     uint64_t checksum = 0;
-    std::string payload;
+    std::string_view payload;
     if (!reader.u32(magic) || !reader.u32(version) ||
         !reader.u64(loop_hash) || !reader.u64(machine_hash) ||
         !reader.u64(options_hash) || !reader.u64(checksum) ||
-        !reader.str(payload) || !reader.atEnd() ||
+        !reader.view(payload) || !reader.atEnd() ||
         magic != entryMagic || version != entryFormatVersion ||
         checksum != hashBytes(payload))
         return false;
@@ -101,9 +116,9 @@ validCacheEntryBytes(const std::string &bytes, uint64_t expectId)
         return false;
 
     ByteReader body(payload);
-    std::string graph_bytes, machine_bytes;
+    std::string_view graph_bytes, machine_bytes;
     CompileResult result;
-    if (!body.str(graph_bytes) || !body.str(machine_bytes) ||
+    if (!body.view(graph_bytes) || !body.view(machine_bytes) ||
         !readCompileResult(body, result) || !body.atEnd())
         return false;
     Dfg graph;
@@ -301,11 +316,11 @@ CompileCache::lookup(const CacheKey &key, const Dfg &graph,
     uint32_t magic = 0, version = 0;
     uint64_t loop_hash = 0, machine_hash = 0, options_hash = 0;
     uint64_t checksum = 0;
-    std::string payload;
+    std::string_view payload;
     if (!reader.u32(magic) || !reader.u32(version) ||
         !reader.u64(loop_hash) || !reader.u64(machine_hash) ||
         !reader.u64(options_hash) || !reader.u64(checksum) ||
-        !reader.str(payload) || !reader.atEnd() ||
+        !reader.view(payload) || !reader.atEnd() ||
         magic != entryMagic || version != entryFormatVersion ||
         loop_hash != key.loopHash || machine_hash != key.machineHash ||
         options_hash != key.optionsHash ||
@@ -315,9 +330,9 @@ CompileCache::lookup(const CacheKey &key, const Dfg &graph,
     }
 
     ByteReader body(payload);
-    std::string graph_bytes, machine_bytes;
+    std::string_view graph_bytes, machine_bytes;
     CompileResult stored;
-    if (!body.str(graph_bytes) || !body.str(machine_bytes) ||
+    if (!body.view(graph_bytes) || !body.view(machine_bytes) ||
         !readCompileResult(body, stored) || !body.atEnd()) {
         dropEntry(key, path);
         return miss();

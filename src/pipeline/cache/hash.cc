@@ -1,24 +1,44 @@
 #include "pipeline/cache/hash.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <vector>
 
 namespace cams
 {
 
-uint64_t
-hashBytes(const std::string &bytes)
-{
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (const char c : bytes) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return mix64(h);
-}
-
 namespace
 {
+
+/** Little-endian value of @p count (at most eight) bytes,
+ *  zero-padded. */
+uint64_t
+loadWord(const char *bytes, size_t count)
+{
+    uint64_t word = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&word, bytes, count);
+    } else {
+        for (size_t i = 0; i < count; ++i)
+            word |= uint64_t(static_cast<unsigned char>(bytes[i])) << (8 * i);
+    }
+    return word;
+}
+
+/**
+ * One step of hashBytes. The word is spread by an odd multiply, a
+ * rotate and another odd multiply (a bijection of the word), xored
+ * into the state, and the state rotated, multiplied by 5 and offset
+ * (a bijection of the state). The constants are MurmurHash3's.
+ */
+uint64_t
+absorbWord(uint64_t h, uint64_t word)
+{
+    h ^= std::rotl(word * 0x87c37b91114253d5ULL, 31) *
+         0x4cf5ad432745937fULL;
+    return std::rotl(h, 27) * 5 + 0x52dce729;
+}
 
 /** Signature of one edge as seen from one endpoint. */
 uint64_t
@@ -44,6 +64,20 @@ foldSorted(std::vector<uint64_t> &sigs)
 }
 
 } // namespace
+
+uint64_t
+hashBytes(std::string_view bytes)
+{
+    const char *p = bytes.data();
+    const size_t n = bytes.size();
+    uint64_t h = 0xcbf29ce484222325ULL;
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8)
+        h = absorbWord(h, loadWord(p + i, 8));
+    if (i < n)
+        h = absorbWord(h, loadWord(p + i, n - i));
+    return mix64(h ^ static_cast<uint64_t>(n));
+}
 
 uint64_t
 canonicalLoopHash(const Dfg &graph)

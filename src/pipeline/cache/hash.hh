@@ -5,7 +5,8 @@
  * Two ingredients:
  *
  *  - small mixing primitives (splitmix64 finalizer, ordered fold,
- *    FNV-1a over bytes) shared by every key component;
+ *    a word-at-a-time byte hash) shared by every key component and
+ *    by the entry and wire-frame checksums;
  *  - canonicalLoopHash(), a renumbering-invariant structural hash of
  *    a loop graph. Isomorphic graphs -- same opcodes, latencies and
  *    dependence structure under any node permutation or renaming --
@@ -28,7 +29,7 @@
 #define CAMS_PIPELINE_CACHE_HASH_HH
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 #include "graph/dfg.hh"
 
@@ -53,8 +54,21 @@ hashCombine(uint64_t seed, uint64_t value)
                          (seed << 6) + (seed >> 2)));
 }
 
-/** FNV-1a over a byte string, finished through mix64. */
-uint64_t hashBytes(const std::string &bytes);
+/**
+ * Hash of a byte string, eight bytes per step. Each step reads one
+ * little-endian word (the tail zero-padded), so the value is the same
+ * on every host, and is a bijection of the running state for a fixed
+ * word and of the word for a fixed state: two strings of one length
+ * that differ inside one word always hash differently, so a flipped
+ * bit always changes the sum. The length is folded in last and the
+ * result finished through mix64.
+ *
+ * The value is persisted (entry checksums, machine hashes in entry
+ * names) and sent on the wire (frame checksums): changing it needs
+ * both the cache's entry format version and the serve protocol
+ * version bumped.
+ */
+uint64_t hashBytes(std::string_view bytes);
 
 /**
  * Renumbering-invariant structural hash of a loop graph. Node and

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 namespace cams
 {
@@ -10,9 +11,10 @@ namespace cams
 namespace
 {
 
-/** Ceilings that reject garbage before it allocates. */
-constexpr uint64_t maxStringBytes = uint64_t(1) << 28;
-constexpr uint64_t maxListEntries = uint64_t(1) << 24;
+/** Fewest image bytes of one node (op, latency, name length) and of
+ *  one edge (src, dst, latency, distance). */
+constexpr size_t nodeMinBytes = 4 + 8 + 8;
+constexpr size_t edgeBytes = 4 * 8;
 
 /** A latency or distance that survives the narrowing to int. */
 bool
@@ -21,20 +23,63 @@ inIntRange(int64_t value)
     return value >= 0 && value <= std::numeric_limits<int>::max();
 }
 
+/** Reads an i64 field into an int; false outside int's range, where
+ *  narrowing would change the value and the re-packed bytes. */
+bool
+readInt(ByteReader &r, int &out)
+{
+    int64_t value = 0;
+    if (!r.i64(value) || value < std::numeric_limits<int>::min() ||
+        value > std::numeric_limits<int>::max())
+        return false;
+    out = static_cast<int>(value);
+    return true;
+}
+
+/** Size of packDfg's image of @p graph. */
+size_t
+dfgImageSize(const Dfg &graph)
+{
+    size_t size = 8 + graph.name().size() + 8 + 8 +
+                  edgeBytes * static_cast<size_t>(graph.numEdges());
+    for (const DfgNode &node : graph.nodes())
+        size += nodeMinBytes + node.name.size();
+    return size;
+}
+
+/** Appends packDfg's image of @p graph. */
+void
+writeDfg(ByteWriter &w, const Dfg &graph)
+{
+    w.str(graph.name());
+    w.u64(graph.numNodes());
+    for (const DfgNode &node : graph.nodes()) {
+        w.u32(static_cast<uint32_t>(node.op));
+        w.i64(node.latency);
+        w.str(node.name);
+    }
+    w.u64(graph.numEdges());
+    for (const DfgEdge &edge : graph.edges()) {
+        w.i64(edge.src);
+        w.i64(edge.dst);
+        w.i64(edge.latency);
+        w.i64(edge.distance);
+    }
+}
+
 } // namespace
 
 void
-ByteWriter::u32(uint32_t value)
+ByteWriter::put(uint64_t value, size_t width)
 {
-    for (int shift = 0; shift < 32; shift += 8)
-        out_.push_back(static_cast<char>((value >> shift) & 0xff));
-}
-
-void
-ByteWriter::u64(uint64_t value)
-{
-    for (int shift = 0; shift < 64; shift += 8)
-        out_.push_back(static_cast<char>((value >> shift) & 0xff));
+    char bytes[8];
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(bytes, &value, sizeof(bytes));
+    } else {
+        for (size_t i = 0; i < sizeof(bytes); ++i)
+            bytes[i] = static_cast<char>((value >> (8 * i)) & 0xff);
+    }
+    out_.append(bytes, width);
 }
 
 void
@@ -44,7 +89,7 @@ ByteWriter::f64(double value)
 }
 
 void
-ByteWriter::str(const std::string &value)
+ByteWriter::str(std::string_view value)
 {
     u64(value.size());
     out_.append(value);
@@ -107,17 +152,33 @@ ByteReader::f64(double &out)
 }
 
 bool
-ByteReader::str(std::string &out)
+ByteReader::view(std::string_view &out)
 {
     uint64_t size = 0;
-    if (!u64(size) || size > maxStringBytes) {
+    const char *p = nullptr;
+    if (!count(size, 1) || !take(static_cast<size_t>(size), p))
+        return false;
+    out = std::string_view(p, static_cast<size_t>(size));
+    return true;
+}
+
+bool
+ByteReader::str(std::string &out)
+{
+    std::string_view bytes;
+    if (!view(bytes))
+        return false;
+    out.assign(bytes);
+    return true;
+}
+
+bool
+ByteReader::count(uint64_t &out, size_t minBytes)
+{
+    if (!u64(out) || out > (bytes_.size() - pos_) / minBytes) {
         ok_ = false;
         return false;
     }
-    const char *p = nullptr;
-    if (!take(static_cast<size_t>(size), p))
-        return false;
-    out.assign(p, static_cast<size_t>(size));
     return true;
 }
 
@@ -125,53 +186,43 @@ std::string
 packDfg(const Dfg &graph)
 {
     ByteWriter w;
-    w.str(graph.name());
-    w.u64(graph.numNodes());
-    for (const DfgNode &node : graph.nodes()) {
-        w.u32(static_cast<uint32_t>(node.op));
-        w.i64(node.latency);
-        w.str(node.name);
-    }
-    w.u64(graph.numEdges());
-    for (const DfgEdge &edge : graph.edges()) {
-        w.i64(edge.src);
-        w.i64(edge.dst);
-        w.i64(edge.latency);
-        w.i64(edge.distance);
-    }
+    w.reserve(dfgImageSize(graph));
+    writeDfg(w, graph);
     return w.take();
 }
 
 bool
-readDfg(const std::string &bytes, Dfg &out)
+readDfg(std::string_view bytes, Dfg &out)
 {
     ByteReader r(bytes);
     Dfg graph;
-    std::string name;
-    if (!r.str(name))
-        return false;
-    graph.setName(std::move(name));
-
+    std::string_view name;
     uint64_t nodes = 0;
-    if (!r.u64(nodes) || nodes > maxListEntries)
+    if (!r.view(name) || !r.count(nodes, nodeMinBytes))
         return false;
+    graph.setName(std::string(name));
+    graph.reserve(static_cast<int>(nodes), 0);
     for (uint64_t i = 0; i < nodes; ++i) {
         uint32_t op = 0;
         int64_t latency = 0;
-        std::string node_name;
+        std::string_view node_name;
         if (!r.u32(op) || op >= uint32_t(numOpcodes) ||
             !r.i64(latency) || !inIntRange(latency) ||
-            !r.str(node_name)) {
+            !r.view(node_name)) {
             return false;
         }
         graph.addNode(static_cast<Opcode>(op),
                       static_cast<int>(latency),
-                      std::move(node_name));
+                      std::string(node_name));
     }
 
+    // Validate the edges and count every node's degrees first, so each
+    // edge list is sized once; the second pass re-reads the same bytes.
     uint64_t edges = 0;
-    if (!r.u64(edges) || edges > maxListEntries)
+    if (!r.count(edges, edgeBytes))
         return false;
+    ByteReader again = r;
+    std::vector<int> degree(2 * nodes); // out at 2v, in at 2v + 1
     for (uint64_t i = 0; i < edges; ++i) {
         int64_t src = 0, dst = 0, latency = 0, distance = 0;
         if (!r.i64(src) || !r.i64(dst) || !r.i64(latency) ||
@@ -183,13 +234,25 @@ readDfg(const std::string &bytes, Dfg &out)
             !inIntRange(distance)) {
             return false;
         }
+        ++degree[2 * src];
+        ++degree[2 * dst + 1];
+    }
+    if (!r.atEnd())
+        return false;
+    graph.reserve(static_cast<int>(nodes), static_cast<int>(edges));
+    for (NodeId v = 0; v < graph.numNodes(); ++v)
+        graph.reserveEdges(v, degree[2 * v + 1], degree[2 * v]);
+    for (uint64_t i = 0; i < edges; ++i) {
+        int64_t src = 0, dst = 0, latency = 0, distance = 0;
+        again.i64(src);
+        again.i64(dst);
+        again.i64(latency);
+        again.i64(distance);
         graph.addEdge(static_cast<NodeId>(src),
                       static_cast<NodeId>(dst),
                       static_cast<int>(latency),
                       static_cast<int>(distance));
     }
-    if (!r.atEnd())
-        return false;
     out = std::move(graph);
     return true;
 }
@@ -198,6 +261,9 @@ std::string
 packMachine(const MachineDesc &machine)
 {
     ByteWriter w;
+    w.reserve(8 + machine.name.size() + 4 + 8 + 8 +
+              8 * (3 + numFuClasses) * machine.clusters.size() + 8 +
+              16 * machine.links.size());
     w.str(machine.name);
     w.u32(static_cast<uint32_t>(machine.interconnect));
     w.i64(machine.numBuses);
@@ -218,48 +284,38 @@ packMachine(const MachineDesc &machine)
 }
 
 bool
-readMachine(const std::string &bytes, MachineDesc &out)
+readMachine(std::string_view bytes, MachineDesc &out)
 {
     ByteReader r(bytes);
     MachineDesc machine;
     uint32_t interconnect = 0;
-    int64_t buses = 0;
     uint64_t clusters = 0;
     if (!r.str(machine.name) || !r.u32(interconnect) ||
         interconnect > uint32_t(InterconnectKind::PointToPoint) ||
-        !r.i64(buses) || !r.u64(clusters) ||
+        !readInt(r, machine.numBuses) || !r.u64(clusters) ||
         clusters > static_cast<uint64_t>(maxClusters)) {
         return false;
     }
     machine.interconnect = static_cast<InterconnectKind>(interconnect);
-    machine.numBuses = static_cast<int>(buses);
     machine.clusters.resize(static_cast<size_t>(clusters));
     for (ClusterDesc &cluster : machine.clusters) {
-        int64_t gp = 0, read = 0, write = 0;
-        if (!r.i64(gp))
+        if (!readInt(r, cluster.gpUnits))
             return false;
         for (int &units : cluster.fsUnits) {
-            int64_t count = 0;
-            if (!r.i64(count))
+            if (!readInt(r, units))
                 return false;
-            units = static_cast<int>(count);
         }
-        if (!r.i64(read) || !r.i64(write))
+        if (!readInt(r, cluster.readPorts) ||
+            !readInt(r, cluster.writePorts))
             return false;
-        cluster.gpUnits = static_cast<int>(gp);
-        cluster.readPorts = static_cast<int>(read);
-        cluster.writePorts = static_cast<int>(write);
     }
     uint64_t links = 0;
-    if (!r.u64(links) || links > maxListEntries)
+    if (!r.count(links, 2 * 8))
         return false;
     machine.links.resize(static_cast<size_t>(links));
     for (LinkDesc &link : machine.links) {
-        int64_t a = 0, b = 0;
-        if (!r.i64(a) || !r.i64(b))
+        if (!readInt(r, link.a) || !readInt(r, link.b))
             return false;
-        link.a = static_cast<ClusterId>(a);
-        link.b = static_cast<ClusterId>(b);
     }
     // Outside bytes may describe an impossible machine; refuse it here
     // rather than let ResourceModel's validate() end the process.
@@ -272,13 +328,20 @@ readMachine(const std::string &bytes, MachineDesc &out)
 void
 writeCompileResult(ByteWriter &w, const CompileResult &result)
 {
+    // Room for the graph, the lists and the fixed fields, so the image
+    // grows in place.
+    const size_t graph_bytes = dfgImageSize(result.loop.graph);
+    w.reserve(graph_bytes + 24 * result.loop.placement.size() +
+              8 * result.schedule.startCycle.size() +
+              result.failureDetail.size() + 256);
     w.u32(result.success ? 1 : 0);
     w.i64(result.ii);
     w.i64(result.mii.recMii);
     w.i64(result.mii.resMii);
     w.i64(result.mii.mii);
 
-    w.str(packDfg(result.loop.graph));
+    w.u64(graph_bytes);
+    writeDfg(w, result.loop.graph);
     w.i64(result.loop.numOriginalNodes);
     w.u64(result.loop.placement.size());
     for (const OpPlacement &place : result.loop.placement) {
@@ -320,69 +383,51 @@ readCompileResult(ByteReader &r, CompileResult &out)
 {
     CompileResult result;
     uint32_t success = 0;
-    int64_t ii = 0, rec = 0, res = 0, mii = 0;
-    if (!r.u32(success) || !r.i64(ii) || !r.i64(rec) || !r.i64(res) ||
-        !r.i64(mii)) {
+    std::string_view graph_bytes;
+    uint64_t placements = 0;
+    if (!r.u32(success) || success > 1 || !readInt(r, result.ii) ||
+        !readInt(r, result.mii.recMii) ||
+        !readInt(r, result.mii.resMii) || !readInt(r, result.mii.mii) ||
+        !r.view(graph_bytes) ||
+        !readDfg(graph_bytes, result.loop.graph) ||
+        !readInt(r, result.loop.numOriginalNodes) ||
+        !r.count(placements, 2 * 8)) {
         return false;
     }
     result.success = success != 0;
-    result.ii = static_cast<int>(ii);
-    result.mii.recMii = static_cast<int>(rec);
-    result.mii.resMii = static_cast<int>(res);
-    result.mii.mii = static_cast<int>(mii);
-
-    std::string graph_bytes;
-    int64_t originals = 0;
-    uint64_t placements = 0;
-    if (!r.str(graph_bytes) ||
-        !readDfg(graph_bytes, result.loop.graph) ||
-        !r.i64(originals) || !r.u64(placements) ||
-        placements > maxListEntries) {
-        return false;
-    }
-    result.loop.numOriginalNodes = static_cast<int>(originals);
     result.loop.placement.resize(static_cast<size_t>(placements));
     for (OpPlacement &place : result.loop.placement) {
-        int64_t cluster = 0;
         uint64_t dsts = 0;
-        if (!r.i64(cluster) || !r.u64(dsts) || dsts > maxListEntries)
+        if (!readInt(r, place.cluster) || !r.count(dsts, 8))
             return false;
-        place.cluster = static_cast<ClusterId>(cluster);
         place.copyDsts.resize(static_cast<size_t>(dsts));
         for (ClusterId &dst : place.copyDsts) {
-            int64_t id = 0;
-            if (!r.i64(id))
+            if (!readInt(r, dst))
                 return false;
-            dst = static_cast<ClusterId>(id);
         }
     }
 
-    int64_t sched_ii = 0;
     uint64_t cycles = 0;
-    if (!r.i64(sched_ii) || !r.u64(cycles) || cycles > maxListEntries)
+    if (!readInt(r, result.schedule.ii) || !r.count(cycles, 8))
         return false;
-    result.schedule.ii = static_cast<int>(sched_ii);
     result.schedule.startCycle.resize(static_cast<size_t>(cycles));
     for (int &cycle : result.schedule.startCycle) {
-        int64_t value = 0;
-        if (!r.i64(value))
+        if (!readInt(r, cycle))
             return false;
-        cycle = static_cast<int>(value);
     }
 
-    int64_t copies = 0, attempts = 0, retries = 0, evictions = 0;
     uint32_t failure = 0;
-    int64_t final_ii = 0;
     uint32_t degraded = 0;
-    int64_t recoveries = 0, rejects = 0, trips = 0;
-    int64_t ctx_hits = 0, ctx_misses = 0, word_scans = 0;
-    if (!r.i64(copies) || !r.i64(attempts) || !r.i64(retries) ||
-        !r.i64(evictions) || !r.u32(failure) ||
+    int64_t trips = 0, ctx_hits = 0, ctx_misses = 0, word_scans = 0;
+    if (!readInt(r, result.copies) || !readInt(r, result.attempts) ||
+        !readInt(r, result.assignRetries) ||
+        !readInt(r, result.evictions) || !r.u32(failure) ||
         failure >= uint32_t(numFailureKinds) ||
-        !r.str(result.failureDetail) || !r.i64(final_ii) ||
-        !r.u32(degraded) ||
+        !r.str(result.failureDetail) ||
+        !readInt(r, result.finalIiTried) || !r.u32(degraded) ||
         degraded > uint32_t(DegradeLevel::SingleCluster) ||
-        !r.i64(recoveries) || !r.i64(rejects) || !r.i64(trips) ||
+        !readInt(r, result.invariantRecoveries) ||
+        !readInt(r, result.verifierRejects) || !r.i64(trips) ||
         !r.f64(result.phaseMs.orderMs) ||
         !r.f64(result.phaseMs.assignMs) ||
         !r.f64(result.phaseMs.routeMs) ||
@@ -392,15 +437,8 @@ readCompileResult(ByteReader &r, CompileResult &out)
         !r.i64(ctx_misses) || !r.i64(word_scans)) {
         return false;
     }
-    result.copies = static_cast<int>(copies);
-    result.attempts = static_cast<int>(attempts);
-    result.assignRetries = static_cast<int>(retries);
-    result.evictions = static_cast<int>(evictions);
     result.failure = static_cast<FailureKind>(failure);
-    result.finalIiTried = static_cast<int>(final_ii);
     result.degraded = static_cast<DegradeLevel>(degraded);
-    result.invariantRecoveries = static_cast<int>(recoveries);
-    result.verifierRejects = static_cast<int>(rejects);
     result.faultTrips = trips;
     result.ctxHits = ctx_hits;
     result.ctxMisses = ctx_misses;

@@ -168,6 +168,7 @@ encodeResultBytes(uint64_t id, bool fromCache, bool hintUsed,
                   const std::string &resultBytes)
 {
     ByteWriter writer;
+    writer.reserve(44 + resultBytes.size());
     writeType(writer, ServeMsgType::Result);
     writer.u64(id);
     writer.u32(fromCache ? 1 : 0);

@@ -41,9 +41,10 @@ namespace cams
  * Bumped on any incompatible wire change. v2: per-frame payload
  * checksums (stream.hh), the Submit retry key, and the Shed
  * retry-after hint. v3: Stats/Health polling messages and the
- * Submit trace id + sampling flag.
+ * Submit trace id + sampling flag. v4: the frame checksum is the
+ * word-at-a-time hashBytes.
  */
-constexpr uint32_t serveProtoVersion = 3;
+constexpr uint32_t serveProtoVersion = 4;
 
 /** Frames larger than this are protocol errors on both sides. */
 constexpr uint32_t serveMaxFrameBytes = 64u << 20;

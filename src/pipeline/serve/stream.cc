@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 
 #include "pipeline/cache/hash.hh"
+#include "pipeline/cache/serialize.hh"
 #include "support/socket.hh"
 
 namespace cams
@@ -21,31 +22,6 @@ sleepMs(double ms)
     if (ms > 0.0)
         std::this_thread::sleep_for(std::chrono::duration<double,
                                                           std::milli>(ms));
-}
-
-void
-putU32(std::string &out, uint32_t value)
-{
-    out.push_back(static_cast<char>(value & 0xff));
-    out.push_back(static_cast<char>((value >> 8) & 0xff));
-    out.push_back(static_cast<char>((value >> 16) & 0xff));
-    out.push_back(static_cast<char>((value >> 24) & 0xff));
-}
-
-void
-putU64(std::string &out, uint64_t value)
-{
-    for (int shift = 0; shift < 64; shift += 8)
-        out.push_back(static_cast<char>((value >> shift) & 0xff));
-}
-
-uint64_t
-getU64(const unsigned char *bytes)
-{
-    uint64_t value = 0;
-    for (int i = 7; i >= 0; --i)
-        value = (value << 8) | bytes[i];
-    return value;
 }
 
 } // namespace
@@ -168,10 +144,10 @@ bool
 ServeStream::writeFrame(int fd, const std::string &payload,
                         std::string &error)
 {
-    std::string wire;
-    wire.reserve(serveFrameOverhead + payload.size());
-    putU32(wire, static_cast<uint32_t>(payload.size()));
-    putU64(wire, hashBytes(payload));
+    ByteWriter header;
+    header.u32(static_cast<uint32_t>(payload.size()));
+    header.u64(hashBytes(payload));
+    std::string wire = header.take();
     wire.append(payload);
 
     if (!chaosOn_)
@@ -241,18 +217,18 @@ ServeStream::readFrame(int fd, std::string &payload, uint32_t maxBytes,
 
     // The first byte of a frame may take arbitrarily long (an idle
     // peer is healthy); everything after it is on the clock.
-    unsigned char header[serveFrameOverhead];
+    char header[serveFrameOverhead];
     if (!recvAll(fd, header, 1, error, cleanEof))
         return false;
     if (!recvAllDeadline(fd, header + 1, sizeof(header) - 1,
                          midFrameTimeoutMs, error, nullptr, timedOut))
         return false;
 
-    const uint32_t size = static_cast<uint32_t>(header[0]) |
-                          static_cast<uint32_t>(header[1]) << 8 |
-                          static_cast<uint32_t>(header[2]) << 16 |
-                          static_cast<uint32_t>(header[3]) << 24;
-    const uint64_t checksum = getU64(header + 4);
+    ByteReader fields(std::string_view(header, sizeof(header)));
+    uint32_t size = 0;
+    uint64_t checksum = 0;
+    fields.u32(size);
+    fields.u64(checksum);
     if (size > maxBytes) {
         error = "frame of " + std::to_string(size) +
                 " bytes exceeds the " + std::to_string(maxBytes) +

@@ -1,17 +1,22 @@
 /**
  * @file
  * Tests of the persistent compile cache: canonical-hash invariance
- * under node renumbering, the exact-match gate that keeps isomorphic
- * renumberings from being served someone else's node ids, binary
- * round-trips of CompileResult, rejection of version-mismatched and
- * truncated entries, concurrent read/write through the batch thread
- * pool, and the scrub's quarantine of torn and bit-rotted entries.
+ * under node renumbering, the byte hash's sensitivity to every
+ * single-bit flip and its pinned values, the exact-match gate that
+ * keeps isomorphic renumberings from being served someone else's node
+ * ids, binary round-trips of CompileResult, byte-identical graph,
+ * machine and result images, decoders that refuse non-canonical
+ * images, rejection of version-mismatched and truncated entries,
+ * concurrent read/write through the batch thread pool, and the
+ * scrub's quarantine of torn and bit-rotted entries.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <set>
 #include <vector>
 
 #include "machine/configs.hh"
@@ -132,6 +137,26 @@ TEST(CacheSerialize, DfgRoundTripPreservesIds)
     EXPECT_EQ(packDfg(back), packDfg(graph));
 }
 
+/** Overwrites the i64 at @p at with @p value. */
+std::string
+patchI64(std::string bytes, size_t at, int64_t value)
+{
+    for (int i = 0; i < 8; ++i)
+        bytes[at + i] = static_cast<char>(uint64_t(value) >> (8 * i));
+    return bytes;
+}
+
+/** Reads the i64 at @p at. */
+int64_t
+peekI64(const std::string &bytes, size_t at)
+{
+    uint64_t value = 0;
+    for (int i = 0; i < 8; ++i)
+        value |=
+            uint64_t(static_cast<unsigned char>(bytes[at + i])) << (8 * i);
+    return static_cast<int64_t>(value);
+}
+
 TEST(CacheSerialize, DfgReaderRejectsValuesOutsideInt)
 {
     // Patches the last edge's latency or distance field (the final
@@ -140,14 +165,9 @@ TEST(CacheSerialize, DfgReaderRejectsValuesOutsideInt)
     graph.addNode(Opcode::Load);
     graph.addNode(Opcode::IntAlu);
     graph.addEdge(0, 1, 3, 1);
+    const std::string image = packDfg(graph);
     auto patched = [&](int field, int64_t value) {
-        std::string bytes = packDfg(graph);
-        const size_t at = bytes.size() - 16 + 8 * field;
-        for (int i = 0; i < 8; ++i) {
-            bytes[at + i] =
-                static_cast<char>((uint64_t(value) >> (8 * i)) & 0xff);
-        }
-        return bytes;
+        return patchI64(image, image.size() - 16 + 8 * field, value);
     };
     Dfg back;
     for (int field = 0; field < 2; ++field) {
@@ -226,6 +246,289 @@ TEST(CacheSerialize, ReaderRejectsTruncation)
     }
 }
 
+TEST(CacheHash, EverySingleBitFlipChangesTheSum)
+{
+    // Each step of hashBytes is a bijection of the state and of the
+    // word, so a flip anywhere in a string of fixed length must move
+    // the sum; this checks it over every bit of every length up to
+    // nine words and of one 4 KiB buffer.
+    auto flips = [](size_t size) {
+        std::string bytes(size, '\0');
+        for (size_t i = 0; i < size; ++i)
+            bytes[i] = static_cast<char>(i * 37 + 11);
+        const uint64_t sum = hashBytes(bytes);
+        for (size_t bit = 0; bit < 8 * size; ++bit) {
+            bytes[bit / 8] ^= static_cast<char>(1 << (bit % 8));
+            EXPECT_NE(hashBytes(bytes), sum)
+                << "bit " << bit << " of " << size << " bytes";
+            bytes[bit / 8] ^= static_cast<char>(1 << (bit % 8));
+        }
+    };
+    for (size_t size = 1; size <= 72; ++size)
+        flips(size);
+    flips(4096);
+}
+
+TEST(CacheHash, ZeroStringsOfEachLengthDiffer)
+{
+    std::set<uint64_t> sums;
+    for (size_t size = 0; size <= 16; ++size)
+        sums.insert(hashBytes(std::string(size, '\0')));
+    EXPECT_EQ(sums.size(), 17u);
+}
+
+TEST(CacheHash, PinnedValues)
+{
+    // Entry checksums, machine hashes and wire-frame checksums are
+    // hashBytes values. A change here must come with a bump of both
+    // entryFormatVersion (compile_cache.cc) and serveProtoVersion.
+    EXPECT_EQ(hashBytes(""), 0xc3817c016ba4ff30ULL);
+    EXPECT_EQ(hashBytes("The quick brown fox jumps over the lazy dog"),
+              0xada35a4aaae673acULL);
+}
+
+/** Lower-case hex of a byte string. */
+std::string
+toHex(const std::string &bytes)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string hex;
+    for (const char c : bytes) {
+        hex.push_back(digits[(static_cast<unsigned char>(c) >> 4) & 0xf]);
+        hex.push_back(digits[static_cast<unsigned char>(c) & 0xf]);
+    }
+    return hex;
+}
+
+/** A nine-node loop whose compile on 2c-gp-2b-1p needs two copies. */
+Dfg
+pinnedLoop()
+{
+    Dfg graph;
+    graph.setName("pinned");
+    const NodeId a = graph.addNode(Opcode::Load, -1, "a");
+    const NodeId b = graph.addNode(Opcode::Load, -1, "b");
+    const NodeId m = graph.addNode(Opcode::FpMult, -1, "m");
+    const NodeId s = graph.addNode(Opcode::FpAdd, -1, "s");
+    const NodeId i = graph.addNode(Opcode::IntAlu, -1, "i");
+    const NodeId c = graph.addNode(Opcode::Load, -1, "c");
+    const NodeId d = graph.addNode(Opcode::FpMult, -1, "d");
+    const NodeId t = graph.addNode(Opcode::FpAdd, -1, "t");
+    const NodeId st = graph.addNode(Opcode::Store, -1, "st");
+    graph.addEdge(a, m);
+    graph.addEdge(b, m);
+    graph.addEdge(m, s);
+    graph.addEdge(s, s, -1, 1);
+    graph.addEdge(i, i, -1, 1);
+    graph.addEdge(i, a);
+    graph.addEdge(i, b);
+    graph.addEdge(i, c);
+    graph.addEdge(c, d);
+    graph.addEdge(d, t);
+    graph.addEdge(s, t);
+    graph.addEdge(t, st);
+    graph.addEdge(i, st);
+    return graph;
+}
+
+TEST(CacheSerialize, ImagesAreByteIdentical)
+{
+    // Recorded before the writer appended whole words: the graph,
+    // machine and result images (wall times zeroed) must not move.
+    const char *const dfgHex =
+    "060000000000000070696e6e6564090000000000000004000000020000000000"
+    "0000010000000000000061040000000200000000000000010000000000000062"
+    "06000000030000000000000001000000000000006d0500000001000000000000"
+    "0001000000000000007300000000010000000000000001000000000000006904"
+    "0000000200000000000000010000000000000063060000000300000000000000"
+    "0100000000000000640500000001000000000000000100000000000000740300"
+    "00000100000000000000020000000000000073740d0000000000000000000000"
+    "0000000002000000000000000200000000000000000000000000000001000000"
+    "0000000002000000000000000200000000000000000000000000000002000000"
+    "0000000003000000000000000300000000000000000000000000000003000000"
+    "0000000003000000000000000100000000000000010000000000000004000000"
+    "0000000004000000000000000100000000000000010000000000000004000000"
+    "0000000000000000000000000100000000000000000000000000000004000000"
+    "0000000001000000000000000100000000000000000000000000000004000000"
+    "0000000005000000000000000100000000000000000000000000000005000000"
+    "0000000006000000000000000200000000000000000000000000000006000000"
+    "0000000007000000000000000300000000000000000000000000000003000000"
+    "0000000007000000000000000100000000000000000000000000000007000000"
+    "0000000008000000000000000100000000000000000000000000000004000000"
+    "00000000080000000000000001000000000000000000000000000000";
+    const char *const machineHex =
+    "0b0000000000000032632d67702d32622d317000000000020000000000000002"
+    "0000000000000004000000000000000000000000000000000000000000000000"
+    "0000000000000001000000000000000100000000000000040000000000000000"
+    "0000000000000000000000000000000000000000000000010000000000000001"
+    "000000000000000000000000000000";
+    const char *const resultHex =
+    "0100000002000000000000000100000000000000020000000000000002000000"
+    "00000000ec02000000000000060000000000000070696e6e65640b0000000000"
+    "0000040000000200000000000000010000000000000061040000000200000000"
+    "0000000100000000000000620600000003000000000000000100000000000000"
+    "6d05000000010000000000000001000000000000007300000000010000000000"
+    "0000010000000000000069040000000200000000000000010000000000000063"
+    "0600000003000000000000000100000000000000640500000001000000000000"
+    "0001000000000000007403000000010000000000000002000000000000007374"
+    "090000000100000000000000040000000000000063705f730900000001000000"
+    "00000000040000000000000063705f690f000000000000000300000000000000"
+    "0900000000000000010000000000000000000000000000000400000000000000"
+    "0a00000000000000010000000000000000000000000000000000000000000000"
+    "0200000000000000020000000000000000000000000000000100000000000000"
+    "0200000000000000020000000000000000000000000000000200000000000000"
+    "0300000000000000030000000000000000000000000000000300000000000000"
+    "0300000000000000010000000000000001000000000000000400000000000000"
+    "0400000000000000010000000000000001000000000000000400000000000000"
+    "0000000000000000010000000000000000000000000000000400000000000000"
+    "0100000000000000010000000000000000000000000000000a00000000000000"
+    "0500000000000000010000000000000000000000000000000500000000000000"
+    "0600000000000000020000000000000000000000000000000600000000000000"
+    "0700000000000000030000000000000000000000000000000900000000000000"
+    "0700000000000000010000000000000000000000000000000700000000000000"
+    "0800000000000000010000000000000000000000000000000a00000000000000"
+    "0800000000000000010000000000000000000000000000000900000000000000"
+    "0b00000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000100000000000000"
+    "0000000000000000010000000000000000000000000000000100000000000000"
+    "0000000000000000010000000000000000000000000000000000000000000000"
+    "0100000000000000010000000000000000000000000000000100000000000000"
+    "010000000000000002000000000000000b000000000000000100000000000000"
+    "0100000000000000030000000000000006000000000000000000000000000000"
+    "0300000000000000050000000000000008000000000000000900000000000000"
+    "0700000000000000020000000000000002000000000000000100000000000000"
+    "0000000000000000000000000000000000000000000000000000000002000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000000000000000000000000000000007000000000000000e00000000000000"
+    "5900000000000000";
+
+    const Dfg graph = pinnedLoop();
+    const MachineDesc machine = busedGpMachine(2, 2, 1);
+    CompileResult result = compileClustered(graph, machine);
+    ASSERT_TRUE(result.success);
+    EXPECT_EQ(result.copies, 2);
+    result.phaseMs = PhaseTimes{};
+    ByteWriter writer;
+    writeCompileResult(writer, result);
+    EXPECT_EQ(toHex(packDfg(graph)), dfgHex);
+    EXPECT_EQ(toHex(packMachine(machine)), machineHex);
+    EXPECT_EQ(toHex(writer.data()), resultHex);
+}
+
+TEST(CacheSerialize, DfgReaderRefusesCountsTheBytesCannotHold)
+{
+    // A node takes at least 20 image bytes and an edge 32, so neither
+    // count may exceed what the rest of the input could hold.
+    ByteWriter nodes;
+    nodes.str("g");
+    nodes.u64(uint64_t(1) << 24);
+    nodes.u64(0);
+    ASSERT_LT(nodes.data().size(), 64u);
+    Dfg back;
+    EXPECT_FALSE(readDfg(nodes.data(), back));
+
+    ByteWriter edges;
+    edges.str("g");
+    edges.u64(1);
+    edges.u32(static_cast<uint32_t>(Opcode::IntAlu));
+    edges.i64(1);
+    edges.str("");
+    edges.u64(uint64_t(1) << 24);
+    ASSERT_LT(edges.data().size(), 64u);
+    EXPECT_FALSE(readDfg(edges.data(), back));
+}
+
+/** Byte offsets of every i64 field packMachine writes that
+ *  readMachine narrows to int: numBuses, each cluster's units and
+ *  ports, and each link's ends. */
+std::vector<size_t>
+narrowedMachineFields(const MachineDesc &machine)
+{
+    std::vector<size_t> at;
+    size_t pos = 8 + machine.name.size() + 4;
+    at.push_back(pos); // numBuses
+    pos += 8 + 8;      // numBuses, cluster count
+    for (size_t c = 0; c < machine.clusters.size(); ++c) {
+        for (int field = 0; field < 1 + numFuClasses + 2; ++field) {
+            at.push_back(pos);
+            pos += 8;
+        }
+    }
+    pos += 8; // link count
+    for (size_t l = 0; l < 2 * machine.links.size(); ++l) {
+        at.push_back(pos);
+        pos += 8;
+    }
+    EXPECT_EQ(pos, packMachine(machine).size());
+    return at;
+}
+
+TEST(CacheSerialize, MachineReaderAcceptsOnlyCanonicalImages)
+{
+    // A narrowed field outside int used to wrap silently: 2^32 added
+    // to numBuses or to a cluster's units was accepted and re-packed
+    // to different bytes. Every such image is refused now, and every
+    // image the reader accepts re-packs to itself.
+    const int64_t wide = int64_t(1) << 32;
+    for (const MachineDesc &machine :
+         {busedGpMachine(2, 2, 1), busedFsMachine(4, 2, 2),
+          gridMachine(2)}) {
+        SCOPED_TRACE(machine.name);
+        const std::string image = packMachine(machine);
+        const std::vector<size_t> fields = narrowedMachineFields(machine);
+        MachineDesc back;
+        ASSERT_TRUE(readMachine(image, back));
+        for (const size_t at : fields) {
+            SCOPED_TRACE(at);
+            const int64_t value = peekI64(image, at);
+            ASSERT_EQ(patchI64(image, at, value), image);
+            for (const int64_t bad :
+                 {value + wide, value - wide,
+                  int64_t(std::numeric_limits<int>::max()) + 1,
+                  int64_t(std::numeric_limits<int>::min()) - 1}) {
+                EXPECT_FALSE(readMachine(patchI64(image, at, bad), back))
+                    << bad;
+            }
+            for (const int64_t other :
+                 {int64_t(0), int64_t(1), int64_t(3), int64_t(-1),
+                  int64_t(std::numeric_limits<int>::max()),
+                  int64_t(std::numeric_limits<int>::min())}) {
+                const std::string patched = patchI64(image, at, other);
+                if (readMachine(patched, back)) {
+                    EXPECT_EQ(packMachine(back), patched) << other;
+                }
+            }
+        }
+    }
+}
+
+TEST(CacheSerialize, ResultReaderRefusesNonCanonicalFields)
+{
+    const CompileResult result =
+        compileClustered(sampleLoop(), busedGpMachine(2, 2, 1));
+    ASSERT_TRUE(result.success);
+    ByteWriter writer;
+    writeCompileResult(writer, result);
+    const std::string image = writer.take();
+    CompileResult back;
+    {
+        ByteReader reader(image);
+        ASSERT_TRUE(readCompileResult(reader, back));
+    }
+    // The success flag (bytes 0..3) must be 0 or 1; the II (the i64
+    // at byte 4) must fit in int.
+    std::string flag = image;
+    flag[0] = 2;
+    ByteReader flagReader(flag);
+    EXPECT_FALSE(readCompileResult(flagReader, back));
+    const std::string ii =
+        patchI64(image, 4, peekI64(image, 4) + (int64_t(1) << 32));
+    ByteReader iiReader(ii);
+    EXPECT_FALSE(readCompileResult(iiReader, back));
+}
+
 TEST(CompileCacheTest, HitServesStoredResult)
 {
     const std::string dir = scratchDir("cache_hit");
@@ -300,29 +603,39 @@ TEST(CompileCacheTest, RejectsVersionMismatchAndTruncation)
     const fs::path entry = fs::path(dir) / key.fileName();
     ASSERT_TRUE(fs::exists(entry));
 
-    // Flip the format-version field (bytes 4..7 after the magic).
-    {
-        std::fstream f(entry, std::ios::in | std::ios::out |
-                                  std::ios::binary);
-        f.seekp(4);
-        f.put(char(0x7f));
-    }
-    {
-        CompileCache cache(dir, CacheMode::ReadWrite);
-        CompileResult out;
-        EXPECT_FALSE(cache.lookup(key, graph, machine, out));
-        EXPECT_EQ(cache.totals().rejects, 1);
-        // rw mode unlinks the bad entry.
-        EXPECT_FALSE(fs::exists(entry));
+    // Overwrite the format-version field (bytes 4..7 after the magic)
+    // with a future version and with version 1, whose checksums were
+    // the byte-at-a-time hash; both are rejected and recompiled.
+    for (const char version : {char(0x7f), char(1)}) {
+        SCOPED_TRACE(int(version));
+        {
+            std::fstream f(entry, std::ios::in | std::ios::out |
+                                      std::ios::binary);
+            f.seekp(4);
+            f.put(version);
+        }
+        {
+            CompileCache cache(dir, CacheMode::ReadWrite);
+            CompileResult out;
+            EXPECT_FALSE(cache.lookup(key, graph, machine, out));
+            EXPECT_EQ(cache.totals().rejects, 1);
+            // rw mode unlinks the bad entry.
+            EXPECT_FALSE(fs::exists(entry));
+        }
+
+        // Repopulate through a cold compile.
+        {
+            CompileCache cache(dir, CacheMode::ReadWrite);
+            options.cache = &cache;
+            const CompileResult res =
+                compileClustered(graph, machine, options);
+            ASSERT_TRUE(res.success);
+            EXPECT_FALSE(res.fromCache);
+        }
+        ASSERT_TRUE(fs::exists(entry));
     }
 
-    // Repopulate, then truncate the payload.
-    {
-        CompileCache cache(dir, CacheMode::ReadWrite);
-        options.cache = &cache;
-        ASSERT_TRUE(compileClustered(graph, machine, options).success);
-    }
-    ASSERT_TRUE(fs::exists(entry));
+    // Truncate the payload.
     fs::resize_file(entry, fs::file_size(entry) / 2);
     {
         CompileCache cache(dir, CacheMode::ReadWrite);

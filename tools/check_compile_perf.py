@@ -11,8 +11,9 @@ fails (exit 1) when any of the following hold:
     counter: II attempts, assignment retries, evictions, copies,
     LoopContext misses, MRT word scans, exact-arm probes, conflicts
     and propagations, ..., of the heuristic pass and of the race_
-    pass, and the heap allocations of one heuristic pass, allocs)
-    exceeds the baseline's.
+    pass; the heap allocations of one heuristic pass, allocs, and of
+    the same pass served through a read-only compile cache,
+    cache_hit_allocs) exceeds the baseline's.
 
 The counters depend only on the code and the suite, never on the
 machine or its load, so there is no tolerance: one extra eviction is
