@@ -175,14 +175,13 @@ class AssignState
      */
     void
     begin(const Dfg &graph, const ResourceModel &model, Mrt &mrt,
-          FaultInjector *faults, const Adjacency &adjacency, bool timeRoute)
+          FaultInjector *faults, bool timeRoute)
     {
         graph_ = &graph;
         model_ = &model;
         machine_ = &model.machine();
         clusters_ = machine_->numClusters();
         faults_ = faults;
-        adj_ = &adjacency;
         timeRoute_ = timeRoute;
         routeMicros_ = 0;
         mrt_ = &mrt;
@@ -198,11 +197,11 @@ class AssignState
         nodeTally_.assign(nodes, {});
         size_t logged = 1; // values one placement may log: it and its preds
         for (NodeId v = 0; v < nodes; ++v) {
-            for (NodeId succ : adj_->succs(v)) {
+            for (NodeId succ : graph.successors(v)) {
                 if (succ != v)
                     ++nodeTally_[v].unplacedSuccs;
             }
-            logged = std::max(logged, 1 + adj_->preds(v).size());
+            logged = std::max(logged, 1 + graph.predecessors(v).size());
         }
         for (Txn *txn : {&commitLog_, &shrinkLog_, &tentative}) {
             txn->reset(invalidNode);
@@ -275,7 +274,7 @@ class AssignState
         const int64_t route_start = timeRoute_ ? nowMicros() : 0;
         values_.clear();
         values_.push_back(node);
-        for (NodeId pred : adj_->preds(node)) {
+        for (NodeId pred : graph_->predecessors(node)) {
             if (pred != node && assigned(pred))
                 values_.push_back(pred);
         }
@@ -331,7 +330,7 @@ class AssignState
         // Predecessor values may stop crossing clusters: shrink their
         // communication. Shrinking can always be re-reserved because
         // the released slots strictly cover the new need.
-        for (NodeId pred : adj_->preds(node)) {
+        for (NodeId pred : graph_->predecessors(node)) {
             if (pred == node || !assigned(pred))
                 continue;
             shrinkLog_.reset(invalidNode);
@@ -429,17 +428,16 @@ class AssignState
                 }
             }
         };
-        count(adj_->preds(node));
-        count(adj_->succs(node));
+        count(graph_->predecessors(node));
+        count(graph_->successors(node));
         return conflicts;
     }
 
     /**
      * Materializes the annotated loop from the final placements. Its
      * sizes are known up front -- one copy node and one feeding edge
-     * per copy operation -- and the edges are collected before they
-     * are added, so every array, each node's edge lists included, is
-     * allocated once at its final size.
+     * per copy operation -- so every array is allocated once at its
+     * final size.
      */
     AnnotatedLoop
     materialize()
@@ -462,12 +460,6 @@ class AssignState
         // the value to that cluster.
         const int clusters = machine_->numClusters();
         serving_.assign(static_cast<size_t>(n) * clusters, invalidNode);
-        edges_.clear();
-        edges_.reserve(graph_->numEdges() + copyOps_);
-        auto addEdge = [&](NodeId src, NodeId dst, int latency,
-                           int distance) {
-            edges_.push_back({-1, src, dst, latency, distance});
-        };
 
         for (NodeId value = 0; value < n; ++value) {
             if (!hasComm_[value])
@@ -482,7 +474,8 @@ class AssignState
                     out.graph.addNode(Opcode::Copy, 1, base);
                 out.placement.push_back(
                     {src, std::vector<ClusterId>(dsts.begin(), dsts.end())});
-                addEdge(value, copy, graph_->node(value).latency, 0);
+                out.graph.addEdge(value, copy, graph_->node(value).latency,
+                                  0);
                 for (ClusterId dst : dsts)
                     served[dst] = copy;
                 continue;
@@ -496,11 +489,12 @@ class AssignState
                     Opcode::Copy, 1, base + "_" + std::to_string(to));
                 out.placement.push_back({from, {to}});
                 if (from == src) {
-                    addEdge(value, copy, graph_->node(value).latency, 0);
+                    out.graph.addEdge(value, copy,
+                                      graph_->node(value).latency, 0);
                 } else {
                     cams_check(served[from] != invalidNode,
                                "hop chain out of order");
-                    addEdge(served[from], copy, 1, 0);
+                    out.graph.addEdge(served[from], copy, 1, 0);
                 }
                 served[to] = copy;
             }
@@ -510,7 +504,8 @@ class AssignState
             const ClusterId src_cluster = clusterOf_[edge.src];
             const ClusterId dst_cluster = clusterOf_[edge.dst];
             if (src_cluster == dst_cluster) {
-                addEdge(edge.src, edge.dst, edge.latency, edge.distance);
+                out.graph.addEdge(edge.src, edge.dst, edge.latency,
+                                  edge.distance);
                 continue;
             }
             const NodeId copy =
@@ -518,21 +513,10 @@ class AssignState
                          dst_cluster];
             cams_check(copy != invalidNode,
                        "value does not reach consumer cluster");
-            addEdge(copy, edge.dst, 1, edge.distance);
+            out.graph.addEdge(copy, edge.dst, 1, edge.distance);
         }
 
-        // degree_[v] = in-edges of v, degree_[total + v] = out-edges.
-        const int total = out.graph.numNodes();
-        degree_.assign(2 * static_cast<size_t>(total), 0);
-        for (const DfgEdge &edge : edges_) {
-            ++degree_[edge.dst];
-            ++degree_[total + edge.src];
-        }
-        for (NodeId v = 0; v < total; ++v)
-            out.graph.reserveEdges(v, degree_[v], degree_[total + v]);
-        for (const DfgEdge &edge : edges_)
-            out.graph.addEdge(edge.src, edge.dst, edge.latency,
-                              edge.distance);
+        out.graph.seal();
         return out;
     }
 
@@ -729,7 +713,7 @@ class AssignState
              rest &= rest - 1) {
             --clusterTally_[std::countr_zero(rest)].incoming;
         }
-        for (NodeId pred : adj_->preds(node)) {
+        for (NodeId pred : graph_->predecessors(node)) {
             if (pred == node)
                 continue;
             NodeTally &tally = nodeTally_[pred];
@@ -756,7 +740,7 @@ class AssignState
              rest &= rest - 1) {
             ++clusterTally_[std::countr_zero(rest)].incoming;
         }
-        for (NodeId pred : adj_->preds(node)) {
+        for (NodeId pred : graph_->predecessors(node)) {
             if (pred == node)
                 continue;
             NodeTally &tally = nodeTally_[pred];
@@ -816,8 +800,6 @@ class AssignState
     const MachineDesc *machine_ = nullptr;
     int clusters_ = 0;
     FaultInjector *faults_ = nullptr;
-    /** Packed neighbor lists of the graph. */
-    const Adjacency *adj_ = nullptr;
     bool timeRoute_ = false;
     int64_t routeMicros_ = 0;
     Mrt *mrt_ = nullptr;
@@ -844,10 +826,8 @@ class AssignState
     std::vector<ClusterTally> clusterTally_;
     /** [producer * clusters + c]: its distinct consumers placed on c. */
     std::vector<int> consumersOn_;
-    /** materialize()'s copy table, edge list and degree counts. */
+    /** materialize()'s copy table. */
     std::vector<NodeId> serving_;
-    std::vector<DfgEdge> edges_;
-    std::vector<int> degree_;
 };
 
 void
@@ -918,12 +898,11 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
     ctx.checkAssignable(machine);
 
     mrt.reset(ii);
-    const Adjacency &adj = ctx.adjacency();
     auto &slot = ctx.assignState();
     if (!slot)
         slot.reset(new AssignState);
     AssignState &state = *slot;
-    state.begin(graph, model_, mrt, options_.faults, adj,
+    state.begin(graph, model_, mrt, options_.faults,
                 options_.trace.active(TraceLevel::Phase));
     const Stopwatch order_watch;
     const SccInfo &sccs = ctx.sccs();
@@ -1040,12 +1019,11 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
     auto estimateStart = [&](NodeId node, ClusterId cluster,
                              const AssignState &st) {
         long start = timing.asap[node];
-        for (EdgeId e : graph.inEdges(node)) {
-            const DfgEdge &edge = graph.edge(e);
-            if (edge.src == node || !st.assigned(edge.src))
+        for (const AdjEdge &edge : graph.inEdges(node)) {
+            if (edge.node == node || !st.assigned(edge.node))
                 continue;
-            long ready = est[edge.src] + edge.latency;
-            if (st.clusterOf(edge.src) != cluster)
+            long ready = est[edge.node] + edge.latency;
+            if (st.clusterOf(edge.node) != cluster)
                 ready += 1; // copy latency
             start = std::max(start, ready);
         }
@@ -1215,7 +1193,7 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
                     // around the forced placement. (The node is not
                     // yet assigned, so remoteness is measured against
                     // the forced cluster.)
-                    for (NodeId succ : adj.succs(node)) {
+                    for (NodeId succ : graph.successors(node)) {
                         if (succ != node && state.assigned(succ) &&
                             state.clusterOf(succ) != forced) {
                             victims.push_back(succ);

@@ -77,6 +77,7 @@ annotatePartition(const Dfg &graph,
                               edge.dst, 1, edge.distance);
         }
     }
+    out.graph.seal();
     return out;
 }
 

@@ -55,10 +55,9 @@ instructionText(const AnnotatedLoop &loop,
     }
     os << opcodeName(node.op) << "(";
     bool first = true;
-    for (EdgeId e : loop.graph.inEdges(v)) {
-        const DfgEdge &edge = loop.graph.edge(e);
+    for (const AdjEdge &edge : loop.graph.inEdges(v)) {
         os << (first ? "" : ", ")
-           << operandText(loop, allocation, edge.src, edge.distance,
+           << operandText(loop, allocation, edge.node, edge.distance,
                           place.cluster);
         first = false;
     }
@@ -134,10 +133,9 @@ emitMveKernel(const AnnotatedLoop &loop, const Schedule &schedule,
                     os << regName(v, u) << " = ";
                 os << opcodeName(node.op) << "(";
                 bool first = true;
-                for (EdgeId e : loop.graph.inEdges(v)) {
-                    const DfgEdge &edge = loop.graph.edge(e);
+                for (const AdjEdge &edge : loop.graph.inEdges(v)) {
                     os << (first ? "" : ", ")
-                       << regName(edge.src, u - edge.distance);
+                       << regName(edge.node, u - edge.distance);
                     first = false;
                 }
                 os << ")";

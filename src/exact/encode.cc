@@ -33,20 +33,20 @@ latestStarts(const Dfg &graph, int ii)
         span.assign(static_cast<size_t>(m) * m, noPath);
         for (int i = 0; i < m; ++i) {
             span[i * m + i] = 0;
-            for (const EdgeId id : graph.inEdges(members[i])) {
-                const DfgEdge &e = graph.edge(id);
-                if (e.src == e.dst)
+            const NodeId v = members[i];
+            for (const AdjEdge &e : graph.inEdges(v)) {
+                if (e.node == v)
                     continue;
                 // The edge's lag on one cluster and through a copy.
                 const long carried = static_cast<long>(ii) * e.distance;
                 const long same = e.latency - carried;
-                const long cross = graph.node(e.src).latency + 1 - carried;
-                if (sccs.componentOf[e.src] == c) {
-                    long &s = span[slot[e.src] * m + i];
+                const long cross = graph.node(e.node).latency + 1 - carried;
+                if (sccs.componentOf[e.node] == c) {
+                    long &s = span[slot[e.node] * m + i];
                     s = std::max(s, std::min(same, cross));
                 } else {
                     const long up = std::max(same + slack, cross + 2 * slack);
-                    entry[e.dst] = std::max(entry[e.dst], hi[e.src] + up);
+                    entry[v] = std::max(entry[v], hi[e.node] + up);
                 }
             }
         }
@@ -387,8 +387,7 @@ ExactEncoder::encode(int ii, int horizon, SatSolver &solver,
                        latest.empty() ? T : latest[v] + lat + ii - 1);
         // Machines have at most 64 clusters (MachineDesc::maxClusters).
         uint64_t dstUniverse = 0;
-        for (const EdgeId id : graph_.outEdges(v)) {
-            const NodeId succ = graph_.edge(id).dst;
+        for (const NodeId succ : graph_.successors(v)) {
             if (succ == v)
                 continue;
             for (const ClusterId c : eligible_[succ])
@@ -412,9 +411,9 @@ ExactEncoder::encode(int ii, int horizon, SatSolver &solver,
     same_.assign(graph_.numEdges(), -1);
     auto sameVar = [&](NodeId u, NodeId w) {
         EdgeId first = 0;
-        for (const EdgeId id : graph_.outEdges(u)) {
-            if (graph_.edge(id).dst == w) {
-                first = id;
+        for (const AdjEdge &edge : graph_.outEdges(u)) {
+            if (edge.node == w) {
+                first = edge.id;
                 break;
             }
         }
@@ -660,6 +659,7 @@ ExactEncoder::decode(const SatSolver &solver, AnnotatedLoop &loop,
                                edge.dst, 1, edge.distance);
         }
     }
+    loop.graph.seal();
 }
 
 } // namespace cams

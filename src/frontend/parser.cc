@@ -580,6 +580,7 @@ class Generator
         std::string why;
         cams_assert(graph_.wellFormed(&why), "frontend built a bad "
                     "graph: ", why);
+        graph_.seal();
         return std::move(graph_);
     }
 

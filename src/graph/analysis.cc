@@ -121,12 +121,11 @@ TimingSolver::TimingSolver(const Dfg &graph)
     }
     for (size_t head = 0; head < work.size(); ++head) {
         const NodeId v = work[head];
-        for (EdgeId e : graph.outEdges(v)) {
-            const DfgEdge &edge = graph.edge(e);
-            if (edge.distance != 0 || edge.dst == v)
+        for (const AdjEdge &edge : graph.outEdges(v)) {
+            if (edge.distance != 0 || edge.node == v)
                 continue;
-            if (--pos[edge.dst] == 0)
-                work.push_back(edge.dst);
+            if (--pos[edge.node] == 0)
+                work.push_back(edge.node);
         }
     }
     std::fill(pos.begin(), pos.end(), -1);

@@ -55,6 +55,7 @@ DfgBuilder::id(const std::string &name) const
 Dfg
 DfgBuilder::build()
 {
+    graph_.seal();
     return std::move(graph_);
 }
 

@@ -43,7 +43,7 @@ class DfgBuilder
     /** Node id for a name added earlier; fatal on unknown names. */
     NodeId id(const std::string &name) const;
 
-    /** Finishes and returns the graph. */
+    /** Finishes, seals and returns the graph. */
     Dfg build();
 
   private:

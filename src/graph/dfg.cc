@@ -1,6 +1,7 @@
 #include "graph/dfg.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "support/logging.hh"
 
@@ -10,6 +11,7 @@ namespace cams
 NodeId
 Dfg::addNode(Opcode op, int latency, std::string name)
 {
+    off_.clear(); // unseals
     DfgNode node;
     node.id = static_cast<NodeId>(nodes_.size());
     node.op = op;
@@ -18,8 +20,6 @@ Dfg::addNode(Opcode op, int latency, std::string name)
     if (node.name.empty())
         node.name = opcodeName(op) + std::to_string(node.id);
     nodes_.push_back(node);
-    out_.emplace_back();
-    in_.emplace_back();
     return node.id;
 }
 
@@ -29,6 +29,7 @@ Dfg::addEdge(NodeId src, NodeId dst, int latency, int distance)
     cams_assert(src >= 0 && src < numNodes(), "bad edge src ", src);
     cams_assert(dst >= 0 && dst < numNodes(), "bad edge dst ", dst);
     cams_assert(distance >= 0, "negative edge distance");
+    off_.clear(); // unseals
     DfgEdge edge;
     edge.id = static_cast<EdgeId>(edges_.size());
     edge.src = src;
@@ -36,8 +37,6 @@ Dfg::addEdge(NodeId src, NodeId dst, int latency, int distance)
     edge.latency = latency < 0 ? nodes_[src].latency : latency;
     edge.distance = distance;
     edges_.push_back(edge);
-    out_[src].push_back(edge.id);
-    in_[dst].push_back(edge.id);
     return edge.id;
 }
 
@@ -45,17 +44,69 @@ void
 Dfg::reserve(int nodes, int edges)
 {
     nodes_.reserve(nodes);
-    out_.reserve(nodes);
-    in_.reserve(nodes);
     edges_.reserve(edges);
 }
 
 void
-Dfg::reserveEdges(NodeId id, int in, int out)
+Dfg::seal()
 {
-    cams_assert(id >= 0 && id < numNodes(), "bad node id ", id);
-    in_[id].reserve(in);
-    out_[id].reserve(out);
+    const int n = numNodes();
+    const int m = numEdges();
+    const size_t stride = static_cast<size_t>(n) + 1;
+    off_.assign(numRelations * stride, 0);
+    int *in = off_.data() + In * stride;
+    int *out = off_.data() + Out * stride;
+    int *pred = off_.data() + Pred * stride;
+    int *succ = off_.data() + Succ * stride;
+
+    // Edge rows: a counting sort by target (in-rows) and by source
+    // (out-rows, after all in-rows). Filling in id order keeps every
+    // row in edge-id order; the neighbour offsets serve as the fill
+    // cursors until their own rows are built.
+    for (const DfgEdge &edge : edges_) {
+        ++in[edge.dst + 1];
+        ++out[edge.src + 1];
+    }
+    out[0] = m;
+    for (NodeId v = 0; v < n; ++v) {
+        in[v + 1] += in[v];
+        out[v + 1] += out[v];
+    }
+    std::copy(in, in + n, pred);
+    std::copy(out, out + n, succ);
+    adj_.resize(2 * static_cast<size_t>(m));
+    for (const DfgEdge &edge : edges_) {
+        adj_[pred[edge.dst]++] = {edge.id, edge.src, edge.latency,
+                                  edge.distance};
+        adj_[succ[edge.src]++] = {edge.id, edge.dst, edge.latency,
+                                  edge.distance};
+    }
+
+    // Neighbour rows: the other endpoints of each edge row, sorted
+    // and deduplicated.
+    nbr_.resize(2 * static_cast<size_t>(m));
+    int fill = 0;
+    for (const auto &[edges, rows] :
+         {std::pair{in, pred}, std::pair{out, succ}}) {
+        rows[0] = fill;
+        for (NodeId v = 0; v < n; ++v) {
+            const auto first = nbr_.begin() + fill;
+            for (int i = edges[v]; i < edges[v + 1]; ++i)
+                nbr_[fill++] = adj_[i].node;
+            std::sort(first, nbr_.begin() + fill);
+            fill = static_cast<int>(
+                std::unique(first, nbr_.begin() + fill) - nbr_.begin());
+            rows[v + 1] = fill;
+        }
+    }
+    nbr_.resize(fill);
+}
+
+void
+Dfg::badRow(NodeId id) const
+{
+    cams_assert(sealed(), "query on an unsealed graph; seal() it first");
+    cams_panic("bad node id ", id);
 }
 
 const DfgNode &
@@ -77,42 +128,6 @@ Dfg::edge(EdgeId id) const
 {
     cams_assert(id >= 0 && id < numEdges(), "bad edge id ", id);
     return edges_[id];
-}
-
-const std::vector<EdgeId> &
-Dfg::outEdges(NodeId id) const
-{
-    cams_assert(id >= 0 && id < numNodes(), "bad node id ", id);
-    return out_[id];
-}
-
-const std::vector<EdgeId> &
-Dfg::inEdges(NodeId id) const
-{
-    cams_assert(id >= 0 && id < numNodes(), "bad node id ", id);
-    return in_[id];
-}
-
-std::vector<NodeId>
-Dfg::successors(NodeId id) const
-{
-    std::vector<NodeId> result;
-    for (EdgeId e : outEdges(id))
-        result.push_back(edges_[e].dst);
-    std::sort(result.begin(), result.end());
-    result.erase(std::unique(result.begin(), result.end()), result.end());
-    return result;
-}
-
-std::vector<NodeId>
-Dfg::predecessors(NodeId id) const
-{
-    std::vector<NodeId> result;
-    for (EdgeId e : inEdges(id))
-        result.push_back(edges_[e].src);
-    std::sort(result.begin(), result.end());
-    result.erase(std::unique(result.begin(), result.end()), result.end());
-    return result;
 }
 
 int

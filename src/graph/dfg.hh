@@ -11,11 +11,18 @@
  * The container is append-only: cluster assignment never mutates the
  * input graph, it produces a new, annotated graph with copy operations
  * spliced in (see assign/assignment.hh).
+ *
+ * Neighbour queries read one flat (CSR) index that seal() builds. Every
+ * producer seals the graph it hands out; addNode/addEdge drop the
+ * index, and a query on an unsealed graph fails a cams_assert. A const
+ * query never builds the index, so one sealed graph may be read from
+ * several threads at once.
  */
 
 #ifndef CAMS_GRAPH_DFG_HH
 #define CAMS_GRAPH_DFG_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,7 +66,17 @@ struct DfgEdge
     int distance = 0;
 };
 
-/** Append-only data-flow graph with adjacency indexing. */
+/** One dependence edge as seen from one endpoint: its id, the other
+ *  node and the payload the schedulers read. */
+struct AdjEdge
+{
+    EdgeId id;
+    NodeId node;
+    int latency;
+    int distance;
+};
+
+/** Append-only data-flow graph with a sealed adjacency index. */
 class Dfg
 {
   public:
@@ -79,8 +96,12 @@ class Dfg
      */
     void reserve(int nodes, int edges);
 
-    /** Reserves room for a node's in- and out-edges. */
-    void reserveEdges(NodeId id, int in, int out);
+    /** Builds the adjacency index the edge and neighbour queries read;
+     *  O(V + E log deg). Sealing a sealed graph rebuilds it. */
+    void seal();
+
+    /** True from seal() until the next addNode/addEdge. */
+    bool sealed() const { return !off_.empty(); }
 
     /** Number of nodes. */
     int numNodes() const { return static_cast<int>(nodes_.size()); }
@@ -97,17 +118,29 @@ class Dfg
     /** Mutable node accessor (checked); used by builders only. */
     DfgNode &node(NodeId id);
 
-    /** Outgoing edge ids of a node. */
-    const std::vector<EdgeId> &outEdges(NodeId id) const;
+    /** Incoming edges of a node (node = source), in edge-id order. */
+    std::span<const AdjEdge> inEdges(NodeId id) const
+    {
+        return row(In, id);
+    }
 
-    /** Incoming edge ids of a node. */
-    const std::vector<EdgeId> &inEdges(NodeId id) const;
+    /** Outgoing edges of a node (node = target), in edge-id order. */
+    std::span<const AdjEdge> outEdges(NodeId id) const
+    {
+        return row(Out, id);
+    }
 
-    /** Distinct successor node ids (duplicates collapsed). */
-    std::vector<NodeId> successors(NodeId id) const;
+    /** Distinct predecessor node ids, ascending. */
+    std::span<const NodeId> predecessors(NodeId id) const
+    {
+        return neighbours(Pred, id);
+    }
 
-    /** Distinct predecessor node ids (duplicates collapsed). */
-    std::vector<NodeId> predecessors(NodeId id) const;
+    /** Distinct successor node ids, ascending. */
+    std::span<const NodeId> successors(NodeId id) const
+    {
+        return neighbours(Succ, id);
+    }
 
     /** All nodes, in id order. */
     const std::vector<DfgNode> &nodes() const { return nodes_; }
@@ -128,10 +161,50 @@ class Dfg
     void setName(std::string name) { name_ = std::move(name); }
 
   private:
+    /** The index's relations; each holds numNodes() + 1 offsets. */
+    enum Relation
+    {
+        In,
+        Out,
+        Pred,
+        Succ,
+        numRelations
+    };
+
+    /** Offsets of a node's row in one relation. An unsealed graph has
+     *  no offsets, so the range check refuses every id there too. */
+    const int *offsets(Relation relation, NodeId id) const
+    {
+        const size_t stride = off_.size() / numRelations;
+        if (id < 0 || static_cast<size_t>(id) + 1 >= stride) [[unlikely]]
+            badRow(id);
+        return off_.data() + relation * stride + id;
+    }
+
+    std::span<const AdjEdge> row(Relation relation, NodeId id) const
+    {
+        const int *off = offsets(relation, id);
+        return {adj_.data() + off[0], adj_.data() + off[1]};
+    }
+
+    std::span<const NodeId> neighbours(Relation relation, NodeId id) const
+    {
+        const int *off = offsets(relation, id);
+        return {nbr_.data() + off[0], nbr_.data() + off[1]};
+    }
+
+    /** Fails the assertion that explains why a row query is refused. */
+    [[noreturn]] void badRow(NodeId id) const;
+
     std::vector<DfgNode> nodes_;
     std::vector<DfgEdge> edges_;
-    std::vector<std::vector<EdgeId>> out_;
-    std::vector<std::vector<EdgeId>> in_;
+    /** numNodes() + 1 row offsets per relation, relation after
+     *  relation; empty while unsealed. */
+    std::vector<int> off_;
+    /** Edge records: every node's in-row, then every node's out-row. */
+    std::vector<AdjEdge> adj_;
+    /** Neighbour ids: every predecessor row, then every successor row. */
+    std::vector<NodeId> nbr_;
     std::string name_;
 };
 

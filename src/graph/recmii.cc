@@ -30,10 +30,9 @@ class InducedCycles
         }
         edges_.reserve(out_degree);
         for (NodeId node : members) {
-            for (EdgeId e : graph.outEdges(node)) {
-                const DfgEdge &edge = graph.edge(e);
-                if (dist_[edge.dst] != outside)
-                    edges_.push_back(edge);
+            for (const AdjEdge &edge : graph.outEdges(node)) {
+                if (dist_[edge.node] != outside)
+                    edges_.push_back(graph.edge(edge.id));
             }
         }
     }
@@ -111,9 +110,8 @@ sccRecMii(const Dfg &graph, std::span<const NodeId> members)
         NodeId only = members[0];
         int best = 1;
         bool has_self = false;
-        for (EdgeId e : graph.outEdges(only)) {
-            const DfgEdge &edge = graph.edge(e);
-            if (edge.dst != only)
+        for (const AdjEdge &edge : graph.outEdges(only)) {
+            if (edge.node != only)
                 continue;
             has_self = true;
             if (edge.distance == 0) {
@@ -168,10 +166,9 @@ hasZeroDistanceCycle(const Dfg &graph)
         const NodeId v = ready.back();
         ready.pop_back();
         ++peeled;
-        for (EdgeId e : graph.outEdges(v)) {
-            const DfgEdge &edge = graph.edge(e);
-            if (edge.distance == 0 && --pending[edge.dst] == 0)
-                ready.push_back(edge.dst);
+        for (const AdjEdge &edge : graph.outEdges(v)) {
+            if (edge.distance == 0 && --pending[edge.node] == 0)
+                ready.push_back(edge.node);
         }
     }
     return peeled < graph.numNodes();

@@ -55,9 +55,9 @@ findSccs(const Dfg &graph)
 
         while (!dfs.empty()) {
             Frame &frame = dfs.back();
-            const auto &out = graph.outEdges(frame.node);
+            const auto out = graph.outEdges(frame.node);
             if (frame.edgePos < out.size()) {
-                NodeId next = graph.edge(out[frame.edgePos]).dst;
+                NodeId next = out[frame.edgePos].node;
                 ++frame.edgePos;
                 if (link[next].index == -1) {
                     link[next].index = link[next].lowlink = nextIndex++;
@@ -103,8 +103,8 @@ findSccs(const Dfg &graph)
             info.nonTrivial[c] = true;
         } else {
             NodeId only = members[0];
-            for (EdgeId e : graph.outEdges(only)) {
-                if (graph.edge(e).dst == only) {
+            for (const AdjEdge &edge : graph.outEdges(only)) {
+                if (edge.node == only) {
                     info.nonTrivial[c] = true;
                     break;
                 }

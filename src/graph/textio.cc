@@ -113,6 +113,7 @@ parseDfg(const std::string &text, Dfg &out, std::string &error)
         }
     }
 
+    graph.seal();
     out = std::move(graph);
     error.clear();
     return true;

@@ -214,20 +214,32 @@ MachineDesc::validationError() const
         return fail(": more than " + std::to_string(maxClusters) +
                     " clusters");
     }
+    auto above = [&](const char *what) {
+        return fail(std::string(": ") + what + " above " +
+                    std::to_string(maxResourceCount));
+    };
+    // Counts read from outside bytes may be near INT_MAX: summed in 64
+    // bits here, they reach width() and friends only once bounded.
+    int64_t units = 0;
     for (const ClusterDesc &c : clusters) {
         if (c.gpUnits < 0 || c.readPorts < 0 || c.writePorts < 0)
             return fail(": negative resource count");
-        // Counts read from outside bytes may be near INT_MAX, so test
-        // for a zero width without summing them the way width() does.
-        bool any_units = c.gpUnits > 0;
-        for (int units : c.fsUnits) {
-            if (units < 0)
+        if (std::max(c.readPorts, c.writePorts) > maxResourceCount)
+            return above("port count");
+        const int64_t before = units;
+        units += c.gpUnits;
+        for (int count : c.fsUnits) {
+            if (count < 0)
                 return fail(": negative FU count");
-            any_units = any_units || units > 0;
+            units += count;
         }
-        if (!any_units)
+        if (units == before)
             return fail(": cluster with no units");
     }
+    if (units > maxResourceCount)
+        return above("function units in all");
+    if (numBuses > maxResourceCount)
+        return above("bus count");
     if (numClusters() == 1)
         return {};
     if (interconnect == InterconnectKind::Bus) {

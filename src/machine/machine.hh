@@ -40,6 +40,15 @@ constexpr ClusterId invalidCluster = -1;
  */
 constexpr int maxClusters = 64;
 
+/**
+ * Most function units a machine may hold in all, and most ports or
+ * buses any one count may give. With at most maxClusters clusters no
+ * sum of counts (width(), totalWidth(), the unified equivalent's
+ * pools) can overflow an int, and the unified equivalent of a valid
+ * machine is valid too.
+ */
+constexpr int maxResourceCount = 4096;
+
 /** One register file + function unit group. */
 struct ClusterDesc
 {
@@ -160,10 +169,11 @@ struct MachineDesc
 
     /**
      * Why the description is impossible, or empty when it is sound:
-     * no clusters, more than maxClusters, negative counts, a cluster
-     * without units, a multi-cluster machine without buses or links,
-     * a link to an undeclared cluster, or clusters the links leave
-     * disconnected. Decoders of outside input reject on it.
+     * no clusters, more than maxClusters, negative counts, counts
+     * above maxResourceCount, a cluster without units, a multi-cluster
+     * machine without buses or links, a link to an undeclared cluster,
+     * or clusters the links leave disconnected. Decoders of outside
+     * input reject on it.
      */
     std::string validationError() const;
 

@@ -86,11 +86,9 @@ buildPrioritySets(const Dfg &graph, const SccInfo &sccs)
         while (!stack.empty()) {
             const NodeId at = stack.back();
             stack.pop_back();
-            const auto &edges =
-                forward ? graph.outEdges(at) : graph.inEdges(at);
-            for (EdgeId e : edges) {
-                const NodeId next = forward ? graph.edge(e).dst
-                                            : graph.edge(e).src;
+            for (const AdjEdge &edge :
+                 forward ? graph.outEdges(at) : graph.inEdges(at)) {
+                const NodeId next = edge.node;
                 if (!(mark[next] & bit)) {
                     mark[next] |= bit;
                     stack.push_back(next);

@@ -24,8 +24,8 @@ enum SwingFlag : int
 
 void
 swingOrder(const Dfg &graph, const NodeSets &sets,
-           const TimeAnalysis &timing, const Adjacency &adjacency,
-           SwingScratch &scratch, std::vector<NodeId> &result)
+           const TimeAnalysis &timing, SwingScratch &scratch,
+           std::vector<NodeId> &result)
 {
     const int n = graph.numNodes();
     result.clear();
@@ -63,7 +63,7 @@ swingOrder(const Dfg &graph, const NodeSets &sets,
 
         for (NodeId v : members) {
             int pred0 = 0;
-            for (const AdjEdge &edge : adjacency.inEdges(v)) {
+            for (const AdjEdge &edge : graph.inEdges(v)) {
                 if (edge.distance == 0 && edge.node != v &&
                     is(edge.node, pending)) {
                     ++pred0;
@@ -71,20 +71,20 @@ swingOrder(const Dfg &graph, const NodeSets &sets,
             }
             pend_pred0[v] = pred0;
             int succ0 = 0;
-            for (const AdjEdge &edge : adjacency.outEdges(v)) {
+            for (const AdjEdge &edge : graph.outEdges(v)) {
                 if (edge.distance == 0 && edge.node != v &&
                     is(edge.node, pending)) {
                     ++succ0;
                 }
             }
             pend_succ0[v] = succ0;
-            for (NodeId other : adjacency.preds(v)) {
+            for (NodeId other : graph.predecessors(v)) {
                 if (other != v && is(other, ordered)) {
                     flags[v] |= predOrdered;
                     break;
                 }
             }
-            for (NodeId other : adjacency.succs(v)) {
+            for (NodeId other : graph.successors(v)) {
                 if (other != v && is(other, ordered)) {
                     flags[v] |= succOrdered;
                     break;
@@ -188,23 +188,23 @@ swingOrder(const Dfg &graph, const NodeSets &sets,
             // The pick left the pending set: its distance-0 edges no
             // longer block neighbors, and it is now an ordered
             // neighbor of everything adjacent to it.
-            for (const AdjEdge &edge : adjacency.outEdges(pick)) {
+            for (const AdjEdge &edge : graph.outEdges(pick)) {
                 if (edge.distance == 0 && edge.node != pick &&
                     is(edge.node, pending)) {
                     --pend_pred0[edge.node];
                 }
             }
-            for (const AdjEdge &edge : adjacency.inEdges(pick)) {
+            for (const AdjEdge &edge : graph.inEdges(pick)) {
                 if (edge.distance == 0 && edge.node != pick &&
                     is(edge.node, pending)) {
                     --pend_succ0[edge.node];
                 }
             }
-            for (NodeId succ : adjacency.succs(pick)) {
+            for (NodeId succ : graph.successors(pick)) {
                 if (succ != pick)
                     flags[succ] |= predOrdered;
             }
-            for (NodeId pred : adjacency.preds(pick)) {
+            for (NodeId pred : graph.predecessors(pick)) {
                 if (pred != pick)
                     flags[pred] |= succOrdered;
             }
@@ -223,7 +223,7 @@ swingOrder(const Dfg &graph, int ii)
     const TimeAnalysis timing = analyzeTiming(graph, ii);
     SwingScratch scratch;
     std::vector<NodeId> order;
-    swingOrder(graph, sets, timing, Adjacency(graph), scratch, order);
+    swingOrder(graph, sets, timing, scratch, order);
     return order;
 }
 

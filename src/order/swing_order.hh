@@ -16,7 +16,6 @@
 
 #include <vector>
 
-#include "graph/adjacency.hh"
 #include "graph/analysis.hh"
 #include "graph/dfg.hh"
 #include "order/scc_sets.hh"
@@ -41,17 +40,15 @@ struct SwingScratch
  *
  * @param timing a timing analysis at the candidate II (depth = asap,
  *        height drives criticality tie-breaks).
- * @param adjacency packed neighbor lists of the same graph.
  * @param out receives every node exactly once, highest assignment
  *        priority first.
  */
 void swingOrder(const Dfg &graph, const NodeSets &sets,
-                const TimeAnalysis &timing, const Adjacency &adjacency,
-                SwingScratch &scratch, std::vector<NodeId> &out);
+                const TimeAnalysis &timing, SwingScratch &scratch,
+                std::vector<NodeId> &out);
 
 /**
- * Convenience overload: builds SCC sets, timing at the given II and
- * the adjacency.
+ * Convenience overload: builds SCC sets and timing at the given II.
  */
 std::vector<NodeId> swingOrder(const Dfg &graph, int ii);
 

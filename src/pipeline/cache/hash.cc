@@ -42,7 +42,7 @@ absorbWord(uint64_t h, uint64_t word)
 
 /** Signature of one edge as seen from one endpoint. */
 uint64_t
-edgeSignature(uint64_t neighbor_color, const DfgEdge &edge,
+edgeSignature(uint64_t neighbor_color, const AdjEdge &edge,
               uint64_t direction_tag)
 {
     uint64_t sig = direction_tag;
@@ -99,15 +99,11 @@ canonicalLoopHash(const Dfg &graph)
         for (NodeId v = 0; v < n; ++v) {
             in_sigs.clear();
             out_sigs.clear();
-            for (const EdgeId id : graph.inEdges(v)) {
-                const DfgEdge &edge = graph.edge(id);
-                in_sigs.push_back(
-                    edgeSignature(color[edge.src], edge, 0x11));
-            }
-            for (const EdgeId id : graph.outEdges(v)) {
-                const DfgEdge &edge = graph.edge(id);
+            for (const AdjEdge &edge : graph.inEdges(v))
+                in_sigs.push_back(edgeSignature(color[edge.node], edge, 0x11));
+            for (const AdjEdge &edge : graph.outEdges(v)) {
                 out_sigs.push_back(
-                    edgeSignature(color[edge.dst], edge, 0x22));
+                    edgeSignature(color[edge.node], edge, 0x22));
             }
             uint64_t c = color[v];
             c = hashCombine(c, foldSorted(in_sigs));

@@ -216,13 +216,11 @@ readDfg(std::string_view bytes, Dfg &out)
                       std::string(node_name));
     }
 
-    // Validate the edges and count every node's degrees first, so each
-    // edge list is sized once; the second pass re-reads the same bytes.
+    // One pass: out is assigned only on success.
     uint64_t edges = 0;
     if (!r.count(edges, edgeBytes))
         return false;
-    ByteReader again = r;
-    std::vector<int> degree(2 * nodes); // out at 2v, in at 2v + 1
+    graph.reserve(static_cast<int>(nodes), static_cast<int>(edges));
     for (uint64_t i = 0; i < edges; ++i) {
         int64_t src = 0, dst = 0, latency = 0, distance = 0;
         if (!r.i64(src) || !r.i64(dst) || !r.i64(latency) ||
@@ -234,25 +232,14 @@ readDfg(std::string_view bytes, Dfg &out)
             !inIntRange(distance)) {
             return false;
         }
-        ++degree[2 * src];
-        ++degree[2 * dst + 1];
-    }
-    if (!r.atEnd())
-        return false;
-    graph.reserve(static_cast<int>(nodes), static_cast<int>(edges));
-    for (NodeId v = 0; v < graph.numNodes(); ++v)
-        graph.reserveEdges(v, degree[2 * v + 1], degree[2 * v]);
-    for (uint64_t i = 0; i < edges; ++i) {
-        int64_t src = 0, dst = 0, latency = 0, distance = 0;
-        again.i64(src);
-        again.i64(dst);
-        again.i64(latency);
-        again.i64(distance);
         graph.addEdge(static_cast<NodeId>(src),
                       static_cast<NodeId>(dst),
                       static_cast<int>(latency),
                       static_cast<int>(distance));
     }
+    if (!r.atEnd())
+        return false;
+    graph.seal();
     out = std::move(graph);
     return true;
 }

@@ -26,18 +26,6 @@ LoopContext::sccs()
     return *sccs_;
 }
 
-const Adjacency &
-LoopContext::adjacency()
-{
-    if (!adjacency_) {
-        ++misses_;
-        adjacency_.emplace(*graph_);
-    } else {
-        ++hits_;
-    }
-    return *adjacency_;
-}
-
 const NodeSets &
 LoopContext::prioritySets()
 {
@@ -128,7 +116,7 @@ LoopContext::swingOrder(int ii)
         return order_;
     }
     ++misses_;
-    cams::swingOrder(*graph_, prioritySets(), timing(ii), adjacency(),
+    cams::swingOrder(*graph_, prioritySets(), timing(ii),
                      swingScratch_, order_);
     orderIi_ = ii;
     return order_;

@@ -19,6 +19,10 @@
  *   positive-cycle test per recurrence instead of the binary search,
  *   with monotone bounds remembered across probes).
  *
+ * Neighbour reads need no cache here: the graph is sealed (see
+ * graph/dfg.hh), so the assigner, the swing order and the schedulers
+ * read its flat edge and neighbour rows directly, allocation-free.
+ *
  * Everything returned equals the direct computation -- all cached
  * facts are unique fixpoints or deterministic function results
  * (tests/context_test.cc checks the timing, feasibility and RecMII
@@ -46,7 +50,6 @@
 #include <vector>
 
 #include "assign/assignment.hh"
-#include "graph/adjacency.hh"
 #include "graph/analysis.hh"
 #include "graph/dfg.hh"
 #include "graph/scc.hh"
@@ -96,13 +99,6 @@ class LoopContext
 
     /** The Section 4.1 priority sets (computed once). */
     const NodeSets &prioritySets();
-
-    /**
-     * Packed neighbor lists (computed once). The assigner evaluates
-     * predecessors/successors for every (node, cluster) candidate and
-     * reads them here as spans instead of rebuilding sorted vectors.
-     */
-    const Adjacency &adjacency();
 
     /**
      * Whole-graph RecMII. Derived from the priority sets' per-SCC
@@ -165,7 +161,6 @@ class LoopContext
 
     std::optional<SccInfo> sccs_;
     std::optional<NodeSets> sets_;
-    std::optional<Adjacency> adjacency_;
     std::optional<int> recMii_;
     std::optional<TimingSolver> timingSolver_;
 

@@ -41,12 +41,11 @@ degradeToSingleCluster(const Dfg &graph, const ResourceModel &model)
         const NodeId v = *ready.begin();
         ready.erase(ready.begin());
         order.push_back(v);
-        for (EdgeId e : graph.outEdges(v)) {
-            const DfgEdge &edge = graph.edge(e);
-            if (edge.distance != 0 || edge.dst == v)
+        for (const AdjEdge &edge : graph.outEdges(v)) {
+            if (edge.distance != 0 || edge.node == v)
                 continue;
-            if (--indegree[edge.dst] == 0)
-                ready.insert(edge.dst);
+            if (--indegree[edge.node] == 0)
+                ready.insert(edge.node);
         }
     }
     if (static_cast<int>(order.size()) != n)
@@ -58,11 +57,10 @@ degradeToSingleCluster(const Dfg &graph, const ResourceModel &model)
     int prev = -1;
     for (NodeId v : order) {
         int at = prev + 1;
-        for (EdgeId e : graph.inEdges(v)) {
-            const DfgEdge &edge = graph.edge(e);
+        for (const AdjEdge &edge : graph.inEdges(v)) {
             if (edge.distance != 0)
                 continue;
-            at = std::max(at, start[edge.src] + edge.latency);
+            at = std::max(at, start[edge.node] + edge.latency);
         }
         start[v] = at;
         prev = at;

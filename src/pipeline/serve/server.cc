@@ -112,15 +112,14 @@ CamsServer::start(std::string &error)
 void
 CamsServer::requestDrain()
 {
-    {
-        std::lock_guard<std::mutex> lock(queueMutex_);
-        if (draining_)
-            return;
-        draining_ = true;
-    }
-    // Unblocks acceptLoop; already-queued work keeps flowing.
-    listener_.close();
     std::lock_guard<std::mutex> lock(queueMutex_);
+    if (draining_)
+        return;
+    draining_ = true;
+    // Unblocks acceptLoop; already-queued work keeps flowing. The
+    // descriptor is closed in stop(), once acceptLoop has returned;
+    // shutting down under the lock orders this before that close.
+    listener_.shutdown();
     notifyIfDrained();
 }
 
@@ -153,6 +152,7 @@ CamsServer::stop()
         watchdogThread_.join();
     if (acceptThread_.joinable())
         acceptThread_.join();
+    listener_.close();
     {
         std::unique_lock<std::mutex> lock(connMutex_);
         for (const std::shared_ptr<Conn> &conn : conns_) {
@@ -461,12 +461,12 @@ CamsServer::connectionLoop(std::shared_ptr<Conn> conn)
     dropConnection(conn);
     conn->alive.store(false);
     conn->fd.shutdownBoth();
-    {
-        std::lock_guard<std::mutex> lock(connMutex_);
-        --activeReaders_;
-        conns_.erase(std::remove(conns_.begin(), conns_.end(), conn),
-                     conns_.end());
-    }
+    std::lock_guard<std::mutex> lock(connMutex_);
+    --activeReaders_;
+    conns_.erase(std::remove(conns_.begin(), conns_.end(), conn),
+                 conns_.end());
+    // Notified under the lock: once stop() sees no reader left, the
+    // server and this condition variable may be destroyed.
     readersDone_.notify_all();
 }
 

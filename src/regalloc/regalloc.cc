@@ -27,10 +27,9 @@ lastUse(const AnnotatedLoop &loop, const Schedule &schedule,
         NodeId producer)
 {
     long last = schedule.startCycle[producer];
-    for (EdgeId e : loop.graph.outEdges(producer)) {
-        const DfgEdge &edge = loop.graph.edge(e);
+    for (const AdjEdge &edge : loop.graph.outEdges(producer)) {
         last = std::max(last,
-                        static_cast<long>(schedule.startCycle[edge.dst]) +
+                        static_cast<long>(schedule.startCycle[edge.node]) +
                             static_cast<long>(schedule.ii) *
                                 edge.distance);
     }

@@ -31,7 +31,6 @@ IterativeModuloScheduler::run(const AnnotatedLoop &loop,
     // order is materialized once as a permutation and the list is a
     // bitmap over priority indices with a moving minimum cursor, so a
     // displacement allocates nothing.
-    const Adjacency &adj = ctx.adjacency();
     std::vector<NodeId> &byPrio = byPrio_;
     byPrio.resize(n);
     for (NodeId v = 0; v < n; ++v)
@@ -93,7 +92,7 @@ IterativeModuloScheduler::run(const AnnotatedLoop &loop,
         // intermediate product, then range-checked into int once: all
         // start-cycle math below stays int.
         long estart_wide = 0;
-        for (const AdjEdge &edge : adj.inEdges(op)) {
+        for (const AdjEdge &edge : graph.inEdges(op)) {
             if (edge.node == op || !node[edge.node].placed)
                 continue;
             estart_wide = std::max(estart_wide,
@@ -162,7 +161,7 @@ IterativeModuloScheduler::run(const AnnotatedLoop &loop,
 
         // Displace successors whose dependence the new start violates
         // (and predecessors, which can only happen on forced moves).
-        for (const AdjEdge &edge : adj.outEdges(op)) {
+        for (const AdjEdge &edge : graph.outEdges(op)) {
             if (edge.node == op || !node[edge.node].placed)
                 continue;
             if (node[edge.node].start <
@@ -171,7 +170,7 @@ IterativeModuloScheduler::run(const AnnotatedLoop &loop,
                 unschedule(edge.node);
             }
         }
-        for (const AdjEdge &edge : adj.inEdges(op)) {
+        for (const AdjEdge &edge : graph.inEdges(op)) {
             if (edge.node == op || !node[edge.node].placed)
                 continue;
             if (chosen < node[edge.node].start + edge.latency -

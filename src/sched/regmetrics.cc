@@ -21,10 +21,9 @@ computeRegMetrics(const AnnotatedLoop &loop, const Schedule &schedule)
     for (NodeId v = 0; v < graph.numNodes(); ++v) {
         const long def = schedule.startCycle[v];
         long last_use = def;
-        for (EdgeId e : graph.outEdges(v)) {
-            const DfgEdge &edge = graph.edge(e);
+        for (const AdjEdge &edge : graph.outEdges(v)) {
             last_use = std::max(
-                last_use, static_cast<long>(schedule.startCycle[edge.dst]) +
+                last_use, static_cast<long>(schedule.startCycle[edge.node]) +
                               static_cast<long>(ii) * edge.distance);
         }
         const long lifetime = last_use - def;

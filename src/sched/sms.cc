@@ -40,7 +40,6 @@ SwingModuloScheduler::run(const AnnotatedLoop &loop,
     // The list is a rank-indexed bitmap with a moving minimum cursor:
     // pops and ejection re-inserts allocate nothing, and the lowest
     // rank (i.e. order[r]) pops first.
-    const Adjacency &adj = ctx.adjacency();
     std::vector<char> &pendingRank = pendingRank_;
     pendingRank.assign(n, 1);
     int minRank = 0;
@@ -88,14 +87,14 @@ SwingModuloScheduler::run(const AnnotatedLoop &loop,
         // Windows anchored to the already placed neighbors.
         long early = kNone;
         long late = kNone;
-        for (const AdjEdge &edge : adj.inEdges(op)) {
+        for (const AdjEdge &edge : graph.inEdges(op)) {
             if (edge.node == op || !node[edge.node].placed)
                 continue;
             early = std::max(early, node[edge.node].start + edge.latency -
                                         static_cast<long>(ii) *
                                             edge.distance);
         }
-        for (const AdjEdge &edge : adj.outEdges(op)) {
+        for (const AdjEdge &edge : graph.outEdges(op)) {
             if (edge.node == op || !node[edge.node].placed)
                 continue;
             const long bound = node[edge.node].start - edge.latency +
@@ -184,7 +183,7 @@ SwingModuloScheduler::run(const AnnotatedLoop &loop,
         node[op].placed = true;
 
         // Eject neighbors whose dependence the new start violates.
-        for (const AdjEdge &edge : adj.outEdges(op)) {
+        for (const AdjEdge &edge : graph.outEdges(op)) {
             if (edge.node == op || !node[edge.node].placed)
                 continue;
             if (node[edge.node].start <
@@ -193,7 +192,7 @@ SwingModuloScheduler::run(const AnnotatedLoop &loop,
                 unschedule(edge.node);
             }
         }
-        for (const AdjEdge &edge : adj.inEdges(op)) {
+        for (const AdjEdge &edge : graph.inEdges(op)) {
             if (edge.node == op || !node[edge.node].placed)
                 continue;
             if (chosen < node[edge.node].start + edge.latency -

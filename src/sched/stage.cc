@@ -23,10 +23,9 @@ lifetimeContribution(const AnnotatedLoop &loop,
     // v's own value: from start_v to its last consumer.
     if (!graph.outEdges(v).empty()) {
         long last = start_v;
-        for (EdgeId e : graph.outEdges(v)) {
-            const DfgEdge &edge = graph.edge(e);
+        for (const AdjEdge &edge : graph.outEdges(v)) {
             const long use =
-                (edge.dst == v ? start_v : start[edge.dst]) +
+                (edge.node == v ? start_v : start[edge.node]) +
                 static_cast<long>(ii) * edge.distance;
             last = std::max(last, use);
         }
@@ -35,16 +34,14 @@ lifetimeContribution(const AnnotatedLoop &loop,
 
     // Producers for which v is a consumer: moving v can stretch or
     // shrink their lifetimes.
-    for (EdgeId e : graph.inEdges(v)) {
-        const DfgEdge &edge = graph.edge(e);
-        const NodeId u = edge.src;
+    for (const AdjEdge &edge : graph.inEdges(v)) {
+        const NodeId u = edge.node;
         if (u == v)
             continue;
         long last = start[u];
-        for (EdgeId ue : graph.outEdges(u)) {
-            const DfgEdge &out = graph.edge(ue);
+        for (const AdjEdge &out : graph.outEdges(u)) {
             const long use =
-                (out.dst == v ? start_v : start[out.dst]) +
+                (out.node == v ? start_v : start[out.node]) +
                 static_cast<long>(ii) * out.distance;
             last = std::max(last, use);
         }
@@ -63,9 +60,8 @@ totalLifetime(const AnnotatedLoop &loop, const std::vector<long> &start,
         if (graph.outEdges(v).empty())
             continue;
         long last = start[v];
-        for (EdgeId e : graph.outEdges(v)) {
-            const DfgEdge &edge = graph.edge(e);
-            last = std::max(last, start[edge.dst] +
+        for (const AdjEdge &edge : graph.outEdges(v)) {
+            last = std::max(last, start[edge.node] +
                                       static_cast<long>(ii) *
                                           edge.distance);
         }
@@ -98,11 +94,10 @@ stageSchedule(const AnnotatedLoop &loop, const Schedule &schedule,
             // Legal slide range in whole IIs.
             long delta_min = std::numeric_limits<long>::min() / 4;
             long delta_max = std::numeric_limits<long>::max() / 4;
-            for (EdgeId e : graph.inEdges(v)) {
-                const DfgEdge &edge = graph.edge(e);
-                if (edge.src == v)
+            for (const AdjEdge &edge : graph.inEdges(v)) {
+                if (edge.node == v)
                     continue;
-                const long bound = start[edge.src] + edge.latency -
+                const long bound = start[edge.node] + edge.latency -
                                    static_cast<long>(ii) * edge.distance -
                                    start[v];
                 // delta * ii >= bound
@@ -111,11 +106,10 @@ stageSchedule(const AnnotatedLoop &loop, const Schedule &schedule,
                                : (bound + ii - 1) / ii;
                 delta_min = std::max(delta_min, need);
             }
-            for (EdgeId e : graph.outEdges(v)) {
-                const DfgEdge &edge = graph.edge(e);
-                if (edge.dst == v)
+            for (const AdjEdge &edge : graph.outEdges(v)) {
+                if (edge.node == v)
                     continue;
-                const long bound = start[edge.dst] - edge.latency +
+                const long bound = start[edge.node] - edge.latency +
                                    static_cast<long>(ii) * edge.distance -
                                    start[v];
                 // delta * ii <= bound

@@ -37,10 +37,9 @@ ReferenceTrace::ReferenceTrace(const Dfg &graph, int iterations)
         const NodeId v = ready.back();
         ready.pop_back();
         topo.push_back(v);
-        for (EdgeId e : graph.outEdges(v)) {
-            const DfgEdge &edge = graph.edge(e);
-            if (edge.distance == 0 && --pending[edge.dst] == 0)
-                ready.push_back(edge.dst);
+        for (const AdjEdge &edge : graph.outEdges(v)) {
+            if (edge.distance == 0 && --pending[edge.node] == 0)
+                ready.push_back(edge.node);
         }
     }
     if (static_cast<int>(topo.size()) != n)
@@ -50,12 +49,11 @@ ReferenceTrace::ReferenceTrace(const Dfg &graph, int iterations)
     for (long iter = 0; iter < iterations; ++iter) {
         for (NodeId v : topo) {
             inputs.clear();
-            for (EdgeId e : graph.inEdges(v)) {
-                const DfgEdge &edge = graph.edge(e);
+            for (const AdjEdge &edge : graph.inEdges(v)) {
                 const long src_iter = iter - edge.distance;
                 inputs.push_back(src_iter < 0
-                                     ? liveInValue(edge.src, src_iter)
-                                     : value(edge.src, src_iter));
+                                     ? liveInValue(edge.node, src_iter)
+                                     : value(edge.node, src_iter));
             }
             values_[static_cast<size_t>(iter) * n + v] =
                 applyOp(graph.node(v).op, v, inputs);

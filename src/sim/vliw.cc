@@ -60,9 +60,9 @@ VliwSimulator::run(int iterations)
     // producer, exactly as the sequential loop sees it.
     auto resolveProducer = [&](NodeId v) {
         while (graph.node(v).op == Opcode::Copy) {
-            const auto &in = graph.inEdges(v);
+            const auto in = graph.inEdges(v);
             cams_assert(in.size() == 1, "copy with fan-in != 1");
-            v = graph.edge(in[0]).src;
+            v = in[0].node;
         }
         return v;
     };
@@ -77,17 +77,16 @@ VliwSimulator::run(int iterations)
         // Gather inputs, checking presence and timing on this cluster.
         inputs.clear();
         bool inputs_ok = true;
-        for (EdgeId e : graph.inEdges(inst.node)) {
-            const DfgEdge &edge = graph.edge(e);
+        for (const AdjEdge &edge : graph.inEdges(inst.node)) {
             const long src_iter = inst.iteration - edge.distance;
             if (src_iter < 0) {
                 // Loop live-ins are preloaded into every register
                 // file by the (unmodeled) loop prologue.
                 inputs.push_back(
-                    liveInValue(resolveProducer(edge.src), src_iter));
+                    liveInValue(resolveProducer(edge.node), src_iter));
                 continue;
             }
-            auto it = tokens_.find({edge.src, src_iter});
+            auto it = tokens_.find({edge.node, src_iter});
             if (it == tokens_.end()) {
                 report(node.name + " iter " +
                        std::to_string(inst.iteration) +
@@ -100,7 +99,7 @@ VliwSimulator::run(int iterations)
                 report(node.name + " iter " +
                        std::to_string(inst.iteration) + " on C" +
                        std::to_string(home) + " reads " +
-                       graph.node(edge.src).name +
+                       graph.node(edge.node).name +
                        " which never reaches that cluster");
                 inputs_ok = false;
                 break;
@@ -109,7 +108,7 @@ VliwSimulator::run(int iterations)
                 report(node.name + " iter " +
                        std::to_string(inst.iteration) + " at cycle " +
                        std::to_string(inst.issue) + " reads " +
-                       graph.node(edge.src).name + " available at " +
+                       graph.node(edge.node).name + " available at " +
                        std::to_string(where->second));
                 inputs_ok = false;
                 break;

@@ -169,44 +169,6 @@ recvAllDeadline(int fd, void *data, size_t size, double timeoutMs,
     return true;
 }
 
-bool
-writeFrame(int fd, const std::string &payload, std::string &error)
-{
-    const uint32_t size = static_cast<uint32_t>(payload.size());
-    unsigned char prefix[4] = {
-        static_cast<unsigned char>(size & 0xff),
-        static_cast<unsigned char>((size >> 8) & 0xff),
-        static_cast<unsigned char>((size >> 16) & 0xff),
-        static_cast<unsigned char>((size >> 24) & 0xff),
-    };
-    return sendAll(fd, prefix, sizeof(prefix), error) &&
-           sendAll(fd, payload.data(), payload.size(), error);
-}
-
-bool
-readFrame(int fd, std::string &payload, uint32_t maxBytes,
-          std::string &error, bool *cleanEof)
-{
-    unsigned char prefix[4];
-    if (!recvAll(fd, prefix, sizeof(prefix), error, cleanEof))
-        return false;
-    const uint32_t size = static_cast<uint32_t>(prefix[0]) |
-                          static_cast<uint32_t>(prefix[1]) << 8 |
-                          static_cast<uint32_t>(prefix[2]) << 16 |
-                          static_cast<uint32_t>(prefix[3]) << 24;
-    if (size > maxBytes) {
-        error = "frame of " + std::to_string(size) +
-                " bytes exceeds the " + std::to_string(maxBytes) +
-                "-byte ceiling";
-        return false;
-    }
-    payload.resize(size);
-    if (size == 0)
-        return true;
-    // EOF inside a declared frame is always malformed input.
-    return recvAll(fd, payload.data(), size, error, nullptr);
-}
-
 UnixListener::~UnixListener()
 {
     close();
@@ -258,14 +220,21 @@ UnixListener::acceptFd(std::string &error)
 }
 
 void
-UnixListener::close()
+UnixListener::shutdown()
 {
     if (!fd_.valid())
         return;
     fd_.shutdownBoth();
-    fd_.close();
     if (!path_.empty())
         ::unlink(path_.c_str());
+    path_.clear();
+}
+
+void
+UnixListener::close()
+{
+    shutdown();
+    fd_.close();
 }
 
 SocketFd

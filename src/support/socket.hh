@@ -1,15 +1,9 @@
 /**
  * @file
  * Minimal Unix-domain-socket plumbing for the compile service: RAII
- * file descriptors, a blocking listener, client connect, and a
- * length-prefixed frame codec.
- *
- * The wire unit is a *frame*: a 4-byte little-endian payload length
- * followed by exactly that many payload bytes. Frames carry the
- * serve-protocol messages (pipeline/serve/proto.hh); this layer knows
- * nothing about their contents. readFrame() refuses frames larger
- * than the caller's ceiling, so a corrupt or hostile length prefix
- * costs one rejected connection, never an allocation bomb.
+ * file descriptors, a blocking listener, client connect, and whole-
+ * buffer send/receive. Framing lives one layer up, in ServeStream
+ * (pipeline/serve/stream.hh).
  *
  * All calls are blocking, retry on EINTR, and report failures as
  * errno strings through an out-parameter instead of throwing --
@@ -21,7 +15,6 @@
 #ifndef CAMS_SUPPORT_SOCKET_HH
 #define CAMS_SUPPORT_SOCKET_HH
 
-#include <cstdint>
 #include <string>
 
 namespace cams
@@ -85,17 +78,6 @@ bool recvAllDeadline(int fd, void *data, size_t size, double timeoutMs,
                      std::string &error, bool *cleanEof = nullptr,
                      bool *timedOut = nullptr);
 
-/** Writes one length-prefixed frame. */
-bool writeFrame(int fd, const std::string &payload, std::string &error);
-
-/**
- * Reads one length-prefixed frame into @p payload. A frame longer
- * than @p maxBytes is a protocol error. Returns false on error or
- * EOF; @p cleanEof distinguishes an orderly close between frames.
- */
-bool readFrame(int fd, std::string &payload, uint32_t maxBytes,
-               std::string &error, bool *cleanEof = nullptr);
-
 /** A bound, listening Unix-domain socket. */
 class UnixListener
 {
@@ -118,7 +100,15 @@ class UnixListener
      */
     int acceptFd(std::string &error);
 
-    /** Unblocks acceptFd() and closes; unlinks the socket file. */
+    /**
+     * Unblocks acceptFd() for good and unlinks the socket file. The
+     * descriptor stays open until close(), so another thread may
+     * still be inside acceptFd() when this is called.
+     */
+    void shutdown();
+
+    /** shutdown(), then closes the descriptor; call it only once no
+     *  thread can be inside acceptFd(). */
     void close();
 
     bool valid() const { return fd_.valid(); }

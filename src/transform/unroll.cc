@@ -30,6 +30,7 @@ unrollLoop(const Dfg &graph, int factor)
             out.addEdge(src, dst, edge.latency, target / factor);
         }
     }
+    out.seal();
     return out;
 }
 
@@ -129,14 +130,13 @@ listSchedule(const Dfg &graph, const MachineDesc &machine)
         result.length = std::max(result.length,
                                  cycle + graph.node(op).latency);
 
-        for (EdgeId e : graph.outEdges(op)) {
-            const DfgEdge &edge = graph.edge(e);
+        for (const AdjEdge &edge : graph.outEdges(op)) {
             if (edge.distance != 0)
                 continue;
-            earliest[edge.dst] = std::max(
-                earliest[edge.dst], cycle + edge.latency);
-            if (--pending[edge.dst] == 0)
-                ready.push_back(edge.dst);
+            earliest[edge.node] = std::max(
+                earliest[edge.node], cycle + edge.latency);
+            if (--pending[edge.node] == 0)
+                ready.push_back(edge.node);
         }
     }
     result.success = true;

@@ -236,6 +236,7 @@ generateLoop(uint64_t seed, const GeneratorParams &params,
     cams_assert(graph.numNodes() == n, "node count drifted");
     std::string why;
     cams_assert(graph.wellFormed(&why), "generated a bad graph: ", why);
+    graph.seal();
     return graph;
 }
 

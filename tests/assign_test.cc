@@ -226,6 +226,7 @@ TEST(Assign, RejectsGraphWithCopies)
 {
     Dfg graph;
     graph.addNode(Opcode::Copy);
+    graph.seal();
     const ResourceModel model(busedGpMachine(2, 2, 1));
     ClusterAssigner assigner(model);
     EXPECT_DEATH({ assigner.run(graph, 4); }, "must not contain copies");

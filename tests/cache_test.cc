@@ -57,6 +57,7 @@ sampleLoop()
     graph.addEdge(mul, add);
     graph.addEdge(add, store);
     graph.addEdge(add, mul, -1, 1); // recurrence
+    graph.seal();
     return graph;
 }
 
@@ -79,6 +80,7 @@ permuted(const Dfg &graph, const std::vector<NodeId> &perm)
         out.addEdge(newId[edge.src], newId[edge.dst], edge.latency,
                     edge.distance);
     }
+    out.seal();
     return out;
 }
 
@@ -96,6 +98,7 @@ TEST(CacheHash, InvariantUnderRenumbering)
     // ...or a different dependence distance.
     Dfg far = sampleLoop();
     far.addEdge(0, 3, -1, 2);
+    far.seal();
     EXPECT_NE(h, canonicalLoopHash(far));
 }
 
@@ -328,6 +331,7 @@ pinnedLoop()
     graph.addEdge(s, t);
     graph.addEdge(t, st);
     graph.addEdge(i, st);
+    graph.seal();
     return graph;
 }
 
@@ -335,6 +339,9 @@ TEST(CacheSerialize, ImagesAreByteIdentical)
 {
     // Recorded before the writer appended whole words: the graph,
     // machine and result images (wall times zeroed) must not move.
+    // The result's ctxHits and ctxMisses (5 and 12, near its end)
+    // count LoopContext queries, so they move only when the context
+    // caches a different set of analyses.
     const char *const dfgHex =
     "060000000000000070696e6e6564090000000000000004000000020000000000"
     "0000010000000000000061040000000200000000000000010000000000000062"
@@ -401,7 +408,7 @@ TEST(CacheSerialize, ImagesAreByteIdentical)
     "0000000000000000000000000000000000000000000000000000000002000000"
     "0000000000000000000000000000000000000000000000000000000000000000"
     "0000000000000000000000000000000000000000000000000000000000000000"
-    "0000000000000000000000000000000007000000000000000e00000000000000"
+    "0000000000000000000000000000000005000000000000000c00000000000000"
     "5900000000000000";
 
     const Dfg graph = pinnedLoop();
@@ -502,6 +509,16 @@ TEST(CacheSerialize, MachineReaderAcceptsOnlyCanonicalImages)
             }
         }
     }
+}
+
+TEST(CacheSerialize, MachineReaderRefusesCountsAboveTheCeiling)
+{
+    // Such an image once reached camsd, whose unifiedEquivalent()
+    // then overflowed summing the counts.
+    MachineDesc huge = busedFsMachine(2, 2, 1);
+    huge.clusters[0].fsUnits.fill(std::numeric_limits<int>::max());
+    MachineDesc back;
+    EXPECT_FALSE(readMachine(packMachine(huge), back));
 }
 
 TEST(CacheSerialize, ResultReaderRefusesNonCanonicalFields)

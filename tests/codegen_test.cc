@@ -150,6 +150,7 @@ TEST(Codegen, MveKernelNamesInstancesExplicitly)
     const NodeId a = graph.addNode(Opcode::Load);
     const NodeId b = graph.addNode(Opcode::Store);
     graph.addEdge(a, b);
+    graph.seal();
     const AnnotatedLoop loop = unifiedLoop(graph);
     Schedule schedule;
     schedule.ii = 2;
@@ -170,6 +171,7 @@ TEST(Codegen, SingleStageLoopHasEmptyFill)
     // A loop whose schedule fits one stage needs no prologue ops.
     Dfg graph;
     graph.addNode(Opcode::IntAlu);
+    graph.seal();
     const MachineDesc machine = unifiedGpMachine(8);
     const CompileResult result = compileUnified(graph, machine);
     ASSERT_TRUE(result.success);

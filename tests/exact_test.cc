@@ -262,6 +262,7 @@ twoChainLoop()
     graph.addEdge(b2, join);
     graph.addEdge(join, store);
     graph.addEdge(join, a1, -1, 1); // recurrence through chain A
+    graph.seal();
     return graph;
 }
 
@@ -383,6 +384,7 @@ TEST(ExactEncoder, LatestStartsByHand)
     graph.addEdge(a, b);
     graph.addEdge(b, a, -1, 1);
     graph.addEdge(c, a);
+    graph.seal();
     EXPECT_EQ(latestStarts(graph, 4), (std::vector<long>{11, 13, 3}));
     EXPECT_TRUE(latestStarts(graph, 3).empty());
 }
@@ -459,8 +461,7 @@ TEST(ExactEncoder, LatestStartsBoundNormalisedSchedules)
             for (NodeId v = 0; v < r.loop.graph.numNodes(); ++v) {
                 long cap;
                 if (r.loop.isCopy(v)) {
-                    const NodeId producer =
-                        r.loop.graph.edge(r.loop.graph.inEdges(v)[0]).src;
+                    const NodeId producer = r.loop.graph.inEdges(v)[0].node;
                     cap = caps[producer] +
                           r.loop.graph.node(producer).latency + r.ii - 1;
                 } else {

@@ -1,18 +1,22 @@
 /**
  * @file
  * Unit tests for the graph substrate: opcodes (Table 2), the DFG
- * container and its packed adjacency, the builder, text round-tripping
- * and DOT output.
+ * container and its sealed adjacency index, the builder, text
+ * round-tripping and DOT output.
  */
 
 #include <gtest/gtest.h>
 
-#include "graph/adjacency.hh"
+#include <algorithm>
+#include <span>
+
 #include "graph/builder.hh"
 #include "graph/dfg.hh"
 #include "graph/dot.hh"
 #include "graph/opcode.hh"
 #include "graph/textio.hh"
+#include "machine/configs.hh"
+#include "pipeline/driver.hh"
 #include "workload/suite.hh"
 
 namespace cams
@@ -71,37 +75,70 @@ TEST(Dfg, AddNodesAndEdges)
     EXPECT_EQ(graph.edge(0).distance, 0);
 }
 
-TEST(Dfg, AdjacencyAndDedup)
+TEST(Dfg, NeighbourDedup)
 {
     Dfg graph;
     const NodeId a = graph.addNode(Opcode::IntAlu);
     const NodeId b = graph.addNode(Opcode::IntAlu);
     graph.addEdge(a, b);
     graph.addEdge(a, b, -1, 1); // parallel edge, different distance
+    graph.seal();
     EXPECT_EQ(graph.outEdges(a).size(), 2u);
     EXPECT_EQ(graph.inEdges(b).size(), 2u);
-    EXPECT_EQ(graph.successors(a), std::vector<NodeId>{b});
-    EXPECT_EQ(graph.predecessors(b), std::vector<NodeId>{a});
+    ASSERT_EQ(graph.successors(a).size(), 1u);
+    EXPECT_EQ(graph.successors(a)[0], b);
+    ASSERT_EQ(graph.predecessors(b).size(), 1u);
+    EXPECT_EQ(graph.predecessors(b)[0], a);
 }
 
-// The compile path reads neighbors only through Adjacency, so it must
-// list them exactly as the Dfg queries do, in the same order.
-TEST(Adjacency, MatchesDfgQueries)
+/** Checks every row of a sealed graph's index against a brute-force
+ *  scan of edges(): edge rows in edge-id order with their payloads,
+ *  neighbour rows sorted and unique. */
+void
+expectIndexMatchesEdges(const Dfg &graph)
 {
-    auto expectSameEdges = [](std::span<const AdjEdge> packed,
-                              const Dfg &graph,
-                              const std::vector<EdgeId> &edges,
-                              bool incoming) {
-        ASSERT_EQ(packed.size(), edges.size());
-        for (size_t i = 0; i < edges.size(); ++i) {
-            const DfgEdge &edge = graph.edge(edges[i]);
-            EXPECT_EQ(packed[i].node, incoming ? edge.src : edge.dst);
-            EXPECT_EQ(packed[i].latency, edge.latency);
-            EXPECT_EQ(packed[i].distance, edge.distance);
+    ASSERT_TRUE(graph.sealed());
+    auto expectEdgeRow = [&](std::span<const AdjEdge> row, NodeId v,
+                             bool incoming) {
+        size_t at = 0;
+        for (const DfgEdge &edge : graph.edges()) {
+            if ((incoming ? edge.dst : edge.src) != v)
+                continue;
+            ASSERT_LT(at, row.size());
+            EXPECT_EQ(row[at].id, edge.id);
+            EXPECT_EQ(row[at].node, incoming ? edge.src : edge.dst);
+            EXPECT_EQ(row[at].latency, edge.latency);
+            EXPECT_EQ(row[at].distance, edge.distance);
+            ++at;
         }
+        EXPECT_EQ(at, row.size());
     };
+    auto expectNeighbourRow = [&](std::span<const NodeId> row, NodeId v,
+                                  bool incoming) {
+        std::vector<NodeId> want;
+        for (const DfgEdge &edge : graph.edges()) {
+            if ((incoming ? edge.dst : edge.src) == v)
+                want.push_back(incoming ? edge.src : edge.dst);
+        }
+        std::sort(want.begin(), want.end());
+        want.erase(std::unique(want.begin(), want.end()), want.end());
+        EXPECT_EQ(std::vector<NodeId>(row.begin(), row.end()), want);
+    };
+    for (NodeId v = 0; v < graph.numNodes(); ++v) {
+        SCOPED_TRACE(v);
+        expectEdgeRow(graph.inEdges(v), v, true);
+        expectEdgeRow(graph.outEdges(v), v, false);
+        expectNeighbourRow(graph.predecessors(v), v, true);
+        expectNeighbourRow(graph.successors(v), v, false);
+    }
+}
+
+// The compile path reads every neighbour through the sealed index, so
+// each row must list exactly what a scan of the edges finds.
+TEST(Dfg, IndexMatchesEdgeScan)
+{
     // The suite plus parallel edges and a self-edge, which the
-    // neighbor lists must deduplicate and the edge lists must keep.
+    // neighbour rows must deduplicate and the edge rows must keep.
     std::vector<Dfg> graphs = buildSuite(64);
     Dfg &parallel = graphs.emplace_back();
     const NodeId a = parallel.addNode(Opcode::IntAlu);
@@ -110,22 +147,44 @@ TEST(Adjacency, MatchesDfgQueries)
     parallel.addEdge(a, b, -1, 1);
     parallel.addEdge(b, a, -1, 2);
     parallel.addEdge(b, b, -1, 1);
+    parallel.seal();
     for (const Dfg &graph : graphs) {
         SCOPED_TRACE(graph.name());
-        const Adjacency adj(graph);
-        ASSERT_EQ(adj.numNodes(), graph.numNodes());
-        for (NodeId v = 0; v < graph.numNodes(); ++v) {
-            const std::span<const NodeId> preds = adj.preds(v);
-            const std::span<const NodeId> succs = adj.succs(v);
-            EXPECT_EQ(std::vector<NodeId>(preds.begin(), preds.end()),
-                      graph.predecessors(v));
-            EXPECT_EQ(std::vector<NodeId>(succs.begin(), succs.end()),
-                      graph.successors(v));
-            expectSameEdges(adj.inEdges(v), graph, graph.inEdges(v), true);
-            expectSameEdges(adj.outEdges(v), graph, graph.outEdges(v),
-                            false);
+        expectIndexMatchesEdges(graph);
+    }
+
+    // Annotated loops: materialized copies and rewired edges.
+    for (const MachineDesc &machine :
+         {busedGpMachine(2, 2, 1), gridMachine()}) {
+        for (const Dfg &loop : std::span(graphs).first(64)) {
+            SCOPED_TRACE(machine.name + " " + loop.name());
+            const CompileResult result = compileClustered(loop, machine);
+            ASSERT_TRUE(result.success);
+            expectIndexMatchesEdges(result.loop.graph);
         }
     }
+
+    // A sealed graph that gains an edge is unsealed until resealed.
+    Dfg grown = graphs.front();
+    grown.addEdge(grown.numNodes() - 1, 0, -1, 1);
+    EXPECT_FALSE(grown.sealed());
+    grown.seal();
+    expectIndexMatchesEdges(grown);
+}
+
+TEST(Dfg, QueryOnUnsealedGraphPanics)
+{
+    Dfg graph;
+    const NodeId a = graph.addNode(Opcode::IntAlu);
+    EXPECT_DEATH({ (void)graph.inEdges(a); }, "unsealed graph");
+    graph.seal();
+    EXPECT_TRUE(graph.inEdges(a).empty());
+    EXPECT_DEATH({ (void)graph.outEdges(a + 1); }, "bad node id");
+    EXPECT_DEATH({ (void)graph.predecessors(-1); }, "bad node id");
+    graph.addEdge(a, a, -1, 1);
+    EXPECT_DEATH({ (void)graph.successors(a); }, "unsealed graph");
+    graph.seal();
+    ASSERT_EQ(graph.predecessors(a).size(), 1u);
 }
 
 TEST(Dfg, TotalLatency)

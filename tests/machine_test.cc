@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "machine/configs.hh"
 #include "machine/machine.hh"
 
@@ -119,6 +121,58 @@ TEST(Machine, ValidateRejectsBadMachines)
     MachineDesc split = gridMachine();
     split.links = {{0, 1}}; // clusters 2 and 3 stranded
     EXPECT_DEATH({ split.validate(); }, "not connected");
+}
+
+TEST(Machine, CountsAboveTheCeilingAreRefused)
+{
+    // INT_MAX units once passed, and unifiedEquivalent() then
+    // overflowed summing them.
+    const MachineDesc fs = busedFsMachine(2, 2, 1);
+    MachineDesc huge = fs;
+    huge.clusters[0].fsUnits.fill(std::numeric_limits<int>::max());
+    EXPECT_NE(huge.validationError().find("function units in all above"),
+              std::string::npos)
+        << huge.validationError();
+
+    // The ceiling bounds the machine's units in all, so the unified
+    // equivalent of a machine at the ceiling is valid too.
+    MachineDesc full = fs;
+    full.clusters[0].fsUnits = {maxResourceCount - 4, 0, 0};
+    EXPECT_EQ(full.totalWidth(), maxResourceCount);
+    EXPECT_EQ(full.validationError(), "");
+    EXPECT_EQ(full.unifiedEquivalent().validationError(), "");
+    ++full.clusters[1].fsUnits[0];
+    EXPECT_NE(full.validationError(), "");
+
+    MachineDesc ports = fs;
+    ports.clusters[1].writePorts = maxResourceCount + 1;
+    EXPECT_NE(ports.validationError().find("port count above"),
+              std::string::npos)
+        << ports.validationError();
+    MachineDesc buses = fs;
+    buses.numBuses = maxResourceCount + 1;
+    EXPECT_NE(buses.validationError().find("bus count above"),
+              std::string::npos)
+        << buses.validationError();
+}
+
+TEST(Machine, PaperMachinesAndUnifiedEquivalentsValidate)
+{
+    std::vector<MachineDesc> machines;
+    for (int ports = 1; ports <= 3; ++ports) {
+        machines.push_back(gridMachine(ports));
+        for (int clusters : {2, 4, 6, 8}) {
+            for (int buses = 1; buses <= 8; ++buses) {
+                machines.push_back(busedGpMachine(clusters, buses, ports));
+                machines.push_back(busedFsMachine(clusters, buses, ports));
+            }
+        }
+    }
+    for (const MachineDesc &machine : machines) {
+        EXPECT_EQ(machine.validationError(), "") << machine.name;
+        EXPECT_EQ(machine.unifiedEquivalent().validationError(), "")
+            << machine.name;
+    }
 }
 
 TEST(Machine, ConfigNamesAreDescriptive)

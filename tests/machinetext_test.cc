@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <limits>
+#include <sstream>
+
 #include "machine/configs.hh"
 #include "machine/machinetext.hh"
 
@@ -154,6 +159,41 @@ TEST(MachineText, ClusterCountIsCapped)
     EXPECT_TRUE(parseMachine(chain(maxClusters), machine, error)) << error;
     EXPECT_FALSE(parseMachine(chain(maxClusters + 1), machine, error));
     EXPECT_NE(error.find("clusters"), std::string::npos) << error;
+}
+
+TEST(MachineText, CountsAboveTheCeilingAreRefused)
+{
+    MachineDesc huge = busedFsMachine(2, 2, 1);
+    huge.clusters[0].fsUnits.fill(std::numeric_limits<int>::max());
+    MachineDesc machine;
+    std::string error;
+    EXPECT_FALSE(parseMachine(serializeMachine(huge), machine, error));
+
+    // Counts the number parser takes but no machine may hold.
+    huge.clusters[0].fsUnits.fill(1000000000);
+    error.clear();
+    EXPECT_FALSE(parseMachine(serializeMachine(huge), machine, error));
+    EXPECT_NE(error.find("above"), std::string::npos) << error;
+}
+
+TEST(MachineText, ShippedConfigsValidate)
+{
+    int parsed = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(CAMS_CONFIG_DIR)) {
+        if (entry.path().extension() != ".mach")
+            continue;
+        SCOPED_TRACE(entry.path().string());
+        std::ifstream in(entry.path());
+        std::stringstream text;
+        text << in.rdbuf();
+        MachineDesc machine;
+        std::string error;
+        EXPECT_TRUE(parseMachine(text.str(), machine, error)) << error;
+        EXPECT_EQ(machine.unifiedEquivalent().validationError(), "");
+        ++parsed;
+    }
+    EXPECT_GE(parsed, 3);
 }
 
 TEST(MachineText, ErrorsCarryLineNumbers)

@@ -123,7 +123,7 @@ TEST(SwingOrder, CriticalSccLeads)
     EXPECT_EQ(head, (std::vector<NodeId>{1, 2}));
 }
 
-TEST(SwingOrder, NeighborAdjacency)
+TEST(SwingOrder, OrderedNeighbourFirst)
 {
     // On a chain, the swing order should emit each node adjacent to an
     // already ordered neighbor (no jumps that strand a node between

@@ -32,6 +32,7 @@ TEST(Oracle, TrivialLoopFeasibleAtOne)
 {
     Dfg graph;
     graph.addNode(Opcode::IntAlu);
+    graph.seal();
     const ResourceModel model(busedGpMachine(2, 2, 1));
     EXPECT_EQ(exhaustiveFeasible(graph, model, 1),
               ExhaustiveVerdict::Feasible);
@@ -43,6 +44,7 @@ TEST(Oracle, DetectsResourceInfeasibility)
     Dfg graph;
     for (int i = 0; i < 10; ++i)
         graph.addNode(Opcode::IntAlu);
+    graph.seal();
     const ResourceModel model(busedGpMachine(2, 2, 1));
     EXPECT_EQ(exhaustiveFeasible(graph, model, 1),
               ExhaustiveVerdict::Infeasible);

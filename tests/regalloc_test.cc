@@ -26,6 +26,7 @@ loadStoreChain()
     const NodeId a = graph.addNode(Opcode::Load);
     const NodeId b = graph.addNode(Opcode::Store);
     graph.addEdge(a, b);
+    graph.seal();
     return graph;
 }
 

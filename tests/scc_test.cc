@@ -129,6 +129,7 @@ TEST(Scc, DisconnectedNodes)
     Dfg graph;
     graph.addNode(Opcode::Load);
     graph.addNode(Opcode::Load);
+    graph.seal();
     const SccInfo info = findSccs(graph);
     EXPECT_EQ(info.numComponents(), 2);
     EXPECT_EQ(info.numNonTrivial(), 0);

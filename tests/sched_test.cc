@@ -58,6 +58,7 @@ TEST(Mii, CopiesExcluded)
     Dfg graph;
     graph.addNode(Opcode::IntAlu);
     graph.addNode(Opcode::Copy);
+    graph.seal();
     EXPECT_EQ(resMii(graph, unifiedGpMachine(1)), 1);
 }
 
@@ -124,6 +125,7 @@ TEST(Verifier, CatchesResourceOverflow)
     Dfg graph;
     graph.addNode(Opcode::IntAlu);
     graph.addNode(Opcode::IntAlu);
+    graph.seal();
     const ResourceModel model(unifiedGpMachine(1));
     const AnnotatedLoop loop = unifiedLoop(graph);
     Schedule bad;

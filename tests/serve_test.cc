@@ -574,8 +574,10 @@ TEST_F(ServeTest, HostileLoopGetsClassifiedFailureAndServerKeepsServing)
     cycle.addNode(Opcode::IntAlu, -1, "b");
     cycle.addEdge(0, 1, 1, 0);
     cycle.addEdge(1, 0, 1, 0);
+    cycle.seal();
     Dfg slow = suite[0];
     slow.addEdge(0, 1, 1000000000, 1);
+    slow.seal();
     const Dfg hostile[] = {cycle, slow};
     for (uint64_t id = 1; id <= 2; ++id) {
         SubmitMsg submit = makeSubmit(id, 0);

@@ -79,6 +79,7 @@ TEST(Reference, RejectsAnnotatedGraphs)
 {
     Dfg graph;
     graph.addNode(Opcode::Copy);
+    graph.seal();
     EXPECT_DEATH({ ReferenceTrace trace(graph, 1); }, "annotated");
 }
 

@@ -223,6 +223,7 @@ TEST(Stress, HostileLoopsAreClassifiedNotFatal)
             loop.addEdge(1, 1, latency, distance);
         else
             loop.addEdge(1, 0, latency, distance);
+        loop.seal();
         return loop;
     };
 

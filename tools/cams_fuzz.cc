@@ -111,7 +111,8 @@ hostileJob(int i)
 
 /**
  * Closes a distance-0 cycle (a self-edge or a 2-node cycle) or adds
- * an edge whose latency exceeds maxLoopLatency, up to INT_MAX.
+ * an edge whose latency exceeds maxLoopLatency, up to INT_MAX, and
+ * reseals the loop.
  */
 void
 makeHostile(Rng &rng, Dfg &loop)
@@ -133,6 +134,7 @@ makeHostile(Rng &rng, Dfg &loop)
         break;
       }
     }
+    loop.seal();
 }
 
 } // namespace
