@@ -8,10 +8,14 @@
 #include <gtest/gtest.h>
 
 #include "assign/assigner.hh"
+#include "assign/exhaustive.hh"
 #include "graph/builder.hh"
 #include "graph/recmii.hh"
 #include "machine/configs.hh"
+#include "pipeline/cache/serialize.hh"
+#include "pipeline/driver.hh"
 #include "workload/kernels.hh"
+#include "workload/suite.hh"
 
 namespace cams
 {
@@ -251,6 +255,97 @@ TEST(Assign, AllVariantsProduceValidAnnotations)
             }
         }
     }
+}
+
+/**
+ * Splices the result's own placement again and expects the compiled
+ * loop back: the same graph bytes (copy names included), the same
+ * placements and the same original-node count. Returns whether the
+ * result was checked: a single-cluster rescue is serialized rather
+ * than spliced.
+ */
+bool
+expectSpliceReproduces(const Dfg &graph, const MachineDesc &machine,
+                       const CompileResult &result, const std::string &where)
+{
+    if (!result.success || result.degraded == DegradeLevel::SingleCluster)
+        return false;
+    const AnnotatedLoop &compiled = result.loop;
+    std::vector<ClusterId> cluster_of(graph.numNodes());
+    for (NodeId v = 0; v < graph.numNodes(); ++v)
+        cluster_of[v] = compiled.placement[v].cluster;
+    const AnnotatedLoop spliced =
+        annotatePartition(graph, cluster_of, machine);
+    EXPECT_EQ(spliced.numOriginalNodes, compiled.numOriginalNodes) << where;
+    EXPECT_EQ(packDfg(spliced.graph), packDfg(compiled.graph)) << where;
+    EXPECT_EQ(spliced.placement.size(), compiled.placement.size()) << where;
+    for (size_t v = 0; v < std::min(spliced.placement.size(),
+                                    compiled.placement.size());
+         ++v) {
+        EXPECT_EQ(spliced.placement[v].cluster, compiled.placement[v].cluster)
+            << where << " node " << v;
+        EXPECT_EQ(spliced.placement[v].copyDsts,
+                  compiled.placement[v].copyDsts)
+            << where << " node " << v;
+    }
+    return true;
+}
+
+// Every producer of annotated loops -- the assigner, the exhaustive
+// rung and the exact decoder -- splices copies the same way, so a
+// compiled loop is a function of its placement alone.
+TEST(Splice, CompiledLoopsAreTheirPlacementSpliced)
+{
+    const std::vector<Dfg> suite = buildSuite(200);
+    const std::vector<std::pair<const char *, MachineDesc>> machines = {
+        {"2c-gp-2b-1p", busedGpMachine(2, 2, 1)},
+        {"4c-gp-4b-2p", busedGpMachine(4, 4, 2)},
+        {"2c-fs-2b-1p", busedFsMachine(2, 2, 1)},
+        {"4c-fs-2b-2p", busedFsMachine(4, 2, 2)},
+        {"4c-grid-2p", gridMachine(2)},
+        {"8c-gp-7b-3p", busedGpMachine(8, 7, 3)},
+    };
+    int checked = 0;
+    int copies = 0;
+    for (const auto &[name, machine] : machines) {
+        for (SchedulerKind kind :
+             {SchedulerKind::Swing, SchedulerKind::Iterative}) {
+            CompileOptions options;
+            options.scheduler = kind;
+            for (const Dfg &loop : suite) {
+                const CompileResult result =
+                    compileClustered(loop, machine, options);
+                if (expectSpliceReproduces(loop, machine, result,
+                                           std::string(name) + " " +
+                                               loop.name())) {
+                    ++checked;
+                    copies += result.loop.numCopies();
+                }
+            }
+        }
+    }
+    EXPECT_EQ(checked, 2 * 6 * 200);
+    EXPECT_GT(copies, 0);
+
+    // The race arm's tightened results come from the exact decoder;
+    // the whole suite has a few dozen of them on these two machines.
+    int tightened = 0;
+    CompileOptions race;
+    race.backend = CompileBackend::Race;
+    const std::vector<Dfg> full = buildSuite();
+    for (const auto &[name, machine] : {machines[1], machines[3]}) {
+        for (const Dfg &loop : full) {
+            const CompileResult result =
+                compileClustered(loop, machine, race);
+            if (result.exact.tightened &&
+                expectSpliceReproduces(loop, machine, result,
+                                       std::string(name) + " race " +
+                                           loop.name())) {
+                ++tightened;
+            }
+        }
+    }
+    EXPECT_GT(tightened, 0);
 }
 
 TEST(UnifiedLoop, WrapsWithoutCopies)
