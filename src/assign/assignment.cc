@@ -1,7 +1,11 @@
 #include "assign/assignment.hh"
 
 #include <algorithm>
+#include <bit>
+#include <ranges>
+#include <string>
 
+#include "assign/router.hh"
 #include "support/logging.hh"
 
 namespace cams
@@ -109,6 +113,126 @@ AnnotatedLoop::validate(const MachineDesc &machine, std::string *why) const
     if (why)
         why->clear();
     return true;
+}
+
+namespace
+{
+
+/** The clusters of a value's consumers on other clusters, as a mask. */
+uint64_t
+remoteConsumers(const Dfg &graph, std::span<const ClusterId> clusterOf,
+                NodeId value)
+{
+    uint64_t clusters = 0;
+    for (NodeId succ : graph.successors(value)) {
+        if (clusterOf[succ] != clusterOf[value])
+            clusters |= uint64_t{1} << clusterOf[succ];
+    }
+    return clusters;
+}
+
+} // namespace
+
+AnnotatedLoop
+spliceCopies(const Dfg &graph, std::span<const ClusterId> clusterOf,
+             const ResourceModel &model)
+{
+    const int n = graph.numNodes();
+    const bool bused = model.machine().broadcast();
+    cams_check(clusterOf.size() == static_cast<size_t>(n), "splicing ",
+               clusterOf.size(), " clusters into ", n, " nodes");
+    for (NodeId v = 0; v < n; ++v) {
+        cams_check(clusterOf[v] >= 0 &&
+                       clusterOf[v] < model.machine().numClusters(),
+                   "splicing node ", v, " onto cluster ", clusterOf[v]);
+    }
+
+    // The clusters a value's copies land on: its consumers' on a bus,
+    // every cluster of the tree paths to them over links.
+    auto landings = [&](NodeId value) {
+        const uint64_t dsts = remoteConsumers(graph, clusterOf, value);
+        if (bused || dsts == 0)
+            return dsts;
+        return hopTargets(model.hopTree(clusterOf[value]), dsts);
+    };
+    int copies = 0;
+    for (NodeId value = 0; value < n; ++value) {
+        const uint64_t lands = landings(value);
+        copies += bused ? lands != 0 : std::popcount(lands);
+    }
+
+    AnnotatedLoop loop;
+    loop.numOriginalNodes = n;
+    loop.graph.setName(graph.name());
+    loop.graph.reserve(n + copies, graph.numEdges() + copies);
+    loop.placement.reserve(n + copies);
+    for (const DfgNode &node : graph.nodes()) {
+        loop.graph.addNode(node.op, node.latency, node.name);
+        loop.placement.push_back({clusterOf[node.id], {}});
+    }
+
+    // Copy n + k is fed by edge k, from its value or, in a hop chain,
+    // from the copy on its tree parent.
+    NodeId landed[maxClusters] = {};
+    for (NodeId value = 0; value < n; ++value) {
+        const uint64_t lands = landings(value);
+        if (lands == 0)
+            continue;
+        const ClusterId src = clusterOf[value];
+        const int latency = graph.node(value).latency;
+        const std::string base = "cp_" + graph.node(value).name;
+        if (bused) {
+            std::vector<ClusterId> dsts;
+            dsts.reserve(std::popcount(lands));
+            for (uint64_t rest = lands; rest != 0; rest &= rest - 1)
+                dsts.push_back(std::countr_zero(rest));
+            const NodeId copy = loop.graph.addNode(Opcode::Copy, 1, base);
+            loop.placement.push_back({src, std::move(dsts)});
+            loop.graph.addEdge(value, copy, latency, 0);
+            continue;
+        }
+        // The tree order puts a hop's parent first, so the copy that
+        // lands there already exists.
+        const HopTree &tree = model.hopTree(src);
+        for (ClusterId to : tree.order) {
+            if (!((lands >> to) & 1))
+                continue;
+            const ClusterId from = tree.parent[to];
+            const NodeId copy = loop.graph.addNode(
+                Opcode::Copy, 1, base + "_" + std::to_string(to));
+            loop.placement.push_back({from, {to}});
+            if (from == src)
+                loop.graph.addEdge(value, copy, latency, 0);
+            else
+                loop.graph.addEdge(landed[from], copy, 1, 0);
+            landed[to] = copy;
+        }
+    }
+
+    // A value's copies are adjacent and in value order, so the first
+    // one is found by bisecting the feed edges on the value they carry.
+    auto carried = [&](int k) {
+        NodeId from = loop.graph.edge(k).src;
+        while (from >= n)
+            from = loop.graph.edge(from - n).src;
+        return from;
+    };
+    for (const DfgEdge &edge : graph.edges()) {
+        const ClusterId at = clusterOf[edge.dst];
+        if (clusterOf[edge.src] == at) {
+            loop.graph.addEdge(edge.src, edge.dst, edge.latency,
+                               edge.distance);
+            continue;
+        }
+        int k = *std::ranges::partition_point(
+            std::views::iota(0, copies),
+            [&](int i) { return carried(i) < edge.src; });
+        while (!bused && loop.placement[n + k].copyDsts[0] != at)
+            ++k;
+        loop.graph.addEdge(n + k, edge.dst, 1, edge.distance);
+    }
+    loop.graph.seal();
+    return loop;
 }
 
 AnnotatedLoop

@@ -1,10 +1,7 @@
 #include "assign/exhaustive.hh"
 
-#include <set>
-#include <string>
 #include <vector>
 
-#include "assign/router.hh"
 #include "graph/recmii.hh"
 #include "support/logging.hh"
 
@@ -16,122 +13,46 @@ annotatePartition(const Dfg &graph,
                   const std::vector<ClusterId> &cluster_of,
                   const MachineDesc &machine)
 {
-    AnnotatedLoop out;
-    out.numOriginalNodes = graph.numNodes();
-    out.graph.setName(graph.name());
-    for (const DfgNode &node : graph.nodes()) {
-        out.graph.addNode(node.op, node.latency, node.name);
-        out.placement.push_back({cluster_of[node.id], {}});
-    }
-
-    // serving[value][cluster] = node delivering the value there.
-    std::vector<std::vector<NodeId>> serving(
-        graph.numNodes(),
-        std::vector<NodeId>(machine.numClusters(), invalidNode));
-
-    for (NodeId v = 0; v < graph.numNodes(); ++v) {
-        std::set<ClusterId> dst_set;
-        for (NodeId succ : graph.successors(v)) {
-            if (succ != v && cluster_of[succ] != cluster_of[v])
-                dst_set.insert(cluster_of[succ]);
-        }
-        if (dst_set.empty())
-            continue;
-        const std::vector<ClusterId> dsts(dst_set.begin(),
-                                          dst_set.end());
-        const std::string base = "cp_" + graph.node(v).name;
-        if (machine.broadcast()) {
-            const NodeId copy =
-                out.graph.addNode(Opcode::Copy, 1, base);
-            out.placement.push_back({cluster_of[v], dsts});
-            out.graph.addEdge(v, copy, graph.node(v).latency, 0);
-            for (ClusterId dst : dsts)
-                serving[v][dst] = copy;
-        } else {
-            const auto hops = planHops(machine, cluster_of[v], dsts);
-            std::vector<NodeId> landing(machine.numClusters(),
-                                        invalidNode);
-            for (const Hop &hop : hops) {
-                const NodeId copy = out.graph.addNode(
-                    Opcode::Copy, 1,
-                    base + "_" + std::to_string(hop.to));
-                out.placement.push_back({hop.from, {hop.to}});
-                if (hop.from == cluster_of[v]) {
-                    out.graph.addEdge(v, copy, graph.node(v).latency,
-                                      0);
-                } else {
-                    out.graph.addEdge(landing[hop.from], copy, 1, 0);
-                }
-                landing[hop.to] = copy;
-                serving[v][hop.to] = copy;
-            }
-        }
-    }
-
-    for (const DfgEdge &edge : graph.edges()) {
-        if (cluster_of[edge.src] == cluster_of[edge.dst]) {
-            out.graph.addEdge(edge.src, edge.dst, edge.latency,
-                              edge.distance);
-        } else {
-            out.graph.addEdge(serving[edge.src][cluster_of[edge.dst]],
-                              edge.dst, 1, edge.distance);
-        }
-    }
-    out.graph.seal();
-    return out;
+    return spliceCopies(graph, cluster_of, ResourceModel(machine));
 }
 
 namespace
 {
 
+/**
+ * Whether the partition fits an empty table of the II: every
+ * operation's unit, then the copies of the spliced loop, reserved in
+ * node order, and the spliced loop's recurrences (which pay the copy
+ * latency when split) within the II. @p pools is a request buffer.
+ */
 bool
 partitionFeasible(const Dfg &graph, const ResourceModel &model, int ii,
-                  const std::vector<ClusterId> &cluster_of)
+                  const std::vector<ClusterId> &cluster_of, Mrt &mrt,
+                  std::vector<PoolId> &pools)
 {
-    const MachineDesc &machine = model.machine();
-    Mrt mrt(model, ii);
-
+    mrt.reset(ii);
+    auto reserve = [&] {
+        const int row = mrt.findRow(pools);
+        if (row >= 0)
+            mrt.occupy(pools, row);
+        return row >= 0;
+    };
     for (NodeId v = 0; v < graph.numNodes(); ++v) {
-        const FuClass cls = opcodeFuClass(graph.node(v).op);
-        if (model.fuPool(cluster_of[v], cls) == invalidPool)
+        const Opcode op = graph.node(v).op;
+        if (model.fuPool(cluster_of[v], opcodeFuClass(op)) == invalidPool)
             return false;
-        if (!mrt.reserve(model.opRequest(cluster_of[v],
-                                         graph.node(v).op))) {
+        model.opRequestInto(cluster_of[v], op, pools);
+        if (!reserve())
             return false;
-        }
     }
-
-    for (NodeId v = 0; v < graph.numNodes(); ++v) {
-        std::set<ClusterId> dsts;
-        for (NodeId succ : graph.successors(v)) {
-            if (succ != v && cluster_of[succ] != cluster_of[v])
-                dsts.insert(cluster_of[succ]);
-        }
-        if (dsts.empty())
-            continue;
-        if (machine.broadcast()) {
-            if (!mrt.reserve(model.copyRequest(
-                    cluster_of[v],
-                    std::vector<ClusterId>(dsts.begin(), dsts.end())))) {
-                return false;
-            }
-        } else {
-            const auto hops =
-                planHops(machine, cluster_of[v],
-                         std::vector<ClusterId>(dsts.begin(),
-                                                dsts.end()));
-            for (const Hop &hop : hops) {
-                if (!mrt.reserve(
-                        model.copyRequest(hop.from, {hop.to}))) {
-                    return false;
-                }
-            }
-        }
+    const AnnotatedLoop loop = spliceCopies(graph, cluster_of, model);
+    for (NodeId copy = loop.numOriginalNodes; copy < loop.graph.numNodes();
+         ++copy) {
+        loop.requestInto(model, copy, pools);
+        if (!reserve())
+            return false;
     }
-
-    // Recurrences pay the copy latency when split.
-    return recMii(annotatePartition(graph, cluster_of, machine).graph) <=
-           ii;
+    return recMii(loop.graph) <= ii;
 }
 
 } // namespace
@@ -156,13 +77,15 @@ exhaustiveAssign(const Dfg &graph, const ResourceModel &model, int ii,
     }
 
     std::vector<ClusterId> cluster_of(n, 0);
+    Mrt mrt(model, ii);
+    std::vector<PoolId> pools;
     for (long long code = 0; code < total; ++code) {
         long long rest = code;
         for (int v = 0; v < n; ++v) {
             cluster_of[v] = static_cast<ClusterId>(rest % clusters);
             rest /= clusters;
         }
-        if (partitionFeasible(graph, model, ii, cluster_of)) {
+        if (partitionFeasible(graph, model, ii, cluster_of, mrt, pools)) {
             out.verdict = ExhaustiveVerdict::Feasible;
             out.clusterOf = cluster_of;
             return out;

@@ -49,8 +49,9 @@ struct ExhaustivePartition
  *        exceed numClusters^max_nodes.
  *
  * The feasibility model matches the assignment phase: one FU slot per
- * op; per crossing value, one broadcast copy (bused) or a BFS hop
- * chain (point-to-point); and the annotated recurrence bound RecMII
+ * op, then the copies of the partition's spliceCopies loop (one
+ * broadcast copy per crossing value on bused machines, a BFS hop chain
+ * on point-to-point ones); and that loop's recurrence bound RecMII
  * must not exceed the II (split recurrences pay their copy latency).
  */
 ExhaustiveVerdict exhaustiveFeasible(const Dfg &graph,
@@ -68,10 +69,9 @@ ExhaustivePartition exhaustiveAssign(const Dfg &graph,
                                      int max_nodes = 14);
 
 /**
- * Materializes a fixed partition into a schedulable AnnotatedLoop:
- * copy nodes with placements for every crossing value (one broadcast
- * copy on bused machines, a BFS hop chain on point-to-point ones),
- * exactly as the heuristic assigner would have annotated it.
+ * A fixed partition as a schedulable AnnotatedLoop: spliceCopies over
+ * a ResourceModel of @p machine, the same splice every annotated loop
+ * gets. Callers that hold a model call spliceCopies directly.
  */
 AnnotatedLoop annotatePartition(const Dfg &graph,
                                 const std::vector<ClusterId> &cluster_of,

@@ -14,6 +14,7 @@
 #ifndef CAMS_ASSIGN_ROUTER_HH
 #define CAMS_ASSIGN_ROUTER_HH
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -32,25 +33,24 @@ struct Hop
 };
 
 /**
- * Plans the hops delivering a value from the tree's source to every
- * cluster in @p dsts: each cluster on a tree path to a destination
- * receives one hop from its tree parent. Hops are written to @p out
- * (cleared first) in (depth, id) order, so a hop's source is either
- * the tree's source or the target of an earlier hop -- the order copy
- * operations must be chained in the graph.
+ * The clusters a value sent from the tree's source to every cluster
+ * of the mask @p dsts lands on: each cluster on a tree path to one of
+ * them, relays included. Each receives one hop from its tree parent.
  *
  * Recoverable failure (cams_check) when a destination is the source
  * or unreachable; validated machines have no unreachable clusters.
  */
-void planHops(const HopTree &tree, std::span<const ClusterId> dsts,
-              std::vector<Hop> &out);
+uint64_t hopTargets(const HopTree &tree, uint64_t dsts);
 
 /**
- * The same plan over the machine's own BFS tree from @p src
- * (point-to-point machines only).
+ * The hops delivering a value from the tree's source to every cluster
+ * in @p dsts: one onto each of their hopTargets, written to @p out
+ * (cleared first) in (depth, id) order, so a hop's source is either
+ * the tree's source or the target of an earlier hop -- the order copy
+ * operations must be chained in the graph.
  */
-std::vector<Hop> planHops(const MachineDesc &machine, ClusterId src,
-                          const std::vector<ClusterId> &dsts);
+void planHops(const HopTree &tree, std::span<const ClusterId> dsts,
+              std::vector<Hop> &out);
 
 } // namespace cams
 

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <initializer_list>
 #include <limits>
-#include <set>
 #include <utility>
 
 #include "graph/opcode.hh"
@@ -377,7 +376,7 @@ ExactEncoder::encode(int ii, int horizon, SatSolver &solver,
     for (NodeId v = 0; v < n; ++v)
         makeOrderChain(order_[v], asap_[v], latest.empty() ? T : latest[v]);
 
-    // --- Copy machinery (annotatePartition semantics, broadcast). ---
+    // --- Copy machinery: spliceCopies' broadcast copies. ---
     for (NodeId v = 0; v < n; ++v) {
         if (!copyCapable_[v])
             continue;
@@ -611,55 +610,19 @@ ExactEncoder::decode(const SatSolver &solver, AnnotatedLoop &loop,
         cams_assert(clusterOf[v] != invalidCluster,
                     "model without a cluster choice");
     }
+    loop = spliceCopies(graph_, clusterOf, model_);
 
-    // Splice copies exactly as annotatePartition does for broadcast
-    // machines, so AnnotatedLoop::validate and the verifier see the
-    // canonical structure.
-    loop = AnnotatedLoop{};
-    loop.numOriginalNodes = n;
-    loop.graph.setName(graph_.name());
-    for (const DfgNode &node : graph_.nodes()) {
-        loop.graph.addNode(node.op, node.latency, node.name);
-        loop.placement.push_back({clusterOf[node.id], {}});
-    }
-
+    // A broadcast copy's one in-edge comes from the value it carries.
     schedule = Schedule{};
     schedule.ii = ii_;
-    schedule.startCycle.resize(n, 0);
-    for (NodeId v = 0; v < n; ++v)
-        schedule.startCycle[v] = decodeStart(solver, order_[v]);
-
-    std::vector<std::vector<NodeId>> serving(
-        n, std::vector<NodeId>(numClusters_, invalidNode));
-    for (NodeId v = 0; v < n; ++v) {
-        std::set<ClusterId> dstSet;
-        for (const NodeId succ : graph_.successors(v)) {
-            if (succ != v && clusterOf[succ] != clusterOf[v])
-                dstSet.insert(clusterOf[succ]);
-        }
-        if (dstSet.empty())
-            continue;
-        const NodeId copy = loop.graph.addNode(
-            Opcode::Copy, 1, "cp_" + graph_.node(v).name);
-        loop.placement.push_back(
-            {clusterOf[v],
-             std::vector<ClusterId>(dstSet.begin(), dstSet.end())});
-        loop.graph.addEdge(v, copy, graph_.node(v).latency, 0);
-        for (const ClusterId dst : dstSet)
-            serving[v][dst] = copy;
-        schedule.startCycle.push_back(
-            decodeStart(solver, copyOrder_[v]));
+    schedule.startCycle.resize(loop.graph.numNodes());
+    for (NodeId v = 0; v < loop.graph.numNodes(); ++v) {
+        schedule.startCycle[v] =
+            loop.isCopy(v)
+                ? decodeStart(solver,
+                              copyOrder_[loop.graph.inEdges(v)[0].node])
+                : decodeStart(solver, order_[v]);
     }
-    for (const DfgEdge &edge : graph_.edges()) {
-        if (clusterOf[edge.src] == clusterOf[edge.dst]) {
-            loop.graph.addEdge(edge.src, edge.dst, edge.latency,
-                               edge.distance);
-        } else {
-            loop.graph.addEdge(serving[edge.src][clusterOf[edge.dst]],
-                               edge.dst, 1, edge.distance);
-        }
-    }
-    loop.graph.seal();
 }
 
 } // namespace cams

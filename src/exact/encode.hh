@@ -26,13 +26,15 @@
  *    source k's read port a literal implied by copy-active and c(v,k)
  *    (made only when that count can bind).
  *
- * Copies mirror assign/exhaustive.cc annotatePartition exactly (one
- * broadcast copy per producer with cross-cluster consumers; edge
- * v->copy keeps v's latency at distance 0, copy->consumer is latency
- * 1 at the original distance), so a decoded model round-trips through
- * AnnotatedLoop::validate and the independent verifier unchanged.
- * Point-to-point (multi-hop) machines are not encoded; the caller
- * reports them as unsupported.
+ * Copies are the broadcast copies of spliceCopies (assign/
+ * assignment.hh): one per producer with cross-cluster consumers, edge
+ * v->copy at v's latency and distance 0, copy->consumer at latency 1
+ * and the original distance. The decoder reads back only the clusters
+ * and start cycles and builds the loop with spliceCopies itself, so a
+ * decoded model is annotated as the heuristic's would be and passes
+ * AnnotatedLoop::validate and the independent verifier. Point-to-point
+ * (multi-hop) machines are not encoded; the caller reports them as
+ * unsupported.
  *
  * Completeness over the horizon: any feasible schedule can be shifted
  * (uniformly, preserving rows and dependences) so its earliest start
@@ -155,8 +157,10 @@ class ExactEncoder
 
     /**
      * Reads the model of the last encoded instance back into an
-     * annotated loop (copies spliced annotatePartition-style) and its
-     * schedule. Valid only after that solver returned Sat.
+     * annotated loop (the model's clusters, spliced by spliceCopies)
+     * and its schedule: each copy starts where the copy-order ladder of
+     * the value on its in-edge says. Valid only after that solver
+     * returned Sat.
      */
     void decode(const SatSolver &solver, AnnotatedLoop &loop,
                 Schedule &schedule) const;

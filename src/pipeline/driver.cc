@@ -451,7 +451,7 @@ struct Compile
                 if (partition.verdict != ExhaustiveVerdict::Feasible)
                     continue;
                 AnnotatedLoop loop =
-                    annotatePartition(graph, partition.clusterOf, machine);
+                    spliceCopies(graph, partition.clusterOf, model);
                 Schedule schedule;
                 if (!scheduler->schedule(loop, model, ii, schedule))
                     continue;

@@ -19,10 +19,20 @@ namespace cams
 namespace
 {
 
+/** planHops over the model's tree from @p src, as copies are routed. */
+std::vector<Hop>
+routeHops(const MachineDesc &machine, ClusterId src,
+          const std::vector<ClusterId> &dsts)
+{
+    std::vector<Hop> hops;
+    planHops(ResourceModel(machine).hopTree(src), dsts, hops);
+    return hops;
+}
+
 TEST(Router, DirectNeighbor)
 {
     const MachineDesc grid = gridMachine();
-    const auto hops = planHops(grid, 0, {1});
+    const auto hops = routeHops(grid, 0, {1});
     ASSERT_EQ(hops.size(), 1u);
     EXPECT_EQ(hops[0], (Hop{0, 1}));
 }
@@ -30,7 +40,7 @@ TEST(Router, DirectNeighbor)
 TEST(Router, DiagonalNeedsTwoHops)
 {
     const MachineDesc grid = gridMachine();
-    const auto hops = planHops(grid, 0, {3});
+    const auto hops = routeHops(grid, 0, {3});
     ASSERT_EQ(hops.size(), 2u);
     EXPECT_EQ(hops[0].from, 0);
     EXPECT_EQ(hops[1].to, 3);
@@ -42,14 +52,14 @@ TEST(Router, SharedPrefixIsReused)
     // Destinations 1 and 3: the route to 3 goes through 1 (BFS visits
     // lower ids first), so the tree has exactly two hops.
     const MachineDesc grid = gridMachine();
-    const auto hops = planHops(grid, 0, {1, 3});
+    const auto hops = routeHops(grid, 0, {1, 3});
     EXPECT_EQ(hops.size(), 2u);
 }
 
 TEST(Router, AllDestinations)
 {
     const MachineDesc grid = gridMachine();
-    const auto hops = planHops(grid, 0, {1, 2, 3});
+    const auto hops = routeHops(grid, 0, {1, 2, 3});
     // Tree spanning three destinations: exactly three hops.
     EXPECT_EQ(hops.size(), 3u);
     // Parent-before-child order: a hop's source is the root or an
@@ -65,8 +75,8 @@ TEST(Router, AllDestinations)
 TEST(Router, DeterministicAcrossCalls)
 {
     const MachineDesc grid = gridMachine();
-    const auto first = planHops(grid, 2, {0, 1, 3});
-    const auto second = planHops(grid, 2, {0, 1, 3});
+    const auto first = routeHops(grid, 2, {0, 1, 3});
+    const auto second = routeHops(grid, 2, {0, 1, 3});
     ASSERT_EQ(first.size(), second.size());
     for (size_t i = 0; i < first.size(); ++i)
         EXPECT_EQ(first[i], second[i]);
@@ -77,8 +87,8 @@ TEST(Router, SubsetProducesSubtree)
     // The hop tree of a subset of destinations is a subset of the hop
     // tree for all destinations (the unassign path relies on this).
     const MachineDesc grid = gridMachine();
-    const auto full = planHops(grid, 0, {1, 2, 3});
-    const auto sub = planHops(grid, 0, {3});
+    const auto full = routeHops(grid, 0, {1, 2, 3});
+    const auto sub = routeHops(grid, 0, {3});
     for (const Hop &hop : sub) {
         EXPECT_NE(std::find(full.begin(), full.end(), hop), full.end());
     }
@@ -111,6 +121,7 @@ expectHopsAreUnionOfRoutes(const MachineDesc &machine)
 {
     const ResourceModel model(machine);
     const int n = machine.numClusters();
+    std::vector<Hop> fromMachine;
     std::vector<Hop> fromModel;
     for (ClusterId src = 0; src < n; ++src) {
         for (unsigned subset = 1; subset < (1u << n); ++subset) {
@@ -125,9 +136,14 @@ expectHopsAreUnionOfRoutes(const MachineDesc &machine)
                          " subset " + std::to_string(subset));
             const std::vector<Hop> expected =
                 unionOfRoutes(machine, src, dsts);
-            EXPECT_EQ(planHops(machine, src, dsts), expected);
+            planHops(machine.hopTree(src), dsts, fromMachine);
+            EXPECT_EQ(fromMachine, expected);
             planHops(model.hopTree(src), dsts, fromModel);
             EXPECT_EQ(fromModel, expected);
+            uint64_t targets = 0;
+            for (const Hop &hop : expected)
+                targets |= uint64_t{1} << hop.to;
+            EXPECT_EQ(hopTargets(model.hopTree(src), subset), targets);
         }
     }
 }
@@ -154,17 +170,18 @@ TEST(Router, HopsAreTheUnionOfRoutesOnARing)
     expectHopsAreUnionOfRoutes(ring);
 
     // From 0, cluster 3 is reached through 1 and 2 (1 < 5).
-    EXPECT_EQ(planHops(ring, 0, {3}),
+    EXPECT_EQ(routeHops(ring, 0, {3}),
               (std::vector<Hop>{{0, 1}, {1, 2}, {2, 3}}));
     // From 3, cluster 0 is reached through 2 and 1 (2 < 4).
-    EXPECT_EQ(planHops(ring, 3, {0}),
+    EXPECT_EQ(routeHops(ring, 3, {0}),
               (std::vector<Hop>{{3, 2}, {2, 1}, {1, 0}}));
 }
 
 TEST(Router, BusedMachineIsRejected)
 {
     const MachineDesc bused = busedGpMachine(2, 2, 1);
-    EXPECT_DEATH({ planHops(bused, 0, {1}); }, "bused");
+    EXPECT_DEATH({ routeHops(bused, 0, {1}); },
+                 "point-to-point machines only");
 }
 
 } // namespace
