@@ -16,6 +16,9 @@ namespace cams
 namespace
 {
 
+/** Completed idempotency records kept for retried Submits. */
+constexpr size_t dedupCapacity = 4096;
+
 /**
  * Identity of a Submit's compile-relevant payload, guarding the
  * dedup table against retry-key reuse: a key that comes back with a
@@ -54,27 +57,10 @@ CamsServer::CamsServer(ServeConfig config) : config_(std::move(config))
         config_.workers = 1;
     if (config_.queueCapacity < 1)
         config_.queueCapacity = 1;
-    ids_.connections = registry_.counterId("serve.connections");
-    ids_.accepted = registry_.counterId("serve.accepted");
-    ids_.shedFull = registry_.counterId("serve.shed_full");
-    ids_.shedDraining = registry_.counterId("serve.shed_draining");
-    ids_.completed = registry_.counterId("serve.completed");
-    ids_.compiled = registry_.counterId("serve.compiled");
-    ids_.cacheHits = registry_.counterId("serve.cache_hits");
-    ids_.deadlineExpired =
-        registry_.counterId("serve.deadline_expired");
-    ids_.cancelledQueued =
-        registry_.counterId("serve.cancelled_queued");
-    ids_.cancelledInFlight =
-        registry_.counterId("serve.cancelled_in_flight");
-    ids_.protocolErrors =
-        registry_.counterId("serve.protocol_errors");
-    ids_.readTimeouts = registry_.counterId("serve.read_timeouts");
-    ids_.watchdogFired = registry_.counterId("serve.watchdog_fired");
-    ids_.dedupReplayed = registry_.counterId("serve.dedup_replayed");
-    ids_.dedupJoined = registry_.counterId("serve.dedup_joined");
-    ids_.dedupMismatch = registry_.counterId("serve.dedup_mismatch");
-    ids_.statsPolls = registry_.counterId("serve.stats_polls");
+#define CAMS_INTERN_COUNTER(field, name)                                   \
+    ids_.field = registry_.counterId(name);
+    CAMS_SERVE_COUNTERS(CAMS_INTERN_COUNTER)
+#undef CAMS_INTERN_COUNTER
     ids_.queueMs = registry_.histogramId("serve.queue_ms");
     ids_.compileMs = registry_.histogramId("serve.compile_ms");
     ids_.queueDepth = registry_.histogramId("serve.queue_depth");
@@ -170,28 +156,10 @@ ServeStats
 CamsServer::stats() const
 {
     ServeStats stats;
-    stats.connections = registry_.counter("serve.connections");
-    stats.accepted = registry_.counter("serve.accepted");
-    stats.shedFull = registry_.counter("serve.shed_full");
-    stats.shedDraining = registry_.counter("serve.shed_draining");
-    stats.completed = registry_.counter("serve.completed");
-    stats.compiled = registry_.counter("serve.compiled");
-    stats.cacheHits = registry_.counter("serve.cache_hits");
-    stats.deadlineExpired =
-        registry_.counter("serve.deadline_expired");
-    stats.cancelledQueued =
-        registry_.counter("serve.cancelled_queued");
-    stats.cancelledInFlight =
-        registry_.counter("serve.cancelled_in_flight");
-    stats.protocolErrors =
-        registry_.counter("serve.protocol_errors");
-    stats.readTimeouts = registry_.counter("serve.read_timeouts");
-    stats.watchdogFired = registry_.counter("serve.watchdog_fired");
-    stats.dedupReplayed = registry_.counter("serve.dedup_replayed");
-    stats.dedupJoined = registry_.counter("serve.dedup_joined");
-    stats.dedupMismatch = registry_.counter("serve.dedup_mismatch");
-    stats.quarantined =
-        registry_.counter("serve.cache_quarantined");
+#define CAMS_READ_COUNTER(field, name) stats.field = registry_.counter(name);
+    CAMS_SERVE_COUNTERS(CAMS_READ_COUNTER)
+#undef CAMS_READ_COUNTER
+    stats.quarantined = registry_.counter("serve.cache_quarantined");
     return stats;
 }
 
@@ -873,11 +841,7 @@ CamsServer::abandonDedup(const std::shared_ptr<Request> &request)
 void
 CamsServer::evictDedupLocked()
 {
-    const size_t capacity =
-        config_.dedupCapacity < 1
-            ? 1
-            : static_cast<size_t>(config_.dedupCapacity);
-    while (dedupDone_.size() > capacity) {
+    while (dedupDone_.size() > dedupCapacity) {
         const auto &[key, entry] = dedupDone_.front();
         const auto it = dedup_.find(key);
         if (it != dedup_.end() && it->second == entry)

@@ -113,9 +113,6 @@ struct ServeConfig
      */
     double watchdogMs = 0.0;
 
-    /** Completed idempotency records kept for retried Submits. */
-    int dedupCapacity = 4096;
-
     /**
      * Scrub every tenant cache directory under cacheRoot on start(),
      * quarantining entries torn by a previous crash.
@@ -144,26 +141,58 @@ struct ServeConfig
     CompileOptions baseOptions;
 };
 
+/**
+ * Every serve counter the server interns at construction, once:
+ * X(field, "registry name"). The rows generate ServeStats' fields,
+ * the server's metric ids, their interning (in row order) and the
+ * reads in stats().
+ */
+#define CAMS_SERVE_COUNTERS(X)                                             \
+    /* handshakes completed */                                             \
+    X(connections, "serve.connections")                                    \
+    /* submits admitted to the queue */                                    \
+    X(accepted, "serve.accepted")                                          \
+    /* submits refused: queue full */                                      \
+    X(shedFull, "serve.shed_full")                                         \
+    /* submits refused: draining */                                        \
+    X(shedDraining, "serve.shed_draining")                                 \
+    /* Result messages sent */                                             \
+    X(completed, "serve.completed")                                        \
+    /* driver invocations (not shed/expired) */                            \
+    X(compiled, "serve.compiled")                                          \
+    /* results served from a tenant cache */                               \
+    X(cacheHits, "serve.cache_hits")                                       \
+    /* Timeout results for queue expiry */                                 \
+    X(deadlineExpired, "serve.deadline_expired")                           \
+    /* cancels that removed a queued request */                            \
+    X(cancelledQueued, "serve.cancelled_queued")                           \
+    /* cancels that caught a running one */                                \
+    X(cancelledInFlight, "serve.cancelled_in_flight")                      \
+    /* malformed frames/messages seen */                                   \
+    X(protocolErrors, "serve.protocol_errors")                             \
+    /* connections cut mid-frame (slow peer) */                            \
+    X(readTimeouts, "serve.read_timeouts")                                 \
+    /* hung compiles answered as Timeout */                                \
+    X(watchdogFired, "serve.watchdog_fired")                               \
+    /* retried Submits served stored bytes */                              \
+    X(dedupReplayed, "serve.dedup_replayed")                               \
+    /* retried Submits joined in-flight work */                            \
+    X(dedupJoined, "serve.dedup_joined")                                   \
+    /* retry-key reuse with different payload */                           \
+    X(dedupMismatch, "serve.dedup_mismatch")                               \
+    /* StatsRequests answered */                                           \
+    X(statsPolls, "serve.stats_polls")
+
 /** Monotonic serve-side event counts (also in the metrics registry). */
 struct ServeStats
 {
-    long connections = 0;      ///< handshakes completed
-    long accepted = 0;         ///< submits admitted to the queue
-    long shedFull = 0;         ///< submits refused: queue full
-    long shedDraining = 0;     ///< submits refused: draining
-    long completed = 0;        ///< Result messages sent
-    long compiled = 0;         ///< driver invocations (not shed/expired)
-    long cacheHits = 0;        ///< results served from a tenant cache
-    long deadlineExpired = 0;  ///< Timeout results for queue expiry
-    long cancelledQueued = 0;  ///< cancels that removed a queued request
-    long cancelledInFlight = 0; ///< cancels that caught a running one
-    long protocolErrors = 0;   ///< malformed frames/messages seen
-    long readTimeouts = 0;     ///< connections cut mid-frame (slow peer)
-    long watchdogFired = 0;    ///< hung compiles answered as Timeout
-    long dedupReplayed = 0;    ///< retried Submits served stored bytes
-    long dedupJoined = 0;      ///< retried Submits joined in-flight work
-    long dedupMismatch = 0;    ///< retry-key reuse with different payload
-    long quarantined = 0;      ///< cache files quarantined at startup
+#define CAMS_DECLARE_COUNTER(field, name) long field = 0;
+    CAMS_SERVE_COUNTERS(CAMS_DECLARE_COUNTER)
+#undef CAMS_DECLARE_COUNTER
+
+    /** Cache files quarantined at startup: serve.cache_quarantined,
+     *  which start() adds to the registry only when nonzero. */
+    long quarantined = 0;
 };
 
 /** The compile server. One instance per socket. */
@@ -367,23 +396,9 @@ class CamsServer
      */
     struct MetricIds
     {
-        MetricsRegistry::MetricId connections = 0;
-        MetricsRegistry::MetricId accepted = 0;
-        MetricsRegistry::MetricId shedFull = 0;
-        MetricsRegistry::MetricId shedDraining = 0;
-        MetricsRegistry::MetricId completed = 0;
-        MetricsRegistry::MetricId compiled = 0;
-        MetricsRegistry::MetricId cacheHits = 0;
-        MetricsRegistry::MetricId deadlineExpired = 0;
-        MetricsRegistry::MetricId cancelledQueued = 0;
-        MetricsRegistry::MetricId cancelledInFlight = 0;
-        MetricsRegistry::MetricId protocolErrors = 0;
-        MetricsRegistry::MetricId readTimeouts = 0;
-        MetricsRegistry::MetricId watchdogFired = 0;
-        MetricsRegistry::MetricId dedupReplayed = 0;
-        MetricsRegistry::MetricId dedupJoined = 0;
-        MetricsRegistry::MetricId dedupMismatch = 0;
-        MetricsRegistry::MetricId statsPolls = 0;
+#define CAMS_DECLARE_ID(field, name) MetricsRegistry::MetricId field = 0;
+        CAMS_SERVE_COUNTERS(CAMS_DECLARE_ID)
+#undef CAMS_DECLARE_ID
         MetricsRegistry::MetricId queueMs = 0;    ///< histogram
         MetricsRegistry::MetricId compileMs = 0;  ///< histogram
         MetricsRegistry::MetricId queueDepth = 0; ///< histogram
