@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -85,6 +86,45 @@ hashDouble(double value)
     return std::bit_cast<uint64_t>(value);
 }
 
+/** A well-formed entry image: the key it was stored under and its
+ *  payload's graph and machine images. */
+struct ParsedEntry
+{
+    CacheKey key;
+    std::string_view graphBytes;
+    std::string_view machineBytes;
+};
+
+/**
+ * Parses one entry image: the magic, version and checksum header, the
+ * stored key, and a payload of graph and machine images and a
+ * CompileResult, which is read into @p result. Nullopt when any part
+ * is malformed or the checksum disagrees.
+ */
+std::optional<ParsedEntry>
+parseEntry(std::string_view bytes, CompileResult &result)
+{
+    ParsedEntry entry;
+    ByteReader reader(bytes);
+    uint32_t magic = 0, version = 0;
+    uint64_t checksum = 0;
+    std::string_view payload;
+    if (!reader.u32(magic) || !reader.u32(version) ||
+        !reader.u64(entry.key.loopHash) ||
+        !reader.u64(entry.key.machineHash) ||
+        !reader.u64(entry.key.optionsHash) || !reader.u64(checksum) ||
+        !reader.view(payload) || !reader.atEnd() ||
+        magic != entryMagic || version != entryFormatVersion ||
+        checksum != hashBytes(payload))
+        return std::nullopt;
+
+    ByteReader body(payload);
+    if (!body.view(entry.graphBytes) || !body.view(entry.machineBytes) ||
+        !readCompileResult(body, result) || !body.atEnd())
+        return std::nullopt;
+    return entry;
+}
+
 /**
  * Full structural validation of one entry image: everything lookup()
  * checks short of the (input-dependent) byte-image gate and the
@@ -93,38 +133,16 @@ hashDouble(double value)
 bool
 validCacheEntryBytes(const std::string &bytes, uint64_t expectId)
 {
-    ByteReader reader(bytes);
-    uint32_t magic = 0, version = 0;
-    uint64_t loop_hash = 0, machine_hash = 0, options_hash = 0;
-    uint64_t checksum = 0;
-    std::string_view payload;
-    if (!reader.u32(magic) || !reader.u32(version) ||
-        !reader.u64(loop_hash) || !reader.u64(machine_hash) ||
-        !reader.u64(options_hash) || !reader.u64(checksum) ||
-        !reader.view(payload) || !reader.atEnd() ||
-        magic != entryMagic || version != entryFormatVersion ||
-        checksum != hashBytes(payload))
-        return false;
-
+    CompileResult result;
+    const std::optional<ParsedEntry> entry = parseEntry(bytes, result);
     // A renamed or cross-linked file serves the wrong key: the name
     // must re-derive from the stored hashes.
-    CacheKey stored;
-    stored.loopHash = loop_hash;
-    stored.machineHash = machine_hash;
-    stored.optionsHash = options_hash;
-    if (stored.entryId() != expectId)
-        return false;
-
-    ByteReader body(payload);
-    std::string_view graph_bytes, machine_bytes;
-    CompileResult result;
-    if (!body.view(graph_bytes) || !body.view(machine_bytes) ||
-        !readCompileResult(body, result) || !body.atEnd())
+    if (!entry || entry->key.entryId() != expectId)
         return false;
     Dfg graph;
     MachineDesc machine;
-    return readDfg(graph_bytes, graph) &&
-           readMachine(machine_bytes, machine);
+    return readDfg(entry->graphBytes, graph) &&
+           readMachine(entry->machineBytes, machine);
 }
 
 } // namespace
@@ -312,28 +330,9 @@ CompileCache::lookup(const CacheKey &key, const Dfg &graph,
     if (!readFileBytes(path, bytes))
         return miss();
 
-    ByteReader reader(bytes);
-    uint32_t magic = 0, version = 0;
-    uint64_t loop_hash = 0, machine_hash = 0, options_hash = 0;
-    uint64_t checksum = 0;
-    std::string_view payload;
-    if (!reader.u32(magic) || !reader.u32(version) ||
-        !reader.u64(loop_hash) || !reader.u64(machine_hash) ||
-        !reader.u64(options_hash) || !reader.u64(checksum) ||
-        !reader.view(payload) || !reader.atEnd() ||
-        magic != entryMagic || version != entryFormatVersion ||
-        loop_hash != key.loopHash || machine_hash != key.machineHash ||
-        options_hash != key.optionsHash ||
-        checksum != hashBytes(payload)) {
-        dropEntry(key, path);
-        return miss();
-    }
-
-    ByteReader body(payload);
-    std::string_view graph_bytes, machine_bytes;
     CompileResult stored;
-    if (!body.view(graph_bytes) || !body.view(machine_bytes) ||
-        !readCompileResult(body, stored) || !body.atEnd()) {
+    const std::optional<ParsedEntry> entry = parseEntry(bytes, stored);
+    if (!entry || entry->key != key) {
         dropEntry(key, path);
         return miss();
     }
@@ -341,8 +340,8 @@ CompileCache::lookup(const CacheKey &key, const Dfg &graph,
     // The hash gate: a canonical-hash collision (or an isomorphic
     // renumbering, which hashes identically on purpose) must not be
     // served someone else's node ids. Exact bytes or nothing.
-    if (graph_bytes != packDfg(graph) ||
-        machine_bytes != packMachine(machine))
+    if (entry->graphBytes != packDfg(graph) ||
+        entry->machineBytes != packMachine(machine))
         return miss();
 
     // Never trust a stored schedule: re-verify before serving. A

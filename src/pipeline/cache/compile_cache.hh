@@ -72,6 +72,8 @@ struct CacheKey
 
     /** Entry file name: 16 hex digits of entryId() + ".cce". */
     std::string fileName() const;
+
+    bool operator==(const CacheKey &other) const = default;
 };
 
 /**
