@@ -67,7 +67,8 @@ BM_MrtReserveRelease(benchmark::State &state)
 {
     const ResourceModel model(busedGpMachine(4, 4, 2));
     Mrt mrt(model, static_cast<int>(state.range(0)));
-    const auto request = model.copyRequest(0, {1, 2});
+    std::vector<PoolId> request;
+    model.copyRequestInto(0, std::vector<ClusterId>{1, 2}, request);
     for (auto _ : state) {
         auto res = mrt.reserve(request);
         benchmark::DoNotOptimize(res);

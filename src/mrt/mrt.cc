@@ -202,36 +202,18 @@ ResourceModel::localPools(ClusterId cluster) const
             localPools_.data() + localOff_[cluster + 1]};
 }
 
-std::vector<PoolId>
-ResourceModel::opRequest(ClusterId cluster, Opcode op) const
-{
-    std::vector<PoolId> pools;
-    opRequestInto(cluster, op, pools);
-    return pools;
-}
-
 void
 ResourceModel::opRequestInto(ClusterId cluster, Opcode op,
                              std::vector<PoolId> &out) const
 {
     cams_assert(op != Opcode::Copy,
-                "copies are requested via copyRequest()");
+                "copies are requested via copyRequestInto()");
     const PoolId pool = fuPool(cluster, opcodeFuClass(op));
     if (pool == invalidPool) {
         cams_fatal("cluster ", cluster, " of machine '", machine_.name,
                    "' cannot execute ", opcodeName(op));
     }
     out.assign(1, pool);
-}
-
-std::vector<PoolId>
-ResourceModel::copyRequest(ClusterId src,
-                           const std::vector<ClusterId> &dsts) const
-{
-    std::vector<PoolId> pools;
-    pools.reserve(2 + dsts.size());
-    copyRequestInto(src, dsts, pools);
-    return pools;
 }
 
 void

@@ -103,26 +103,20 @@ class ResourceModel
 
     /**
      * The resource pools one operation instance needs (all in the same
-     * cycle). For a non-copy opcode: its function-unit pool. Fatal when
-     * the cluster cannot execute the opcode.
+     * cycle), written into a caller buffer. For a non-copy opcode: its
+     * function-unit pool. Fatal when the cluster cannot execute the
+     * opcode.
      */
-    std::vector<PoolId> opRequest(ClusterId cluster, Opcode op) const;
-
-    /** opRequest() written into a caller buffer. */
     void opRequestInto(ClusterId cluster, Opcode op,
                        std::vector<PoolId> &out) const;
 
     /**
-     * The pools a copy transfer needs: one read port on the source,
-     * the bus (or the link), and one write port on each destination.
-     * On point-to-point machines the destination set must be a single
-     * neighbor of the source.
+     * The pools a copy transfer needs, written into a caller buffer
+     * (hot paths reuse its capacity instead of allocating per copy):
+     * one read port on the source, the bus (or the link), and one
+     * write port on each destination. On point-to-point machines the
+     * destination set must be a single neighbor of the source.
      */
-    std::vector<PoolId> copyRequest(
-        ClusterId src, const std::vector<ClusterId> &dsts) const;
-
-    /** copyRequest() written into a caller buffer (hot paths reuse
-     *  its capacity instead of allocating per copy). */
     void copyRequestInto(ClusterId src, std::span<const ClusterId> dsts,
                          std::vector<PoolId> &out) const;
 

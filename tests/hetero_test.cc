@@ -173,7 +173,7 @@ TEST(Hetero, MrtDumpShowsOccupancy)
 {
     const ResourceModel model(lopsidedMachine());
     Mrt mrt(model, 2);
-    mrt.reserveAt(model.opRequest(0, Opcode::IntAlu), 0);
+    mrt.reserveAt(model.fuRequest(0, FuClass::Integer), 0);
     const std::string dump = mrt.dump();
     EXPECT_NE(dump.find("MRT II=2"), std::string::npos);
     EXPECT_NE(dump.find("gp@0"), std::string::npos);

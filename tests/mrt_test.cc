@@ -80,7 +80,8 @@ TEST(ResourceModel, PoolNamesFollowTheLayout)
 TEST(ResourceModel, OpRequestUsesFuPool)
 {
     const ResourceModel model(busedFsMachine(2, 2, 1));
-    const auto request = model.opRequest(1, Opcode::Load);
+    std::vector<PoolId> request;
+    model.opRequestInto(1, Opcode::Load, request);
     ASSERT_EQ(request.size(), 1u);
     EXPECT_EQ(request[0], model.fuPool(1, FuClass::Memory));
 }
@@ -88,7 +89,8 @@ TEST(ResourceModel, OpRequestUsesFuPool)
 TEST(ResourceModel, BroadcastCopyRequest)
 {
     const ResourceModel model(busedGpMachine(4, 4, 2));
-    const auto request = model.copyRequest(0, {1, 3});
+    std::vector<PoolId> request;
+    model.copyRequestInto(0, std::vector<ClusterId>{1, 3}, request);
     // read@0, bus, write@1, write@3.
     ASSERT_EQ(request.size(), 4u);
     EXPECT_EQ(request[0], model.readPool(0));
@@ -101,7 +103,8 @@ TEST(ResourceModel, PointToPointCopyRequest)
 {
     const MachineDesc grid = gridMachine();
     const ResourceModel model(grid);
-    const auto request = model.copyRequest(0, {1});
+    std::vector<PoolId> request;
+    model.copyRequestInto(0, std::vector<ClusterId>{1}, request);
     ASSERT_EQ(request.size(), 3u);
     EXPECT_EQ(request[0], model.readPool(0));
     EXPECT_EQ(request[1], model.linkPool(grid.linkBetween(0, 1)));
@@ -111,7 +114,10 @@ TEST(ResourceModel, PointToPointCopyRequest)
 TEST(ResourceModel, PointToPointCopyNeedsLink)
 {
     const ResourceModel model(gridMachine());
-    EXPECT_DEATH({ model.copyRequest(0, {3}); }, "no link");
+    std::vector<PoolId> request;
+    EXPECT_DEATH(
+        { model.copyRequestInto(0, std::vector<ClusterId>{3}, request); },
+        "no link");
 }
 
 TEST(Mrt, ReserveAndRelease)
