@@ -153,7 +153,7 @@ TEST(Dfg, IndexMatchesEdgeScan)
         expectIndexMatchesEdges(graph);
     }
 
-    // Annotated loops: materialized copies and rewired edges.
+    // Annotated loops: spliced copies and rewired edges.
     for (const MachineDesc &machine :
          {busedGpMachine(2, 2, 1), gridMachine()}) {
         for (const Dfg &loop : std::span(graphs).first(64)) {
