@@ -1,10 +1,11 @@
 /**
  * @file
  * The behaviour contract: digests per (machine, scheduler) over the
- * compiles of the first 400 published-suite loops, plus the paths the
- * published suite never takes on the heuristic backend: the race arm,
- * the exact backend, the degradation ladder, time budgets, an empty II
- * window and fallback-off compiles.
+ * compiles of all 1327 published-suite loops (the first 400 and the
+ * rest in two rows), plus the paths the published suite never takes
+ * on the heuristic backend: the race arm, the exact backend, the
+ * degradation ladder, time budgets, an empty II window and
+ * fallback-off compiles.
  *
  * A schedule digest is a portable 64-bit FNV-1a hash of what a compile
  * decides -- success, degradation rung, II, every placement's cluster
@@ -204,6 +205,7 @@ struct Config
 };
 
 constexpr int digestLoops = 400;
+constexpr int publishedLoops = 1327;
 
 /** Appends one report line; returns whether the digest matched. */
 bool
@@ -242,6 +244,50 @@ checkDigests(std::string &report, const std::string &name,
     same &= checkRow(report, name + " work", computed.work.value(),
                      expected.work);
     return same;
+}
+
+/**
+ * Compiles published-suite loops [first, last) on every config and
+ * expects each config's four digests.
+ */
+void
+expectSuiteDigests(const std::vector<Config> &configs, int first,
+                   int last)
+{
+    const std::vector<Dfg> suite = buildSuite(last);
+
+    std::string report;
+    int mismatches = 0;
+    for (const Config &config : configs) {
+        CompileOptions options;
+        options.scheduler = config.scheduler;
+        const MachineDesc unified = config.machine.unifiedEquivalent();
+        Fnv1a schedules;
+        Fnv1a unifiedSchedules;
+        Fnv1a trajectories;
+        Fnv1a unifiedTrajectories;
+        for (int i = first; i < last; ++i) {
+            const Dfg &loop = suite[i];
+            const CompileResult result =
+                compileClustered(loop, config.machine, options);
+            digestResult(schedules, result);
+            digestTrajectory(trajectories, result);
+            const CompileResult base = compileUnified(loop, unified, options);
+            digestResult(unifiedSchedules, base);
+            digestTrajectory(unifiedTrajectories, base);
+        }
+        const std::string name = config.name;
+        mismatches += !checkRow(report, name, schedules.value(),
+                                config.expected);
+        mismatches += !checkRow(report, name + " unified",
+                                unifiedSchedules.value(), config.unified);
+        mismatches += !checkRow(report, name + " trajectory",
+                                trajectories.value(), config.trajectory);
+        mismatches += !checkRow(report, name + " unified trajectory",
+                                unifiedTrajectories.value(),
+                                config.unifiedTrajectory);
+    }
+    EXPECT_EQ(mismatches, 0) << "computed digests:\n" << report;
 }
 
 TEST(ScheduleDigest, PublishedSuiteOnBenchmarkMachines)
@@ -296,39 +342,65 @@ TEST(ScheduleDigest, PublishedSuiteOnBenchmarkMachines)
          0x697440eca346bf32ULL, 0x9294634f1626e19cULL,
          0xcd12eeb4806f1b6bULL},
     };
-    const std::vector<Dfg> suite = buildSuite(digestLoops);
+    expectSuiteDigests(configs, 0, digestLoops);
+}
 
-    std::string report;
-    int mismatches = 0;
-    for (const Config &config : configs) {
-        CompileOptions options;
-        options.scheduler = config.scheduler;
-        const MachineDesc unified = config.machine.unifiedEquivalent();
-        Fnv1a schedules;
-        Fnv1a unifiedSchedules;
-        Fnv1a trajectories;
-        Fnv1a unifiedTrajectories;
-        for (const Dfg &loop : suite) {
-            const CompileResult result =
-                compileClustered(loop, config.machine, options);
-            digestResult(schedules, result);
-            digestTrajectory(trajectories, result);
-            const CompileResult base = compileUnified(loop, unified, options);
-            digestResult(unifiedSchedules, base);
-            digestTrajectory(unifiedTrajectories, base);
-        }
-        const std::string name = config.name;
-        mismatches += !checkRow(report, name, schedules.value(),
-                                config.expected);
-        mismatches += !checkRow(report, name + " unified",
-                                unifiedSchedules.value(), config.unified);
-        mismatches += !checkRow(report, name + " trajectory",
-                                trajectories.value(), config.trajectory);
-        mismatches += !checkRow(report, name + " unified trajectory",
-                                unifiedTrajectories.value(),
-                                config.unifiedTrajectory);
-    }
-    EXPECT_EQ(mismatches, 0) << "computed digests:\n" << report;
+// The rest of the published suite, loops 401-1327, on the same
+// configs: with the row above, every published loop is pinned on
+// both schedulers.
+TEST(ScheduleDigest, PublishedSuiteRestOnBenchmarkMachines)
+{
+    const std::vector<Config> configs = {
+        {"2c-gp-2b-1p/sms", busedGpMachine(2, 2, 1), SchedulerKind::Swing,
+         0x098c93742f4d1ea9ULL,
+         0x59c011d26c55b687ULL, 0x755f93cf21295260ULL,
+         0x56178179fe1f1151ULL},
+        {"2c-gp-2b-1p/ims", busedGpMachine(2, 2, 1),
+         SchedulerKind::Iterative, 0x9a0c70db672058f0ULL,
+         0xfb1afc4b20fb1b2dULL, 0x755f93cf21295260ULL,
+         0x56178179fe1f1151ULL},
+        {"4c-gp-4b-2p/sms", busedGpMachine(4, 4, 2), SchedulerKind::Swing,
+         0x3dcdd2acd510e746ULL,
+         0xe542ee76c8507babULL, 0x2d2c17bc1c014236ULL,
+         0xfc6f869d1a81ad13ULL},
+        {"4c-gp-4b-2p/ims", busedGpMachine(4, 4, 2),
+         SchedulerKind::Iterative, 0xa0e46e5eb6383567ULL,
+         0x5188f773301b32e0ULL, 0x2d2c17bc1c014236ULL,
+         0xfc6f869d1a81ad13ULL},
+        {"2c-fs-2b-1p/sms", busedFsMachine(2, 2, 1), SchedulerKind::Swing,
+         0xd65b863a314a26d8ULL,
+         0x15c89e682bc6cf93ULL, 0x88fb26315c940223ULL,
+         0x237ae7c58cace7c5ULL},
+        {"2c-fs-2b-1p/ims", busedFsMachine(2, 2, 1),
+         SchedulerKind::Iterative, 0xc65aab08e03531e2ULL,
+         0x1a93bad99b9ec3f4ULL, 0x233d01f8eceee4dfULL,
+         0x8a0ac9fd399b5f85ULL},
+        {"4c-fs-2b-2p/sms", busedFsMachine(4, 2, 2), SchedulerKind::Swing,
+         0xff0373f7e05fbaccULL,
+         0x327eb79eb7b1a1f9ULL, 0xb4c78ae1937bb7b0ULL,
+         0xafdd9b542ff91691ULL},
+        {"4c-fs-2b-2p/ims", busedFsMachine(4, 2, 2),
+         SchedulerKind::Iterative, 0x64e46e7ac3e6fec4ULL,
+         0x713f8d55887b951aULL, 0xaf60a3d199c2a992ULL,
+         0xafdd9b542ff91691ULL},
+        {"4c-grid-2p/sms", gridMachine(2), SchedulerKind::Swing,
+         0x55809cb93204bacaULL,
+         0x2ab4da6c078b8aaaULL, 0xb67d6eeed65284faULL,
+         0xc1ccd58854a84b97ULL},
+        {"4c-grid-2p/ims", gridMachine(2), SchedulerKind::Iterative,
+         0xee93d60d00c37190ULL,
+         0xb7315e54c1ce0afaULL, 0x0227f8647653571eULL,
+         0xc1ccd58854a84b97ULL},
+        {"8c-gp-7b-3p/sms", busedGpMachine(8, 7, 3), SchedulerKind::Swing,
+         0xe6dba4ae632aee4cULL,
+         0x06b11b26800b2fb5ULL, 0x0995bcda212d2882ULL,
+         0xc1fa236ab752c513ULL},
+        {"8c-gp-7b-3p/ims", busedGpMachine(8, 7, 3),
+         SchedulerKind::Iterative, 0x11a2a09210239356ULL,
+         0x9e4c519802736aefULL, 0xc451479ed46c0cb2ULL,
+         0xc1fa236ab752c513ULL},
+    };
+    expectSuiteDigests(configs, digestLoops, publishedLoops);
 }
 
 // No published-suite loop reaches the degradation ladder. This one,
