@@ -10,6 +10,7 @@
 #include "assign/selector.hh"
 #include "pipeline/context.hh"
 #include "support/logging.hh"
+#include "support/rankqueue.hh"
 #include "support/time.hh"
 
 namespace cams
@@ -424,6 +425,7 @@ class AssignState
     /** runAttempt's work lists, kept here for the same reuse. */
     std::vector<NodeId> localOrder;
     std::vector<int> rank;
+    /** The RankQueue's flags. */
     std::vector<char> pendingRank;
     std::vector<char> tried;
     std::vector<long> est;
@@ -863,30 +865,9 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
         return out;
     };
 
-    // Unassigned nodes, highest priority (lowest rank) first: a
-    // rank-indexed bitmap with a moving minimum cursor, so an eviction
-    // round re-queues its victims without allocating.
+    // Unassigned nodes, highest priority (lowest rank) first.
     const int nn = graph.numNodes();
-    std::vector<char> &pendingRank = state.pendingRank;
-    pendingRank.assign(nn, 1);
-    int pendingCount = nn;
-    int minRank = 0;
-    auto pendingTop = [&]() -> NodeId {
-        while (!pendingRank[minRank])
-            ++minRank;
-        return order[minRank];
-    };
-    auto pendingErase = [&](NodeId v) {
-        pendingRank[rank[v]] = 0;
-        --pendingCount;
-    };
-    auto pendingInsert = [&](NodeId v) {
-        if (!pendingRank[rank[v]]) {
-            pendingRank[rank[v]] = 1;
-            ++pendingCount;
-        }
-        minRank = std::min(minRank, rank[v]);
-    };
+    RankQueue pending(state.pendingRank, nn);
 
     const int clusters = machine.numClusters();
     std::vector<char> &tried = state.tried;
@@ -905,8 +886,7 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
     };
 
     const int budget = std::max(
-        16, static_cast<int>(options_.evictionBudgetFactor *
-                             graph.numNodes()));
+        16, static_cast<int>(evictionBudgetPerNode * graph.numNodes()));
     int evictions = 0;
     int repair_rounds = rotation;
 
@@ -931,8 +911,8 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
     choices.reserve(clusters);
     AssignState::Txn &tentative = state.tentative;
     std::vector<NodeId> &victims = state.victims;
-    while (pendingCount > 0) {
-        const NodeId node = pendingTop();
+    while (!pending.empty()) {
+        const NodeId node = order[pending.top()];
         const bool in_scc = sccs.inRecurrence(node);
 
         choices.clear();
@@ -1011,7 +991,7 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
                      {"verdicts", verdictSummary(explain)}});
             }
             markTried(node, best);
-            pendingErase(node);
+            pending.erase(rank[node]);
             continue;
         }
 
@@ -1160,13 +1140,13 @@ ClusterAssigner::runAttempt(const Dfg &graph, int ii, int rotation,
             }
             for (NodeId victim : victims) {
                 state.unassign(victim);
-                pendingInsert(victim);
+                pending.insert(rank[victim]);
             }
         }
         if (options_.policy == AssignPolicy::AcyclicBug)
             est[node] = estimateStart(node, forced, state);
         markTried(node, forced);
-        pendingErase(node);
+        pending.erase(rank[node]);
     }
 
     result.clusterOf.resize(graph.numNodes());

@@ -58,6 +58,12 @@ enum class AssignPolicy
     AcyclicBug,
 };
 
+/**
+ * Fig. 11 evictions allowed per assignment attempt, per node (16 at
+ * least). Exhausting the budget fails the attempt.
+ */
+constexpr double evictionBudgetPerNode = 6.0;
+
 /** Algorithm variant knobs (paper Section 6 nomenclature). */
 struct AssignOptions
 {
@@ -78,12 +84,6 @@ struct AssignOptions
     bool useSccAffinity = true;  ///< Figure 10 line 4
     bool usePcrPrediction = true; ///< Figure 10 line 6 (PCR <= MRC)
     bool useSwingOrder = true;   ///< false: assign in plain id order
-
-    /**
-     * Evictions allowed per run: factor * node count (min 16).
-     * Exhausting the budget fails the assignment at this II.
-     */
-    double evictionBudgetFactor = 6.0;
 
     /**
      * Attempts per II before giving up (iterative variants only).
@@ -171,7 +171,8 @@ class ClusterAssigner
      * Assigns the loop at the given II.
      *
      * The graph must be well formed and executable on the machine.
-     * Single-cluster machines short-circuit to a trivial assignment.
+     * A single-cluster machine runs the same search, with one
+     * candidate cluster per node.
      *
      * The II-invariant analyses (SCCs, timing, swing order,
      * preconditions) come from a LoopContext for the same graph, and

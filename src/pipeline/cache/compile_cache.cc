@@ -230,7 +230,8 @@ makeCacheKey(const Dfg &graph, const MachineDesc &machine,
     oh = hashCombine(oh, a.useSccAffinity ? 1 : 0);
     oh = hashCombine(oh, a.usePcrPrediction ? 1 : 0);
     oh = hashCombine(oh, a.useSwingOrder ? 1 : 0);
-    oh = hashCombine(oh, hashDouble(a.evictionBudgetFactor));
+    // Once an option; its slot keeps every existing key unchanged.
+    oh = hashCombine(oh, hashDouble(evictionBudgetPerNode));
     oh = hashCombine(oh, static_cast<uint64_t>(a.restartsPerIi));
     // The tenant namespace salt keys the entry, so a salted compile
     // can never serve another namespace's state.

@@ -11,7 +11,7 @@
  *
  * The scheduler is cluster-oblivious: every operation, copies
  * included, exposes its resource needs through
- * AnnotatedLoop::request(), exactly as the paper's phase split
+ * AnnotatedLoop::requestInto(), exactly as the paper's phase split
  * intends.
  */
 
@@ -29,12 +29,6 @@ namespace cams
 class IterativeModuloScheduler : public ModuloScheduler
 {
   public:
-    /** @param budget_ratio placements allowed per operation. */
-    explicit IterativeModuloScheduler(double budget_ratio = 6.0)
-        : budgetRatio_(budget_ratio)
-    {
-    }
-
     std::string name() const override { return "ims"; }
 
   protected:
@@ -42,24 +36,8 @@ class IterativeModuloScheduler : public ModuloScheduler
              int ii, Schedule &out, LoopContext &ctx) const override;
 
   private:
-    /** Working state of one node during a run. */
-    struct NodeState
-    {
-        int start;
-        int lastStart;
-        /** Position in the height order. */
-        int prio;
-        /** MRT row while placed. */
-        int row;
-        bool placed;
-    };
-
-    double budgetRatio_;
-    /** Reused across calls, like the scratch MRT: per node, the
-     *  height order, and the work list's pending flags over it. */
-    mutable std::vector<NodeState> nodes_;
-    mutable std::vector<NodeId> byPrio_;
-    mutable std::vector<char> pendingPrio_;
+    /** The height order, reused across calls like the scratch MRT. */
+    mutable std::vector<NodeId> byHeight_;
 };
 
 } // namespace cams

@@ -49,17 +49,18 @@ ModuloScheduler::schedule(const AnnotatedLoop &loop,
                           const ResourceModel &model, int ii,
                           Schedule &out, LoopContext *ctx) const
 {
-    if (ctx)
-        return run(loop, model, ii, out, *ctx);
-    LoopContext local(loop.graph);
-    return run(loop, model, ii, out, local);
-}
-
-Mrt &
-ModuloScheduler::scratchMrt(const ResourceModel &model, int ii) const
-{
-    scratch_.reset(model, ii);
-    return scratch_;
+    if (!ctx) {
+        LoopContext local(loop.graph);
+        return schedule(loop, model, ii, out, &local);
+    }
+    if (loop.graph.numNodes() == 0) {
+        out.ii = ii;
+        out.startCycle.clear();
+        return true;
+    }
+    if (!ctx->schedulableAt(ii))
+        return false;
+    return run(loop, model, ii, out, *ctx);
 }
 
 int

@@ -49,7 +49,30 @@ struct Schedule
 
 class LoopContext;
 
-/** Common interface so drivers can swap scheduling algorithms. */
+/**
+ * One operation's working state in the schedulers' placement loop
+ * (sched/placement.hh).
+ */
+struct PlacementNode
+{
+    long start;
+    /** Start of the previous placement; noStart before the first. */
+    long lastStart;
+    /** Position in the scheduler's priority order. */
+    int rank;
+    /** MRT row while placed. */
+    int row;
+    bool placed;
+};
+
+/**
+ * Common interface so drivers can swap scheduling algorithms.
+ *
+ * Both schedulers are the same iterative placement loop, place(),
+ * run with a different policy: a priority order, a slot window with
+ * its forced start, and a rule that picks which blocking operation to
+ * eject (sched/placement.hh).
+ */
 class ModuloScheduler
 {
   public:
@@ -82,25 +105,39 @@ class ModuloScheduler
     long wordScans() const { return scratch_.wordScans(); }
 
   protected:
-    /** The algorithm: schedule() with its context resolved. */
+    /**
+     * The algorithm: schedule() of a non-empty loop at an II no lower
+     * than its RecMII, with its context resolved.
+     */
     virtual bool run(const AnnotatedLoop &loop,
                      const ResourceModel &model, int ii, Schedule &out,
                      LoopContext &ctx) const = 0;
 
+    /**
+     * The placement loop, taking operations in @p order (rank ->
+     * node) and bound at compile time to the scheduler's policy.
+     * Defined in sched/placement.hh.
+     */
+    template <class Policy>
+    bool place(const AnnotatedLoop &loop, const ResourceModel &model,
+               int ii, const std::vector<NodeId> &order,
+               const Policy &policy, Schedule &out,
+               LoopContext &ctx) const;
+
+  private:
     /** Emits the per-II slot-conflict summary (no-op when off). */
     void traceAttempt(int ii, bool success, long slotConflicts,
                       long ejections) const;
 
-    /**
-     * Hands out the reusable reservation table, cleared to the given
-     * length. Schedulers run one call at a time, so one table per
-     * scheduler suffices.
-     */
-    Mrt &scratchMrt(const ResourceModel &model, int ii) const;
-
     TraceConfig trace_;
-    /** Reused across schedule() calls; see scratchMrt(). */
+    /**
+     * Reused across schedule() calls, which run one at a time: the
+     * reservation table, the per-node state and the work list's
+     * pending flags.
+     */
     mutable Mrt scratch_;
+    mutable std::vector<PlacementNode> nodes_;
+    mutable std::vector<char> pending_;
 };
 
 } // namespace cams

@@ -9,10 +9,12 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "support/fault.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
+#include "support/rankqueue.hh"
 #include "support/stats.hh"
 #include "support/str.hh"
 #include "support/threadpool.hh"
@@ -173,6 +175,51 @@ TEST(IntHistogram, CountsAndFractions)
     EXPECT_DOUBLE_EQ(hist.fractionAtMost(1), 0.8);
     EXPECT_EQ(hist.minValue(), 0);
     EXPECT_EQ(hist.maxValue(), 5);
+}
+
+TEST(RankQueue, PopsInAscendingRank)
+{
+    std::vector<char> flags = {1, 0, 1}; // stale flags are overwritten
+    RankQueue queue(flags, 5);
+    std::vector<int> popped;
+    while (!queue.empty())
+        popped.push_back(queue.pop());
+    EXPECT_EQ(popped, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(flags, std::vector<char>(5, 0));
+}
+
+TEST(RankQueue, ReinsertBelowTheCursor)
+{
+    std::vector<char> flags;
+    RankQueue queue(flags, 6);
+    EXPECT_EQ(queue.pop(), 0);
+    EXPECT_EQ(queue.pop(), 1);
+    EXPECT_EQ(queue.pop(), 2);
+    queue.insert(1);
+    queue.insert(1); // already queued: no second copy
+    queue.insert(4); // never left
+    EXPECT_EQ(queue.top(), 1);
+    std::vector<int> popped;
+    while (!queue.empty())
+        popped.push_back(queue.pop());
+    EXPECT_EQ(popped, (std::vector<int>{1, 3, 4, 5}));
+}
+
+TEST(RankQueue, EraseTheTop)
+{
+    std::vector<char> flags;
+    RankQueue queue(flags, 3);
+    EXPECT_EQ(queue.top(), 0);
+    queue.erase(queue.top());
+    EXPECT_EQ(queue.top(), 1);
+    queue.erase(1);
+    queue.erase(1); // no longer queued: nothing changes
+    EXPECT_EQ(queue.pop(), 2);
+    EXPECT_TRUE(queue.empty());
+    queue.insert(0);
+    EXPECT_FALSE(queue.empty());
+    EXPECT_EQ(queue.pop(), 0);
+    EXPECT_TRUE(queue.empty());
 }
 
 TEST(Str, SplitWhitespace)
