@@ -63,20 +63,22 @@ BM_SwingOrder(benchmark::State &state)
 BENCHMARK(BM_SwingOrder)->Arg(16)->Arg(64)->Arg(161);
 
 void
-BM_MrtReserveRelease(benchmark::State &state)
+BM_MrtOccupyFree(benchmark::State &state)
 {
     const ResourceModel model(busedGpMachine(4, 4, 2));
     Mrt mrt(model, static_cast<int>(state.range(0)));
     std::vector<PoolId> request;
     model.copyRequestInto(0, std::vector<ClusterId>{1, 2}, request);
     for (auto _ : state) {
-        auto res = mrt.reserve(request);
-        benchmark::DoNotOptimize(res);
-        if (res)
-            mrt.release(*res);
+        const int row = mrt.findRow(request);
+        benchmark::DoNotOptimize(row);
+        if (row >= 0) {
+            mrt.occupy(request, row);
+            mrt.free(request, row);
+        }
     }
 }
-BENCHMARK(BM_MrtReserveRelease)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_MrtOccupyFree)->Arg(4)->Arg(16)->Arg(64);
 
 void
 BM_ClusterAssignment(benchmark::State &state)

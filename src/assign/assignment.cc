@@ -11,14 +11,6 @@
 namespace cams
 {
 
-std::vector<PoolId>
-AnnotatedLoop::request(const ResourceModel &model, NodeId node) const
-{
-    std::vector<PoolId> pools;
-    requestInto(model, node, pools);
-    return pools;
-}
-
 void
 AnnotatedLoop::requestInto(const ResourceModel &model, NodeId node,
                            std::vector<PoolId> &out) const

@@ -61,11 +61,10 @@ struct AnnotatedLoop
         return node >= numOriginalNodes;
     }
 
-    /** Resource pools node needs, per the machine's resource model. */
-    std::vector<PoolId> request(const ResourceModel &model,
-                                NodeId node) const;
-
-    /** request() written into a caller buffer. */
+    /**
+     * The resource pools a node needs, per the machine's resource
+     * model, written into a caller buffer.
+     */
     void requestInto(const ResourceModel &model, NodeId node,
                      std::vector<PoolId> &out) const;
 

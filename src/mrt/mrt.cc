@@ -461,30 +461,6 @@ Mrt::free(std::span<const PoolId> pools, int row)
     }
 }
 
-Reservation
-Mrt::reserveAt(std::span<const PoolId> pools, int row)
-{
-    const int wrapped = ((row % ii_) + ii_) % ii_;
-    occupy(pools, wrapped);
-    return {wrapped, {pools.begin(), pools.end()}};
-}
-
-std::optional<Reservation>
-Mrt::reserve(std::span<const PoolId> pools)
-{
-    const int row = findRow(pools);
-    if (row < 0)
-        return std::nullopt;
-    return reserveAt(pools, row);
-}
-
-void
-Mrt::release(const Reservation &reservation)
-{
-    cams_assert(reservation.valid(), "releasing an invalid reservation");
-    free(reservation.pools, reservation.row);
-}
-
 int
 Mrt::freeInRow(PoolId pool, int row) const
 {

@@ -29,7 +29,6 @@
 #define CAMS_MRT_MRT_HH
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -138,15 +137,6 @@ class ResourceModel
     std::vector<int> localOff_;
 };
 
-/** A committed MRT reservation; keep it to release the slots later. */
-struct Reservation
-{
-    int row = -1;
-    std::vector<PoolId> pools;
-
-    bool valid() const { return row >= 0; }
-};
-
 /** Modulo reservation table over a ResourceModel at a fixed II. */
 class Mrt
 {
@@ -190,23 +180,14 @@ class Mrt
                  int count, int step) const;
 
     /**
-     * Takes one slot of every requested pool in a row (0 <= row < II)
-     * without building a Reservation; the request must fit. Callers
-     * that can rebuild the request later keep only the row.
+     * Takes one slot of every requested pool in a row (0 <= row < II);
+     * the request must fit. Callers keep the row (and can rebuild the
+     * request) to free the slots later.
      */
     void occupy(std::span<const PoolId> pools, int row);
 
     /** Gives back what occupy(pools, row) took. */
     void free(std::span<const PoolId> pools, int row);
-
-    /** Reserves at a specific row (row is taken modulo II). */
-    Reservation reserveAt(std::span<const PoolId> pools, int row);
-
-    /** Reserves at the first fitting row; nullopt when full. */
-    std::optional<Reservation> reserve(std::span<const PoolId> pools);
-
-    /** Releases a reservation made on this table. */
-    void release(const Reservation &reservation);
 
     /** Free slots of a pool in one row. */
     int freeInRow(PoolId pool, int row) const;

@@ -64,7 +64,7 @@ namespace cams
 class RequestTable
 {
   public:
-    /** The pools node v needs, as AnnotatedLoop::request names them. */
+    /** The pools node v needs, as AnnotatedLoop::requestInto names them. */
     std::span<const PoolId> operator[](NodeId v) const
     {
         return {pools_.data() + offsets_[v],

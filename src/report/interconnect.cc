@@ -15,8 +15,10 @@ computeInterconnectStats(const AnnotatedLoop &loop,
     cams_assert(schedule.ii > 0, "stats on an empty schedule");
 
     Mrt mrt(model, schedule.ii);
+    std::vector<PoolId> request;
     for (NodeId v = 0; v < loop.graph.numNodes(); ++v) {
-        mrt.reserveAt(loop.request(model, v), schedule.row(v));
+        loop.requestInto(model, v, request);
+        mrt.occupy(request, schedule.row(v));
         if (loop.isCopy(v))
             ++stats.copies;
     }

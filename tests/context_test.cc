@@ -149,7 +149,8 @@ runCheckedMrtTrajectory(const MachineDesc &machine, uint64_t seed, int ii)
         menu.push_back(std::move(combo));
     }
 
-    std::vector<Reservation> held;
+    // Each occupied slot set: its request and row.
+    std::vector<std::pair<const std::vector<PoolId> *, int>> held;
     for (int step = 0; step < 400; ++step) {
         const std::vector<PoolId> &request =
             menu[rng.uniformInt(0, static_cast<int>(menu.size()) - 1)];
@@ -165,11 +166,12 @@ runCheckedMrtTrajectory(const MachineDesc &machine, uint64_t seed, int ii)
             << " dir " << step_dir;
 
         if (rng.chance(0.65) && mrt.canReserveAt(request, row)) {
-            held.push_back(mrt.reserveAt(request, row));
+            mrt.occupy(request, row);
+            held.emplace_back(&request, row);
         } else if (!held.empty() && rng.chance(0.5)) {
             const int victim =
                 rng.uniformInt(0, static_cast<int>(held.size()) - 1);
-            mrt.release(held[victim]);
+            mrt.free(*held[victim].first, held[victim].second);
             held.erase(held.begin() + victim);
         }
     }
@@ -194,7 +196,7 @@ TEST(MrtWordScan, ResetReusesTheTable)
         model.fuPool(0, FuClass::Integer)};
     for (int row = 0; row < 5; ++row)
         ASSERT_TRUE(mrt.canReserveAt(request, row));
-    mrt.reserveAt(request, 3);
+    mrt.occupy(request, 3);
     mrt.reset(8);
     for (int row = 0; row < 8; ++row)
         EXPECT_TRUE(mrt.canReserveAt(request, row));

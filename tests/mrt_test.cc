@@ -120,20 +120,29 @@ TEST(ResourceModel, PointToPointCopyNeedsLink)
         "no link");
 }
 
-TEST(Mrt, ReserveAndRelease)
+/** Occupies the first row that fits; returns it, or -1 when full. */
+int
+occupyFirstFit(Mrt &mrt, const Req &request)
+{
+    const int row = mrt.findRow(request);
+    if (row >= 0)
+        mrt.occupy(request, row);
+    return row;
+}
+
+TEST(Mrt, OccupyAndFree)
 {
     const ResourceModel model(busedGpMachine(2, 2, 1));
     Mrt mrt(model, 2);
     const PoolId gp = model.fuPool(0, FuClass::Integer);
     EXPECT_EQ(mrt.freeTotal(gp), 8); // 4 units x II 2
 
-    const auto res = mrt.reserve(Req{gp});
-    ASSERT_TRUE(res.has_value());
-    EXPECT_EQ(res->row, 0);
+    const int row = occupyFirstFit(mrt, Req{gp});
+    EXPECT_EQ(row, 0);
     EXPECT_EQ(mrt.freeTotal(gp), 7);
     EXPECT_EQ(mrt.usedTotal(gp), 1);
 
-    mrt.release(*res);
+    mrt.free(Req{gp}, row);
     EXPECT_EQ(mrt.freeTotal(gp), 8);
 }
 
@@ -143,8 +152,8 @@ TEST(Mrt, RowFillsThenOverflows)
     Mrt mrt(model, 1);
     const PoolId gp = model.fuPool(0, FuClass::Integer);
     for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(mrt.reserve(Req{gp}).has_value());
-    EXPECT_FALSE(mrt.reserve(Req{gp}).has_value());
+        EXPECT_EQ(occupyFirstFit(mrt, Req{gp}), 0);
+    EXPECT_EQ(occupyFirstFit(mrt, Req{gp}), -1);
     EXPECT_EQ(mrt.findRow(Req{gp}), -1);
 }
 
@@ -154,11 +163,9 @@ TEST(Mrt, FirstFitSkipsFullRows)
     Mrt mrt(model, 3);
     const PoolId read = model.readPool(0);
     // One read port per row; fill row 0 and 1.
-    mrt.reserveAt(Req{read}, 0);
-    mrt.reserveAt(Req{read}, 1);
-    const auto res = mrt.reserve(Req{read});
-    ASSERT_TRUE(res.has_value());
-    EXPECT_EQ(res->row, 2);
+    mrt.occupy(Req{read}, 0);
+    mrt.occupy(Req{read}, 1);
+    EXPECT_EQ(occupyFirstFit(mrt, Req{read}), 2);
 }
 
 TEST(Mrt, JointRequestNeedsAllPoolsInOneRow)
@@ -169,9 +176,9 @@ TEST(Mrt, JointRequestNeedsAllPoolsInOneRow)
     const PoolId bus = model.busPool();
     // Fill the read port in row 0 and the bus in row 1: a joint
     // (read, bus) request no longer fits anywhere.
-    mrt.reserveAt(Req{read}, 0);
-    mrt.reserveAt(Req{bus}, 1);
-    mrt.reserveAt(Req{bus}, 1);
+    mrt.occupy(Req{read}, 0);
+    mrt.occupy(Req{bus}, 1);
+    mrt.occupy(Req{bus}, 1);
     EXPECT_TRUE(mrt.canReserveAt(Req{read, bus}, 1) == false);
     EXPECT_EQ(mrt.findRow(Req{read, bus}), -1);
 }
@@ -182,28 +189,18 @@ TEST(Mrt, DuplicatePoolsInOneRequest)
     Mrt mrt(model, 1);
     const PoolId bus = model.busPool(); // capacity 2
     EXPECT_TRUE(mrt.canReserveAt(Req{bus, bus}, 0));
-    mrt.reserveAt(Req{bus, bus}, 0);
+    mrt.occupy(Req{bus, bus}, 0);
     EXPECT_FALSE(mrt.canReserveAt(Req{bus}, 0));
 }
 
-TEST(Mrt, ReserveAtWrapsRows)
-{
-    const ResourceModel model(busedGpMachine(2, 2, 1));
-    Mrt mrt(model, 3);
-    const PoolId gp = model.fuPool(0, FuClass::Integer);
-    const auto res = mrt.reserveAt(Req{gp}, 7); // 7 mod 3 = 1
-    EXPECT_EQ(res.row, 1);
-    EXPECT_EQ(mrt.freeInRow(gp, 1), 3);
-}
-
-TEST(Mrt, DoubleReleaseDies)
+TEST(Mrt, DoubleFreeDies)
 {
     const ResourceModel model(busedGpMachine(2, 2, 1));
     Mrt mrt(model, 1);
     const PoolId gp = model.fuPool(0, FuClass::Integer);
-    const auto res = mrt.reserveAt(Req{gp}, 0);
-    mrt.release(res);
-    EXPECT_DEATH({ mrt.release(res); }, "double release");
+    mrt.occupy(Req{gp}, 0);
+    mrt.free(Req{gp}, 0);
+    EXPECT_DEATH({ mrt.free(Req{gp}, 0); }, "double release");
 }
 
 } // namespace
