@@ -12,13 +12,15 @@
  *   - nothing may crash, abort, or hang (per-job deadlines bound
  *     runaway searches; the CI job runs this under ASan/UBSan).
  *
- * Three deterministic job classes spice the sweep: every 16th job runs
- * with scheduler-slot denial at probability 1 so the degradation
- * ladder must rescue it, every 31st job runs with a microscopic
- * deadline and no fallback so Timeout classification is exercised,
- * and every 37th job gets a hostile loop -- a distance-0 cycle or a
- * latency beyond the driver's ceiling -- that the oracle demands be
- * rejected as a malformed graph.
+ * Four deterministic job classes spice the sweep: every odd job
+ * schedules with Rau's IMS instead of SMS, so both schedulers run
+ * under the sanitizers; every 16th job runs with scheduler-slot
+ * denial at probability 1 so the degradation ladder must rescue it,
+ * every 31st job runs with a microscopic deadline and no fallback so
+ * Timeout classification is exercised, and every 37th job gets a
+ * hostile loop -- a distance-0 cycle or a latency beyond the driver's
+ * ceiling -- that the oracle demands be rejected as a malformed
+ * graph.
  *
  * Everything is a pure function of --seed; a failing job reproduces
  * exactly. Outcome counts per FailureKind land in BENCH_stress.json.
@@ -241,6 +243,8 @@ main(int argc, char **argv)
         job.options.verify = true;
         job.options.backend = backend;
         job.options.trace.tag = "fuzz_" + std::to_string(i);
+        if (i % 2 == 1)
+            job.options.scheduler = SchedulerKind::Iterative;
         if (i % 16 == 7) {
             // Guaranteed scheduler denial: the primary search cannot
             // succeed, so the degradation ladder must rescue the job.
