@@ -145,6 +145,10 @@ ModuloScheduler::place(const AnnotatedLoop &loop,
             ++slot_conflicts;
             chosen = std::max(slot.forced, node[op].lastStart + 1);
             const int row = view.rowOf(chosen);
+            // Each canReserveAt counts toward mrt_word_scans, which
+            // the compile-perf baseline pins: the loop re-tests once
+            // after a fruitless victim search, and the row is tested
+            // again below.
             bool progress = true;
             while (!mrt.canReserveAt(requests[op], row) && progress) {
                 const NodeId victim = policy.victim(view, op, row);
